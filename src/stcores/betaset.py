@@ -95,7 +95,7 @@ class CTuple:
         return sum(self.c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ATuple:
     """An s-set in coordinate form: t integers a_0..a_{t-1} with a_i = i
     (mod t) summing to t(t-1)/2.
@@ -222,6 +222,8 @@ def s_push(b: BetaSet, s: int) -> BetaSet:
 
 def t_core(p: Partition, t: int) -> Partition:
     """The t-core via the abacus: push the beta-set, read back the partition."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
     return partition_from_beta(s_push(beta_from_partition(p), t))
 
 

@@ -1,16 +1,15 @@
 """Command-line front end: ``cores count | enum | avg | convert | tcore | verify``.
 
-Output is byte-stable across runs for identical arguments: enumerations are
-sorted, rationals are rendered in canonical reduced form, and the verify
-suite seeds its randomness deterministically.  Exit codes: 0 success,
-1 verification failure, 2 usage error.
+Output is byte-stable across runs for identical arguments: enumerations come
+in lexicographic order of z, rationals are rendered in canonical reduced
+form, and the verify suite seeds its randomness deterministically.  Exit
+codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import betaset, coords, enumeration, oracle, stats
@@ -42,21 +41,6 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise UsageError(f"cannot parse {what} {text!r}: {exc}") from None
-
-
-def _check_threads_env() -> None:
-    """CORES_THREADS sets the worker count; it may only affect speed, never
-    output.  The current implementation is single-process, so the value is
-    validated and otherwise unused."""
-    raw = os.environ.get("CORES_THREADS")
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"CORES_THREADS must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise UsageError(f"CORES_THREADS must be a positive integer, got {raw!r}")
 
 
 def _emit_records(records, fmt: str, out) -> None:
@@ -277,7 +261,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_threads_env()
         return args.func(args)
     except (UsageError, ValueError) as exc:
         # CoreError subclasses ValueError, so both contract violations and

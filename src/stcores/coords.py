@@ -39,7 +39,7 @@ def shift_constant(s: int, t: int) -> int:
     return num // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZTuple:
     """t integers summing to s with sum(j * z_j) = 0 mod t.
 

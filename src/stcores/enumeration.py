@@ -1,13 +1,19 @@
 """Exhaustive generation of (s,t)-cores and friends, plus closed-form counts.
 
 For coprime s, t the (s,t)-cores correspond to the nonnegative integer
-tuples z of length t with sum s and sum(j * z_j) = 0 mod t.  Each cyclic
-rotation orbit of a weak composition contains exactly one such tuple, which
-yields both the counting formulas and a faster "necklace" generation
-strategy.
+tuples z of length t with sum s and sum(j * z_j) = 0 mod t.  The
+(m, m+d, m+2d)-cores are the same kind of tuple with entries in {-1, 0, 1},
+or nonnegative with no two cyclically adjacent zeros.  One generator,
+:func:`_iter_z`, visits exactly these lattice points in lexicographic order:
+a depth-first search guided by a table of the weighted residues each suffix
+can still reach, so it never builds a tuple it would have to throw away.
 
-The ``iter_*`` functions stream records lazily; the ``enum_*`` wrappers
-collect and sort by z so output is deterministic.
+Each cyclic rotation orbit of a weak composition contains exactly one tuple
+with the congruence (:func:`canonical_cyclic_rep`), which yields the
+counting formulas.
+
+The ``iter_*`` functions stream records lazily, in lexicographic order of
+z; the ``enum_*`` wrappers collect them into lists.
 """
 
 from __future__ import annotations
@@ -17,12 +23,12 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 from .betaset import ATuple, partition_from_a
-from .coords import ZTuple, u_to_z, z_to_a, UTuple
-from .errors import NotCoprimeError
+from .coords import ZTuple, _require_coprime, u_to_z, z_to_a, UTuple
+from .errors import CoreError
 from .partition import Partition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoreRecord:
     """One core in all four views: z- and a-coordinates, the partition, and
     its size.  ``stab`` stays None until a stabilizer is attached."""
@@ -32,9 +38,6 @@ class CoreRecord:
     partition: Partition
     size: int
     stab: int | None = None
-
-    def sort_key(self) -> tuple[int, ...]:
-        return self.z.z
 
     def with_stab(self, stab: int) -> "CoreRecord":
         return replace(self, stab=stab)
@@ -60,13 +63,6 @@ class CoreRecord:
         if self.stab is not None:
             cells.append(str(self.stab))
         return ";".join(cells)
-
-
-def _require_coprime(s: int, t: int) -> None:
-    if s < 1 or t < 1:
-        raise ValueError("parameters must be >= 1")
-    if math.gcd(s, t) != 1:
-        raise NotCoprimeError(f"{s} and {t} must be coprime")
 
 
 def record_from_z(zt: ZTuple) -> CoreRecord:
@@ -107,71 +103,96 @@ def canonical_cyclic_rep(x: Sequence[int]) -> int:
     return (pow(s % t, -1, t) * w) % t
 
 
-def _iter_necklace_reps(total: int, length: int) -> Iterator[tuple[int, ...]]:
-    """Aperiodic necklace representatives (lex-least rotations) of weak
-    compositions of ``total`` into ``length`` parts.
+def _iter_z(total: int, t: int, values: range, no_zero_pair: bool = False) -> Iterator[tuple[int, ...]]:
+    """Every z in ``values``^t with sum ``total`` and sum(j * z_j) = 0 mod t,
+    lazily and in lexicographic order.  With ``no_zero_pair`` (for
+    nonnegative ``values``) also z_j + z_{j+1} >= 1 for every j, indices
+    mod t.
 
-    When gcd(total, length) = 1 every composition with the right sum is
-    aperiodic, so these are exactly one member per rotation orbit.
+    A completion table, built bottom-up, maps (position, whether the entry
+    before it is zero, remaining sum) to a bitmask of the residues
+    sum_{j >= position} j * z_j mod t that some valid suffix reaches.  The
+    search enters a prefix only when the bit of the residue that prefix
+    still needs is set, so every prefix it enters ends in at least one
+    output tuple.  The cyclic pair (z_{t-1}, z_0) is covered by a second
+    table in which z_{t-1} must be nonzero, used when z_0 = 0.
     """
-    n = length
-    a = [0] * (n + 1)
+    vmin, vmax = values.start, values.stop - 1
+    full = (1 << t) - 1
+    # Sums that positions pos..t-1 can carry, given the entries before them.
+    rlo = [max((t - pos) * vmin, total - pos * vmax) for pos in range(t + 1)]
+    rhi = [min((t - pos) * vmax, total - pos * vmin) for pos in range(t + 1)]
+    # Smallest entry allowed after a nonzero entry and after a zero entry.
+    floor = (vmin, max(vmin, 1) if no_zero_pair else vmin)
 
-    def gen(pos: int, period: int, rem: int) -> Iterator[tuple[int, ...]]:
-        if rem < 0:
+    def completions(last_nonzero: bool) -> list:
+        # reach[pos][prev_zero][rem] = bitmask of reachable suffix residues
+        end = {0: 1}
+        reach: list = [None] * t + [(end, end)]
+        for pos in range(t - 1, 0, -1):
+            nxt, lo, hi = reach[pos + 1], rlo[pos + 1], rhi[pos + 1]
+            rows = []
+            for prev_zero in (False, True) if no_zero_pair else (False,):
+                lowest = floor[prev_zero]
+                if last_nonzero and pos == t - 1:
+                    lowest = max(lowest, 1)
+                row = {}
+                for rem in range(rlo[pos], rhi[pos] + 1):
+                    mask = 0
+                    for v in range(max(lowest, rem - hi), min(vmax, rem - lo) + 1):
+                        m = nxt[v == 0][rem - v]
+                        k = pos * v % t
+                        mask |= (m << k | m >> (t - k)) & full
+                    row[rem] = mask
+                rows.append(row)
+            reach[pos] = (rows[0], rows[-1])
+        return reach
+
+    z = [0] * t
+
+    def descend(reach: list, pos: int, rem: int, need: int, prev_zero: bool) -> Iterator[tuple[int, ...]]:
+        if pos == t:
+            yield tuple(z)
             return
-        if pos > n:
-            if period == n and rem == 0:
-                yield tuple(a[1:])
-            return
-        if rem > (n - pos + 1) * total:
-            return
-        a[pos] = a[pos - period]
-        yield from gen(pos + 1, period, rem - a[pos])
-        for v in range(a[pos - period] + 1, min(total, rem) + 1):
-            a[pos] = v
-            yield from gen(pos + 1, pos, rem - v)
+        rows = reach[pos + 1]
+        for v in range(max(floor[prev_zero], rem - rhi[pos + 1]), min(vmax, rem - rlo[pos + 1]) + 1):
+            left = (need - pos * v) % t
+            if rows[v == 0][rem - v] >> left & 1:
+                z[pos] = v
+                yield from descend(reach, pos + 1, rem - v, left, v == 0)
 
-    yield from gen(1, 1, total)
+    free = completions(False)
+    wrap = completions(True) if no_zero_pair else free
+    for v in range(max(vmin, total - rhi[1]), min(vmax, total - rlo[1]) + 1):
+        reach = wrap if v == 0 else free
+        if reach[1][v == 0][total - v] & 1:
+            z[0] = v
+            yield from descend(reach, 1, total - v, 0, v == 0)
 
 
-def iter_st_cores(s: int, t: int, strategy: str = "filter") -> Iterator[CoreRecord]:
-    """Stream all (s,t)-cores.
-
-    strategy="filter" walks every weak composition and keeps the congruent
-    ones (lexicographic on z); strategy="necklace" visits one composition
-    per rotation orbit and rotates it into place, about t times faster but
-    in necklace order.  Arguments are validated eagerly.
-    """
+def iter_st_cores(s: int, t: int) -> Iterator[CoreRecord]:
+    """Stream all (s,t)-cores in lexicographic order of z.  Arguments are
+    validated eagerly."""
     _require_coprime(s, t)
-    if strategy == "filter":
 
-        def gen() -> Iterator[CoreRecord]:
-            for comp in iter_weak_compositions(s, t):
-                if sum(j * v for j, v in enumerate(comp)) % t == 0:
-                    yield record_from_z(ZTuple(t, s, comp))
+    def gen() -> Iterator[CoreRecord]:
+        for z in _iter_z(s, t, range(s + 1)):
+            yield record_from_z(ZTuple(t, s, z))
 
-    elif strategy == "necklace":
-
-        def gen() -> Iterator[CoreRecord]:
-            for rep in _iter_necklace_reps(s, t):
-                r = canonical_cyclic_rep(rep)
-                z = rep[r:] + rep[:r]
-                yield record_from_z(ZTuple(t, s, z))
-
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
     return gen()
 
 
-def enum_st_cores(s: int, t: int, strategy: str = "filter") -> list[CoreRecord]:
-    """All (s,t)-cores, sorted lexicographically by z."""
-    return sorted(iter_st_cores(s, t, strategy), key=CoreRecord.sort_key)
+def enum_st_cores(s: int, t: int) -> list[CoreRecord]:
+    """All (s,t)-cores, in lexicographic order of z."""
+    return list(iter_st_cores(s, t))
 
 
 def iter_sc_st_cores(s: int, t: int) -> Iterator[CoreRecord]:
     """Stream all self-conjugate (s,t)-cores via u-coordinates: weak
-    compositions of floor(s/2) into floor(t/2) + 1 parts, unfolded."""
+    compositions of floor(s/2) into floor(t/2) + 1 parts, unfolded.  The
+    unfolding keeps lexicographic order: z_0 and z_1..z_{floor(t/2)} are
+    increasing functions of u_0 and u_1..u_{floor(t/2)}, and the remaining
+    entries are determined by those."""
     _require_coprime(s, t)
 
     def gen() -> Iterator[CoreRecord]:
@@ -182,25 +203,7 @@ def iter_sc_st_cores(s: int, t: int) -> Iterator[CoreRecord]:
 
 
 def enum_sc_st_cores(s: int, t: int) -> list[CoreRecord]:
-    return sorted(iter_sc_st_cores(s, t), key=CoreRecord.sort_key)
-
-
-def _iter_signed_seqs(total: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Sequences in {-1, 0, 1}^k summing to ``total``, lexicographic."""
-    buf = [0] * k
-
-    def rec(pos: int, rem: int) -> Iterator[tuple[int, ...]]:
-        left = k - pos
-        if rem < -left or rem > left:
-            return
-        if pos == k:
-            yield tuple(buf)
-            return
-        for v in (-1, 0, 1):
-            buf[pos] = v
-            yield from rec(pos + 1, rem - v)
-
-    yield from rec(0, total)
+    return list(iter_sc_st_cores(s, t))
 
 
 def iter_triple_sym(m: int, d: int) -> Iterator[CoreRecord]:
@@ -210,15 +213,14 @@ def iter_triple_sym(m: int, d: int) -> Iterator[CoreRecord]:
     t = m + d
 
     def gen() -> Iterator[CoreRecord]:
-        for seq in _iter_signed_seqs(d, t):
-            if sum(j * v for j, v in enumerate(seq)) % t == 0:
-                yield record_from_z(ZTuple(t, d, seq))
+        for z in _iter_z(d, t, range(-1, 2)):
+            yield record_from_z(ZTuple(t, d, z))
 
     return gen()
 
 
 def enum_triple_sym(m: int, d: int) -> list[CoreRecord]:
-    return sorted(iter_triple_sym(m, d), key=CoreRecord.sort_key)
+    return list(iter_triple_sym(m, d))
 
 
 def iter_triple_asym(m: int, d: int) -> Iterator[CoreRecord]:
@@ -228,24 +230,22 @@ def iter_triple_asym(m: int, d: int) -> Iterator[CoreRecord]:
     s, t = m + d, m
 
     def gen() -> Iterator[CoreRecord]:
-        for comp in iter_weak_compositions(s, t):
-            if any(comp[j] + comp[(j + 1) % t] < 1 for j in range(t)):
-                continue
-            if sum(j * v for j, v in enumerate(comp)) % t == 0:
-                yield record_from_z(ZTuple(t, s, comp))
+        for z in _iter_z(s, t, range(s + 1), no_zero_pair=True):
+            yield record_from_z(ZTuple(t, s, z))
 
     return gen()
 
 
 def enum_triple_asym(m: int, d: int) -> list[CoreRecord]:
-    return sorted(iter_triple_asym(m, d), key=CoreRecord.sort_key)
+    return list(iter_triple_asym(m, d))
 
 
 def count_st(s: int, t: int) -> int:
     """Number of (s,t)-cores: C(s+t, t) / (s+t)."""
     _require_coprime(s, t)
     num = math.comb(s + t, t)
-    assert num % (s + t) == 0
+    if num % (s + t):
+        raise CoreError(f"C({s + t}, {t}) is not divisible by {s + t}")
     return num // (s + t)
 
 
@@ -255,13 +255,15 @@ def count_sc(s: int, t: int) -> int:
     return math.comb(s // 2 + t // 2, t // 2)
 
 
-def _multinomial(n: int, ks: Sequence[int]) -> int:
-    assert sum(ks) == n and all(v >= 0 for v in ks)
+def multinomial(n: int, ks: Sequence[int]) -> int:
+    """n! / prod(k_i!) for a weak composition of n."""
     out = 1
     rem = n
     for v in ks:
         out *= math.comb(rem, v)
         rem -= v
+    if rem:
+        raise CoreError(f"parts {tuple(ks)} do not sum to {n}")
     return out
 
 
@@ -270,6 +272,7 @@ def count_triple(m: int, d: int) -> int:
     (1/(m+d)) * sum_i multinom(m+d; i, i+d, m-2i)."""
     _require_coprime(m, d)
     t = m + d
-    total = sum(_multinomial(t, (i, i + d, m - 2 * i)) for i in range(m // 2 + 1))
-    assert total % t == 0
+    total = sum(multinomial(t, (i, i + d, m - 2 * i)) for i in range(m // 2 + 1))
+    if total % t:
+        raise CoreError(f"multinomial sum {total} is not divisible by {t}")
     return total // t

@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .betaset import ATuple, CTuple
 from .coords import UTuple, ZTuple, z_to_u
-from .enumeration import CoreRecord, iter_sc_st_cores, iter_st_cores
+from .enumeration import CoreRecord, iter_sc_st_cores, iter_st_cores, multinomial
 from .errors import NegativeEntryError, NotCoprimeError
 
 ExactRational = Fraction
@@ -26,17 +25,6 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def multinomial(n: int, ks: Sequence[int]) -> int:
-    """n! / prod(k_i!) for a weak composition of n."""
-    out = 1
-    rem = n
-    for v in ks:
-        out *= math.comb(rem, v)
-        rem -= v
-    assert rem == 0
-    return out
 
 
 def size_from_a(a: ATuple) -> int:

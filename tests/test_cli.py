@@ -109,6 +109,8 @@ def test_tcore(capsys):
     assert code == 0 and out == "[1,1]\n"
     code, out, _ = run(capsys, "tcore", "3", "--partition", "")
     assert code == 0 and out == "[]\n"
+    code, _, err = run(capsys, "tcore", "0", "--partition", "5,5")
+    assert code == 2 and "t must be >= 1" in err
 
 
 def test_convert_from_partition(capsys):
@@ -181,12 +183,3 @@ def test_output_byte_stability(capsys):
     v1 = run(capsys, "verify", "--smax", "2", "--tmax", "3", "--nmax", "6")
     v2 = run(capsys, "verify", "--smax", "2", "--tmax", "3", "--nmax", "6")
     assert v1 == v2
-
-
-def test_threads_env_is_validated(capsys, monkeypatch):
-    monkeypatch.setenv("CORES_THREADS", "4")
-    code, out, _ = run(capsys, "count", "3", "4")
-    assert code == 0 and out == "5\n"
-    monkeypatch.setenv("CORES_THREADS", "zero")
-    code, _, err = run(capsys, "count", "3", "4")
-    assert code == 2 and "CORES_THREADS" in err

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import pytest
 
 from stcores import (
+    CoreError,
     NotCoprimeError,
     Partition,
     canonical_cyclic_rep,
@@ -13,9 +15,14 @@ from stcores import (
     enum_st_cores,
     enum_triple_asym,
     enum_triple_sym,
+    iter_sc_st_cores,
+    iter_st_cores,
+    iter_triple_asym,
+    iter_triple_sym,
     iter_weak_compositions,
     motzkin_number,
 )
+from stcores.enumeration import _iter_z, multinomial
 
 
 def test_weak_compositions_lex_and_complete():
@@ -68,11 +75,47 @@ def test_enum_st_cores_sorted_by_z():
     assert [r.z.z for r in recs] == sorted(r.z.z for r in recs)
 
 
-def test_enum_strategies_agree():
-    for s, t in [(2, 3), (3, 4), (4, 5), (5, 6), (7, 4), (1, 5), (5, 1), (8, 3)]:
-        filt = enum_st_cores(s, t, strategy="filter")
-        neck = enum_st_cores(s, t, strategy="necklace")
-        assert [r.z for r in filt] == [r.z for r in neck]
+ST_PAIRS = [(s, t) for s in range(1, 14) for t in range(1, 15 - s) if math.gcd(s, t) == 1]
+TRIPLE_PAIRS = [(m, d) for m in range(1, 11) for d in range(1, 12 - m) if math.gcd(m, d) == 1]
+
+
+def _congruent(z):
+    return sum(j * v for j, v in enumerate(z)) % len(z) == 0
+
+
+def test_iterators_yield_strictly_increasing_z():
+    # the enum_* wrappers rely on this order instead of sorting
+    for factory, pairs in (
+        (iter_st_cores, ST_PAIRS),
+        (iter_sc_st_cores, ST_PAIRS),
+        (iter_triple_sym, TRIPLE_PAIRS),
+        (iter_triple_asym, TRIPLE_PAIRS),
+    ):
+        for a, b in pairs:
+            zs = [rec.z.z for rec in factory(a, b)]
+            assert all(x < y for x, y in zip(zs, zs[1:])), (factory.__name__, a, b)
+
+
+def test_iter_z_matches_brute_filter():
+    for s, t in ST_PAIRS:
+        brute = [z for z in iter_weak_compositions(s, t) if _congruent(z)]
+        assert list(_iter_z(s, t, range(s + 1))) == brute, (s, t)
+
+    signed = {}
+    for m, d in TRIPLE_PAIRS:
+        t = m + d
+        if t not in signed:
+            signed[t] = list(itertools.product((-1, 0, 1), repeat=t))
+        brute = [z for z in signed[t] if sum(z) == d and _congruent(z)]
+        assert list(_iter_z(d, t, range(-1, 2))) == brute, ("sym", m, d)
+
+        s, t = m + d, m
+        brute = [
+            z
+            for z in iter_weak_compositions(s, t)
+            if _congruent(z) and all(z[j] + z[(j + 1) % t] >= 1 for j in range(t))
+        ]
+        assert list(_iter_z(s, t, range(s + 1), no_zero_pair=True)) == brute, ("asym", m, d)
 
 
 def test_enum_rejects_non_coprime():
@@ -85,8 +128,6 @@ def test_enum_rejects_non_coprime():
 
 
 def test_iterators_validate_before_first_yield():
-    from stcores import iter_sc_st_cores, iter_st_cores, iter_triple_asym, iter_triple_sym
-
     for factory in (iter_st_cores, iter_sc_st_cores, iter_triple_sym, iter_triple_asym):
         with pytest.raises(NotCoprimeError):
             factory(2, 4)
@@ -161,6 +202,12 @@ def test_count_matches_both_closed_forms():
             n = count_st(s, t)
             assert n == math.comb(s + t, t) // (s + t)
             assert n == math.comb(s + t - 1, t - 1) // t
+
+
+def test_multinomial_rejects_parts_with_wrong_sum():
+    assert multinomial(4, (1, 1, 2)) == 12
+    with pytest.raises(CoreError):
+        multinomial(4, (1, 1))
 
 
 def test_motzkin_column():

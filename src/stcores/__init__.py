@@ -55,6 +55,7 @@ from .errors import (
     CoreError,
     InvalidSSetError,
     InvalidZError,
+    InvariantError,
     NegativeEntryError,
     NonMonotoneError,
     NonzeroChargeError,
@@ -76,7 +77,6 @@ from .oracle import (
 )
 from .partition import Partition
 from .stats import (
-    ExactRational,
     IdentityReport,
     attach_stabilizers,
     average_size,

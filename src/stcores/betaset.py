@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import NonzeroChargeError, NotACoreError
+from .errors import InvariantError, NonzeroChargeError, NotACoreError
 from .partition import Partition
 
 
@@ -124,6 +124,22 @@ class ATuple:
 
     def to_json(self) -> list[int]:
         return list(self.a)
+
+
+def size_from_a(a: ATuple) -> int:
+    """Size of the t-core with these a-coordinates, from the quadratic form
+
+        24t * |core| = 3 * sum_i (2 a_i - (t-1))^2 - t(t^2 - 1),
+
+    in integers.  Raises InvariantError unless the right side is a
+    nonnegative multiple of 24t (anything else means corrupted invariants).
+    """
+    t = a.t
+    num = 3 * sum((2 * v - (t - 1)) ** 2 for v in a.a) - t * (t * t - 1)
+    size, rem = divmod(num, 24 * t)
+    if rem or size < 0:
+        raise InvariantError(f"size formula gives {num}/{24 * t} for a={a.a}")
+    return size
 
 
 def beta_from_partition(p: Partition) -> BetaSet:
@@ -253,12 +269,21 @@ def a_coords(p: Partition, s: int) -> ATuple:
 
 
 def partition_from_a(a: ATuple) -> Partition:
-    """Partition of the t-core with the given a-coordinates."""
+    """Partition of the t-core with the given a-coordinates, read off the
+    abacus.
+
+    Class i mod t holds beads at a_i - t, a_i - 2t, ..., so every position
+    at or below lo = min(a) - t is a bead.  Listing the beads above lo in
+    descending order, b_1 > b_2 > ..., the parts are b_i + i.  Total charge
+    zero makes lo = -(n+1) for n beads above it, so every later part is 0.
+    """
     t = a.t
-    maxima = [0] * t
-    for v in a.a:
-        maxima[v % t] = v - t
-    return partition_from_beta(_beta_from_class_maxima(maxima, t))
+    lo = min(a.a) - t
+    beads = sorted([b for v in a.a for b in range(v - t, lo, -t)], reverse=True)
+    parts = [b + i for i, b in enumerate(beads, start=1)]
+    while parts and parts[-1] == 0:
+        parts.pop()
+    return Partition(parts)
 
 
 def s_set(b: BetaSet, s: int) -> frozenset[int]:

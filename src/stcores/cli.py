@@ -1,9 +1,10 @@
 """Command-line front end: ``cores count | enum | avg | convert | tcore | verify``.
 
 Output is byte-stable across runs for identical arguments: enumerations come
-in lexicographic order of z, rationals are rendered in canonical reduced
-form, and the verify suite seeds its randomness deterministically.  Exit
-codes: 0 success, 1 verification failure, 2 usage error.
+in lexicographic order of z and stream, one record written as soon as it is
+generated; rationals are rendered in canonical reduced form, and the verify
+suite seeds its randomness deterministically.  Exit codes: 0 success,
+1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -44,11 +45,16 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def _emit_records(records, fmt: str, out) -> None:
+    """Write each record as it arrives; ``json`` frames the stream as one
+    array, byte-identical to dumping the collected list."""
     if fmt == "jsonl":
         for rec in records:
             out.write(_compact_json(rec.to_json_dict()) + "\n")
     elif fmt == "json":
-        out.write(_compact_json([rec.to_json_dict() for rec in records]) + "\n")
+        out.write("[")
+        for i, rec in enumerate(records):
+            out.write(("," if i else "") + _compact_json(rec.to_json_dict()))
+        out.write("]\n")
     elif fmt == "csv":
         for rec in records:
             out.write(rec.csv_row() + "\n")
@@ -58,7 +64,7 @@ def _emit_records(records, fmt: str, out) -> None:
             line = (
                 f"z={','.join(map(str, d['z']))}"
                 f" a={','.join(map(str, d['a']))}"
-                f" parts={rec.partition.csv_cell()}"
+                f" parts={'+'.join(map(str, d['parts']))}"
                 f" size={rec.size}"
             )
             if rec.stab is not None:
@@ -92,18 +98,18 @@ def cmd_enum(args) -> int:
             raise UsageError("--with-stab is not defined for triple enumerations")
         m, d = args.triple
         records = (
-            enumeration.enum_triple_sym(m, d)
+            enumeration.iter_triple_sym(m, d)
             if args.method == "sym"
-            else enumeration.enum_triple_asym(m, d)
+            else enumeration.iter_triple_asym(m, d)
         )
     else:
         if len(args.params) != 2:
             raise UsageError("usage: cores enum <s> <t> [--self-conjugate] | cores enum --triple <m> <d>")
         s, t = _as_int(args.params[0], "s"), _as_int(args.params[1], "t")
         if args.self_conjugate:
-            records = enumeration.enum_sc_st_cores(s, t)
+            records = enumeration.iter_sc_st_cores(s, t)
         else:
-            records = enumeration.enum_st_cores(s, t)
+            records = enumeration.iter_st_cores(s, t)
         if args.with_stab:
             records = stats.attach_stabilizers(records, self_conjugate=args.self_conjugate)
     _emit_records(records, args.format, sys.stdout)

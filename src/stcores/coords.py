@@ -9,8 +9,7 @@ with indices mod t.  The map is an affine bijection between all t-cores
 (a-side: sum t(t-1)/2, congruences a_i = i mod t) and integer tuples with
 sum s and sum(j * z_j) = 0 mod t; the (s,t)-cores are exactly the tuples
 with every z_j >= 0.  All divisions are exact by construction; a remainder
-means corrupted invariants and raises AssertionError, not a recoverable
-error.
+means corrupted invariants and raises InvariantError.
 
 u-coordinates fold the symmetric z-tuples (z_i = z_{-i}) of self-conjugate
 cores down to floor(t/2) + 1 entries summing to floor(s/2).
@@ -22,7 +21,13 @@ import math
 from dataclasses import dataclass
 
 from .betaset import ATuple
-from .errors import InvalidZError, NotCoprimeError, NotSymmetricError, ParityError
+from .errors import (
+    InvalidZError,
+    InvariantError,
+    NotCoprimeError,
+    NotSymmetricError,
+    ParityError,
+)
 
 
 def _require_coprime(s: int, t: int) -> None:
@@ -35,7 +40,8 @@ def _require_coprime(s: int, t: int) -> None:
 def shift_constant(s: int, t: int) -> int:
     """k = (s+1)(t-1)/2, an integer whenever gcd(s, t) = 1."""
     num = (s + 1) * (t - 1)
-    assert num % 2 == 0, "k must be an integer for coprime s, t"
+    if num % 2:
+        raise NotCoprimeError(f"k = (s+1)(t-1)/2 is not an integer for s={s}, t={t}")
     return num // 2
 
 
@@ -102,24 +108,34 @@ def a_to_z(a: ATuple, s: int) -> ZTuple:
     z = []
     for j in range(t):
         num = a.a[(s * j + k) % t] - a.a[(s * (j + 1) + k) % t] + s
-        assert num % t == 0, "coordinate change division must be exact"
+        if num % t:
+            raise InvariantError(f"a-coordinates of {a.a} do not divide exactly at j={j}")
         z.append(num // t)
     return ZTuple(t, s, tuple(z))
 
 
 def z_to_a(z: ZTuple) -> ATuple:
-    """Inverse change of variables via the telescoping identity
+    """Inverse change of variables, in O(t).
 
-        a_{k + l*s} - (t-1)/2 = sum_j ((t-1)/2 - j) * z_{j+l}.
+    The entry at index k is the l = 0 case of the telescoping identity
 
-    Computed with doubled integers so the half-integers stay exact.
+        a_{k + l*s} - (t-1)/2 = sum_j ((t-1)/2 - j) * z_{j+l},
+
+    computed with doubled integers so the half-integers stay exact.  The
+    rest follow from the one-step relation a_{k+(l+1)s} = a_{k+ls} + s - t*z_l,
+    which is :func:`a_to_z` solved for the next entry.
     """
-    t, s, k = z.t, z.s, z.k
+    t, s, k, zz = z.t, z.s, z.k, z.z
+    doubled = (t - 1) + sum(((t - 1) - 2 * j) * v for j, v in enumerate(zz))
+    if doubled % 2:
+        raise InvariantError(f"a-coordinate from z={zz} is not an integer")
     a = [0] * t
-    for ell in range(t):
-        doubled = (t - 1) + sum(((t - 1) - 2 * j) * z.z[(j + ell) % t] for j in range(t))
-        assert doubled % 2 == 0, "a-coordinate must be an integer"
-        a[(k + ell * s) % t] = doubled // 2
+    i = k % t
+    v = doubled // 2
+    for zl in zz:
+        a[i] = v
+        v += s - t * zl
+        i = (i + s) % t
     return ATuple(t, tuple(a))
 
 

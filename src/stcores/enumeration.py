@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
-from .betaset import ATuple, partition_from_a
+from .betaset import ATuple, partition_from_a, size_from_a
 from .coords import ZTuple, _require_coprime, u_to_z, z_to_a, UTuple
 from .errors import CoreError
 from .partition import Partition
@@ -30,14 +30,24 @@ from .partition import Partition
 
 @dataclass(frozen=True, slots=True)
 class CoreRecord:
-    """One core in all four views: z- and a-coordinates, the partition, and
-    its size.  ``stab`` stays None until a stabilizer is attached."""
+    """One core as its z- and a-coordinates and its size.  ``stab`` stays
+    None until a stabilizer is attached.
+
+    The partition is derived, not stored: :attr:`partition` rebuilds it from
+    ``a`` on every access, so statistics that need only ``size`` never pay
+    for a Young diagram.  Bind it once when it is used more than once.
+    Equality and hashing see ``z``, ``a``, ``size`` and ``stab``; ``a``
+    determines the partition.
+    """
 
     z: ZTuple
     a: ATuple
-    partition: Partition
     size: int
     stab: int | None = None
+
+    @property
+    def partition(self) -> Partition:
+        return partition_from_a(self.a)
 
     def with_stab(self, stab: int) -> "CoreRecord":
         return replace(self, stab=stab)
@@ -66,9 +76,10 @@ class CoreRecord:
 
 
 def record_from_z(zt: ZTuple) -> CoreRecord:
+    """The record of the t-core with z-coordinates ``zt``: a by the O(t)
+    inverse change of variables, the size from a, no partition."""
     a = z_to_a(zt)
-    p = partition_from_a(a)
-    return CoreRecord(z=zt, a=a, partition=p, size=p.size)
+    return CoreRecord(z=zt, a=a, size=size_from_a(a))
 
 
 def iter_weak_compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:

@@ -55,3 +55,10 @@ class InvalidSSetError(CoreError):
 
 class CapExceededError(CoreError):
     """Requested enumeration bound exceeds the configured cap."""
+
+
+class InvariantError(CoreError):
+    """An exact-arithmetic identity failed: a division that must be exact
+    left a remainder, or a size came out negative.  Validated inputs never
+    raise it; it means corrupted invariants, and unlike ``assert`` it also
+    fires under ``python -O``."""

@@ -673,13 +673,14 @@ def run_verify_suite(
         for s, t in coprime_pairs():
             for rec in enumeration.enum_st_cores(s, t):
                 n += 1
-                c = betaset.charge(betaset.beta_from_partition(rec.partition), t)
+                p = rec.partition
+                c = betaset.charge(betaset.beta_from_partition(p), t)
                 ok = (
-                    stats.size_from_a(rec.a) == rec.size == rec.partition.size
+                    stats.size_from_a(rec.a) == rec.size == p.size
                     and stats.size_from_c(c) == rec.size
                 )
                 if not ok:
-                    witness = f"(s,t)=({s},{t}), p={rec.partition.parts}"
+                    witness = f"(s,t)=({s},{t}), p={p.parts}"
                     break
             if witness:
                 break

@@ -17,7 +17,8 @@ class Partition:
     """A weakly decreasing tuple of positive integers.
 
     Conceptually the sequence continues with infinitely many zeros; only the
-    positive prefix is stored.  Instances are immutable and hashable, and
+    positive prefix is stored, and trailing zeros given to the constructor
+    are dropped.  Instances are immutable and hashable, and
     order lexicographically on their parts (useful for deterministic output).
     """
 
@@ -25,19 +26,17 @@ class Partition:
 
     def __init__(self, parts: Iterable[int] = ()):
         ps = tuple(parts)
-        while ps and ps[-1] == 0:
-            ps = ps[:-1]
+        n = len(ps)
+        while n and ps[n - 1] == 0:
+            n -= 1
+        if n < len(ps):
+            ps = ps[:n]
         for i, p in enumerate(ps):
             if p < 1:
                 raise NonMonotoneError(f"part {i + 1} is {p}, expected a positive integer")
             if i and ps[i - 1] < p:
                 raise NonMonotoneError(f"parts increase at index {i}: {ps[i - 1]} < {p}")
         self._parts = ps
-
-    @classmethod
-    def from_parts(cls, raw: Iterable[int]) -> "Partition":
-        """Build from nonnegative integers, stripping trailing zeros."""
-        return cls(raw)
 
     @property
     def parts(self) -> tuple[int, ...]:

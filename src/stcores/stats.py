@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator
 
-from .betaset import ATuple, CTuple
+# size_from_a lives next to ATuple so that enumeration can use it; it is
+# re-exported here with the other size formula.
+from .betaset import CTuple, size_from_a  # noqa: F401
 from .coords import UTuple, ZTuple, z_to_u
 from .enumeration import CoreRecord, iter_sc_st_cores, iter_st_cores, multinomial
-from .errors import NegativeEntryError, NotCoprimeError
-
-ExactRational = Fraction
+from .errors import InvariantError, NegativeEntryError, NonzeroChargeError, NotCoprimeError
 
 
 def format_rational(q: Fraction) -> str:
@@ -27,37 +28,22 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def size_from_a(a: ATuple) -> int:
-    """Size of the t-core with these a-coordinates:
-
-        |core| = -(t^2 - 1)/24 + (1/2t) * sum_i (a_i - (t-1)/2)^2.
-
-    Evaluated in exact rationals; the result is asserted to be a
-    nonnegative integer (anything else means corrupted invariants).
-    """
-    t = a.t
-    half = Fraction(t - 1, 2)
-    total = -Fraction(t * t - 1, 24) + Fraction(1, 2 * t) * sum(
-        (v - half) ** 2 for v in a.a
-    )
-    assert total.denominator == 1 and total >= 0, "size formula must give an integer"
-    return int(total)
-
-
 def size_from_c(c: CTuple) -> int:
     """Size of the t-core with these charge coordinates:
 
         |core| = sum_i ( (t/2) c_i^2 - ((t-1)/2 - i) c_i ),
 
-    valid for zero-sum charge tuples.
+    valid for zero-sum charge tuples (NonzeroChargeError otherwise).
     """
     t = c.s
-    assert c.total == 0, "size formula needs a zero-sum charge tuple"
+    if c.total != 0:
+        raise NonzeroChargeError(f"size formula needs a zero-sum charge tuple, got total {c.total}")
     total = sum(
         Fraction(t, 2) * v * v - (Fraction(t - 1, 2) - i) * v
         for i, v in enumerate(c.c)
     )
-    assert total.denominator == 1 and total >= 0
+    if total.denominator != 1 or total < 0:
+        raise InvariantError(f"size formula gives {total} for c={c.c}")
     return int(total)
 
 
@@ -72,37 +58,51 @@ def stab_size(z: ZTuple) -> int:
     return out
 
 
+def _sc_exponent(u: UTuple) -> int:
+    """Power of 2 in the self-conjugate stabilizer: u_0 for odd t,
+    u_0 + u_{t'} for even t."""
+    return u.u[0] if u.t % 2 == 1 else u.u[0] + u.u[-1]
+
+
 def stab_size_sc(u: UTuple) -> int:
     """Self-conjugate stabilizer order: 2^{u_0} * prod u_i! for odd t,
     2^{u_0 + u_{t'}} * prod u_i! for even t."""
     if not u.is_nonnegative():
         raise NegativeEntryError("stabilizer formula needs u >= 0")
-    exp = u.u[0] if u.t % 2 == 1 else u.u[0] + u.u[-1]
-    out = 1 << exp
+    out = 1 << _sc_exponent(u)
     for v in u.u:
         out *= math.factorial(v)
     return out
 
 
-def attach_stabilizers(records: list[CoreRecord], self_conjugate: bool = False) -> list[CoreRecord]:
-    """Fill the ``stab`` field of each record (self-conjugate records get
-    the symmetric-action stabilizer computed from their u-coordinates)."""
-    if self_conjugate:
-        return [r.with_stab(stab_size_sc(z_to_u(r.z))) for r in records]
-    return [r.with_stab(stab_size(r.z)) for r in records]
+def attach_stabilizers(records: Iterable[CoreRecord], self_conjugate: bool = False) -> Iterator[CoreRecord]:
+    """Lazily fill the ``stab`` field of each record (self-conjugate records
+    get the symmetric-action stabilizer computed from their u-coordinates)."""
+    for r in records:
+        yield r.with_stab(stab_size_sc(z_to_u(r.z)) if self_conjugate else stab_size(r.z))
 
 
 def _scaled_weight(rec: CoreRecord, weighted: bool, self_conjugate: bool) -> int:
     """Weight proportional to 1/stab, rescaled to an integer:
     s!/prod(z!) = multinom(s; z) in the general case and
-    (s'! 2^{s'}) / stab in the self-conjugate case."""
+    (s'! 2^{s'}) / stab in the self-conjugate case, s' = floor(s/2).
+    :func:`_weight_denominator` is the matching scale."""
     if not weighted:
         return 1
     if self_conjugate:
         u = z_to_u(rec.z)
-        exp = u.u[0] if u.t % 2 == 1 else u.u[0] + u.u[-1]
-        return multinomial(u.s // 2, u.u) * (1 << (u.s // 2 - exp))
+        return multinomial(u.s // 2, u.u) * (1 << (u.s // 2 - _sc_exponent(u)))
     return multinomial(rec.z.s, rec.z.z)
+
+
+def _weight_denominator(s: int, weighted: bool, self_conjugate: bool) -> int:
+    """The factor D with _scaled_weight(rec) = D / stab(rec) when weighted:
+    s! in general, s'! 2^{s'} for self-conjugate cores; 1 unweighted."""
+    if not weighted:
+        return 1
+    if self_conjugate:
+        return math.factorial(s // 2) << (s // 2)
+    return math.factorial(s)
 
 
 def average_size(s: int, t: int, weighted: bool = False, self_conjugate: bool = False) -> Fraction:
@@ -141,14 +141,8 @@ def moment_sum(s: int, t: int, e: int, weighted: bool = False, self_conjugate: b
     if e < 0:
         raise ValueError("exponent must be >= 0")
     records = iter_sc_st_cores(s, t) if self_conjugate else iter_st_cores(s, t)
-    total = Fraction(0)
-    for rec in records:
-        if weighted:
-            stab = stab_size_sc(z_to_u(rec.z)) if self_conjugate else stab_size(rec.z)
-            total += Fraction(rec.size**e, stab)
-        else:
-            total += rec.size**e
-    return total
+    num = sum(_scaled_weight(rec, weighted, self_conjugate) * rec.size**e for rec in records)
+    return Fraction(num, _weight_denominator(s, weighted, self_conjugate))
 
 
 @dataclass(frozen=True)

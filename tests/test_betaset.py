@@ -22,6 +22,7 @@ from stcores import (
     s_set,
     t_core,
 )
+from stcores.betaset import _beta_from_class_maxima, size_from_a
 
 partitions = st.lists(st.integers(min_value=1, max_value=10), max_size=8).map(
     lambda xs: Partition(sorted(xs, reverse=True))
@@ -152,6 +153,19 @@ def test_partition_from_a_round_trip():
         for _ in range(30):
             p = random_s_core(s, rng)
             assert partition_from_a(a_coords(p, s)) == p
+
+
+def test_partition_from_a_matches_class_maxima_path():
+    rng = random.Random(6)
+    for t in range(1, 9):
+        for _ in range(60):
+            a = a_coords(random_s_core(t, rng, bound=4), t)
+            maxima = [0] * t
+            for v in a.a:
+                maxima[v % t] = v - t
+            via_beta = partition_from_beta(_beta_from_class_maxima(maxima, t))
+            assert partition_from_a(a) == via_beta, (t, a.a)
+            assert size_from_a(a) == via_beta.size
 
 
 def test_atuple_validation():

@@ -6,6 +6,7 @@ import pytest
 from stcores import (
     ATuple,
     InvalidZError,
+    InvariantError,
     NotCoprimeError,
     NotSymmetricError,
     Partition,
@@ -14,6 +15,8 @@ from stcores import (
     a_coords,
     a_to_z,
     beta_from_partition,
+    canonical_cyclic_rep,
+    enum_st_cores,
     is_s_core,
     is_self_conjugate_a,
     is_st_core_a,
@@ -129,3 +132,60 @@ def test_self_conjugacy_transfers_between_a_and_z():
             assert is_self_conjugate_a(a) == all(
                 z.z[i] == z.z[(-i) % t] for i in range(t)
             )
+
+
+def _z_to_a_telescoping(z):
+    """Reference O(t^2) inverse: every entry from its own telescoping sum
+    a_{k + l*s} = ((t-1) + sum_j ((t-1) - 2j) * z_{j+l}) / 2."""
+    t, s, k = z.t, z.s, shift_constant(z.s, z.t)
+    a = [0] * t
+    for ell in range(t):
+        doubled = (t - 1) + sum(((t - 1) - 2 * j) * z.z[(j + ell) % t] for j in range(t))
+        assert doubled % 2 == 0
+        a[(k + ell * s) % t] = doubled // 2
+    return ATuple(t, tuple(a))
+
+
+COPRIME_PAIRS_14 = [
+    (s, t) for s in range(1, 14) for t in range(1, 15 - s) if math.gcd(s, t) == 1
+]
+
+
+def test_z_to_a_matches_telescoping_form_on_every_st_core():
+    for s, t in COPRIME_PAIRS_14:
+        for rec in enum_st_cores(s, t):
+            assert z_to_a(rec.z) == _z_to_a_telescoping(rec.z), (s, t, rec.z.z)
+
+
+def test_z_to_a_matches_telescoping_form_on_random_general_z():
+    rng = random.Random(45)
+    for s, t in COPRIME_PAIRS_14:
+        for _ in range(200):
+            head = [rng.randint(-5, 5) for _ in range(t - 1)]
+            x = (*head, s - sum(head))
+            r = canonical_cyclic_rep(x)
+            z = ZTuple(t, s, x[r:] + x[:r])
+            assert z_to_a(z) == _z_to_a_telescoping(z), (s, t, z.z)
+            assert a_to_z(z_to_a(z), s) == z
+
+
+def test_shift_constant_rejects_two_even_moduli():
+    with pytest.raises(NotCoprimeError):
+        shift_constant(2, 4)
+
+
+def _unchecked(cls, **fields):
+    """An instance that skips ``__post_init__`` validation."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def test_coordinate_changes_reject_corrupted_inputs():
+    # a_2 = 3 is not congruent to 2 mod 3, so the division by t is inexact
+    with pytest.raises(InvariantError):
+        a_to_z(_unchecked(ATuple, t=3, a=(0, 1, 3)), 2)
+    # s = t = 2 is not coprime, so k = (s+1)(t-1)/2 is not an integer
+    with pytest.raises(NotCoprimeError):
+        z_to_a(_unchecked(ZTuple, t=2, s=2, z=(1, 1)))

@@ -233,3 +233,15 @@ def test_all_views_describe_the_same_core():
         assert z_to_a(rec.z) == rec.a
         assert partition_from_a(rec.a) == rec.partition
         assert rec.partition.size == rec.size
+
+
+def test_record_size_matches_partition_size_in_every_family():
+    for factory, pairs in (
+        (iter_st_cores, ST_PAIRS),
+        (iter_sc_st_cores, ST_PAIRS),
+        (iter_triple_sym, TRIPLE_PAIRS),
+        (iter_triple_asym, TRIPLE_PAIRS),
+    ):
+        for a, b in pairs:
+            for rec in factory(a, b):
+                assert rec.size == rec.partition.size, (factory.__name__, a, b, rec.z.z)

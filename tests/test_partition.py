@@ -8,18 +8,20 @@ partitions = st.lists(st.integers(min_value=1, max_value=10), max_size=8).map(
 )
 
 
-def test_from_parts_strips_trailing_zeros():
-    assert Partition.from_parts([]).parts == ()
-    assert Partition.from_parts([3, 2, 2, 0, 0]).parts == (3, 2, 2)
+def test_constructor_strips_trailing_zeros():
+    assert Partition([]).parts == ()
+    assert Partition([0, 0]).parts == ()
+    assert Partition([3, 2, 2, 0, 0]).parts == (3, 2, 2)
+    assert Partition(v for v in (4, 1, 0)).parts == (4, 1)
 
 
-def test_from_parts_rejects_increasing():
+def test_constructor_rejects_increasing():
     with pytest.raises(NonMonotoneError):
-        Partition.from_parts([2, 3])
+        Partition([2, 3])
     with pytest.raises(NonMonotoneError):
-        Partition.from_parts([3, 0, 2])
+        Partition([3, 0, 2])
     with pytest.raises(NonMonotoneError):
-        Partition.from_parts([3, -1])
+        Partition([3, -1])
 
 
 def test_conjugate_examples():

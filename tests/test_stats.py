@@ -7,7 +7,9 @@ import pytest
 from stcores import (
     ATuple,
     CTuple,
+    InvariantError,
     NegativeEntryError,
+    NonzeroChargeError,
     Partition,
     UTuple,
     ZTuple,
@@ -16,6 +18,7 @@ from stcores import (
     beta_from_partition,
     charge,
     check_average,
+    enum_sc_st_cores,
     enum_st_cores,
     expected_average,
     format_rational,
@@ -26,12 +29,22 @@ from stcores import (
     stab_size,
     stab_size_sc,
     verify_cyclic_sum_identities,
+    z_to_u,
 )
 
 
 def test_size_from_a_examples():
     assert size_from_a(ATuple(3, (0, 1, 2))) == 0
     assert size_from_a(ATuple(3, (3, 1, -1))) == 1
+
+
+def test_size_from_a_rejects_corrupted_coordinates():
+    # bypass ATuple validation: the entries sum to 6, not t(t-1)/2 = 3
+    a = object.__new__(ATuple)
+    object.__setattr__(a, "t", 3)
+    object.__setattr__(a, "a", (0, 1, 5))
+    with pytest.raises(InvariantError):
+        size_from_a(a)
 
 
 def test_size_from_a_cross_check_on_enumeration():
@@ -44,6 +57,11 @@ def test_size_from_c_examples():
     c = charge(beta_from_partition(Partition([1, 1])), 4)
     assert c.c == (0, 1, 0, -1)
     assert size_from_c(c) == 2
+
+
+def test_size_from_c_rejects_nonzero_charge():
+    with pytest.raises(NonzeroChargeError):
+        size_from_c(CTuple(3, (1, 0, 0)))
 
 
 def test_size_formulas_triple_agree_on_random_cores():
@@ -85,10 +103,19 @@ def test_stab_size_sc_rejects_negative_entries():
 def test_attach_stabilizers():
     recs = attach_stabilizers(enum_st_cores(2, 3))
     assert [r.stab for r in recs] == [1, 2]
-    from stcores import enum_sc_st_cores
-
     sc = attach_stabilizers(enum_sc_st_cores(3, 2), self_conjugate=True)
     assert sorted(r.stab for r in sc) == [2, 2]
+
+
+def test_attach_stabilizers_is_lazy():
+    def records():
+        yield from enum_st_cores(2, 3)
+        raise RuntimeError("read past the records")
+
+    stream = attach_stabilizers(records())
+    assert [next(stream).stab, next(stream).stab] == [1, 2]
+    with pytest.raises(RuntimeError):
+        next(stream)
 
 
 def test_average_size_examples():
@@ -169,3 +196,18 @@ def test_format_rational():
     assert format_rational(Fraction(4, 2)) == "2"
     assert format_rational(Fraction(0)) == "0"
     assert format_rational(Fraction(-5, 3)) == "-5/3"
+
+
+def test_moment_sum_matches_per_core_fraction_sum():
+    for s in range(1, 12):
+        for t in range(1, 13 - s):
+            if math.gcd(s, t) != 1:
+                continue
+            general = [(rec.size, stab_size(rec.z)) for rec in enum_st_cores(s, t)]
+            sc = [(rec.size, stab_size_sc(z_to_u(rec.z))) for rec in enum_sc_st_cores(s, t)]
+            for e in range(4):
+                for self_conjugate, rows in ((False, general), (True, sc)):
+                    got = moment_sum(s, t, e, weighted=True, self_conjugate=self_conjugate)
+                    assert got == sum(Fraction(size**e, stab) for size, stab in rows), (s, t, e)
+                    got = moment_sum(s, t, e, self_conjugate=self_conjugate)
+                    assert got == sum(size**e for size, _ in rows), (s, t, e)

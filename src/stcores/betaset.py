@@ -236,11 +236,19 @@ def s_push(b: BetaSet, s: int) -> BetaSet:
     return _beta_from_class_maxima(maxima, s)
 
 
+def a_from_charge(c: CTuple) -> ATuple:
+    """a-coordinates of the s-core with zero-sum charge tuple c:
+    a_i = i - s * c_{(-1-i) mod s}."""
+    s = c.s
+    return ATuple(s, tuple(i - s * c.c[(-1 - i) % s] for i in range(s)))
+
+
 def t_core(p: Partition, t: int) -> Partition:
-    """The t-core via the abacus: push the beta-set, read back the partition."""
+    """The t-core via the abacus: pushing beads keeps the charge, and the
+    charge determines the core's a-coordinates."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    return partition_from_beta(s_push(beta_from_partition(p), t))
+    return partition_from_a(a_from_charge(charge(beta_from_partition(p), t)))
 
 
 def a_coords(p: Partition, s: int) -> ATuple:
@@ -332,5 +340,4 @@ def random_s_core(s: int, rng: random.Random, bound: int = 5) -> Partition:
         c = [rng.randint(-bound, bound) for _ in range(s)]
         if sum(c) == 0:
             break
-    a = tuple(i - s * c[(-1 - i) % s] for i in range(s))
-    return partition_from_a(ATuple(s, a))
+    return partition_from_a(a_from_charge(CTuple(s, tuple(c))))

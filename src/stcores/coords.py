@@ -32,9 +32,9 @@ from .errors import (
 
 def _require_coprime(s: int, t: int) -> None:
     if s < 1 or t < 1:
-        raise ValueError("moduli must be >= 1")
+        raise ValueError(f"moduli must be >= 1, got {s} and {t}")
     if math.gcd(s, t) != 1:
-        raise NotCoprimeError(f"s={s} and t={t} must be coprime")
+        raise NotCoprimeError(f"{s} and {t} must be coprime")
 
 
 def shift_constant(s: int, t: int) -> int:

@@ -7,18 +7,25 @@ never on the abacus or coordinate internals, so agreement with the library
 paths is meaningful evidence.
 
 :func:`run_verify_suite` executes every structural invariant of the package
-at a requested scale and returns one report per check; failures come back
-as reports with witnesses, not exceptions.
+at a requested scale and returns one report per check.  A check is a row
+(name, params, cases, witness_of): ``cases`` is a lazy iterable of argument
+tuples and ``witness_of(*case)`` returns None or a witness string naming a
+counterexample.  One runner counts the cases, stops a check at its first
+witness and builds the report.  Failures come back as reports with
+witnesses, not exceptions: an exception raised while a check generates or
+checks its cases becomes that check's failure, and the remaining checks
+still run.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import betaset, coords, enumeration, errors, stats
 from .partition import Partition
@@ -66,7 +73,7 @@ def partitions_of(n: int) -> Iterator[Partition]:
 def enum_partitions_up_to(n_max: int, cap: int = PARTITION_CAP) -> Iterator[Partition]:
     """Every partition of every n <= n_max, each exactly once."""
     if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     if n_max > cap:
         raise errors.CapExceededError(f"n_max={n_max} exceeds cap={cap}")
     return itertools.chain.from_iterable(partitions_of(n) for n in range(n_max + 1))
@@ -138,6 +145,234 @@ def _residue_multiset(values: Iterable[int], t: int) -> tuple[tuple[int, int], .
     return tuple(sorted(Counter(v % t for v in values).items()))
 
 
+def _run_check(name: str, params: dict, cases: Iterable[tuple], witness_of: Callable[..., str | None]) -> VerifyReport:
+    """Call ``witness_of(*case)`` on each case until one returns a witness.
+
+    An exception raised while generating or checking a case is the check's
+    failure, with the witness ``"<ExceptionType>: <message>"``.
+    """
+    checked = 0
+    witness = None
+    try:
+        for case in cases:
+            checked += 1
+            witness = witness_of(*case)
+            if witness is not None:
+                break
+    except Exception as exc:
+        witness = f"{type(exc).__name__}: {exc}"
+    return VerifyReport(name, params, witness is None, witness, {"checked": checked})
+
+
+# Witnesses of the checks that take more than one expression.  Each returns
+# None when the case satisfies the invariant, else a string naming the case.
+
+
+def _rim_removal_results(t: int) -> Callable[[Partition], frozenset[Partition]]:
+    """Every partition left when rim t-hooks are removed in any order until
+    none remains, memoized for this t."""
+    memo: dict[Partition, frozenset[Partition]] = {}
+
+    def results(p: Partition) -> frozenset[Partition]:
+        got = memo.get(p)
+        if got is not None:
+            return got
+        cells = [(r, c) for r, c in p.cells() if p.hook_length(r, c) == t]
+        if not cells:
+            res = frozenset([p])
+        else:
+            acc: set[Partition] = set()
+            for cell in cells:
+                acc |= results(p.remove_rim_hook(*cell))
+            res = frozenset(acc)
+        memo[p] = res
+        return res
+
+    return results
+
+
+def _removal_witness(p: Partition, t: int, results) -> str | None:
+    res = results(p)
+    if len(res) != 1 or next(iter(res)) != p.t_core_by_diagram(t):
+        return f"p={p.parts}, t={t}: results={sorted(q.parts for q in res)}"
+    return None
+
+
+def _push_witness(p: Partition, s: int, b: betaset.BetaSet) -> str | None:
+    pushed = betaset.s_push(b, s)
+    ok = (
+        betaset.charge(pushed, s) == betaset.charge(b, s)
+        and betaset.is_s_core(pushed, s)
+        and betaset.s_push(pushed, s) == pushed
+    )
+    return None if ok else f"p={p.parts}, s={s}"
+
+
+def _charge_a_witness(s: int, p: Partition) -> str | None:
+    b = betaset.beta_from_partition(p)
+    a = betaset.a_coords(p, s)
+    c = betaset.charge(b, s)
+    if any(a.a[i] != i - s * c.c[(-1 - i) % s] for i in range(s)):
+        return f"p={p.parts}, s={s}"
+    if a.as_set() != betaset.s_set(b, s):
+        return f"p={p.parts}, s={s}: a-set != (B+s)\\B"
+    return None
+
+
+def _conjugate_charge_witness(p: Partition, s: int, b: betaset.BetaSet, cb: betaset.BetaSet) -> str | None:
+    c, cc = betaset.charge(b, s), betaset.charge(cb, s)
+    if any(cc.c[i] != -c.c[(-1 - i) % s] for i in range(s)):
+        return f"p={p.parts}, s={s}"
+    return None
+
+
+def _conjugate_s_set_witness(s: int, p: Partition) -> str | None:
+    a = betaset.a_coords(p, s)
+    ac = betaset.a_coords(p.conjugate(), s)
+    if any(ac.a[i] != s - 1 - a.a[(-1 - i) % s] for i in range(s)):
+        return f"p={p.parts}, s={s}"
+    if coords.is_self_conjugate_a(a) != (p == p.conjugate()):
+        return f"p={p.parts}, s={s}: symmetry mismatch"
+    return None
+
+
+def _core_closure_witness(s: int, t: int, p: Partition) -> str | None:
+    q = betaset.t_core(p, t)
+    if not betaset.is_s_core(betaset.beta_from_partition(q), s):
+        return f"p={p.parts}, s={s}, t={t}: core not closed"
+    if _residue_multiset(s_set_of(p, s), t) != _residue_multiset(s_set_of(q, s), t):
+        return f"p={p.parts}, s={s}, t={t}: s-set residues moved"
+    return None
+
+
+def _s_set_t_set_witness(s: int, t: int, p: Partition) -> str | None:
+    sset = s_set_of(p, s)
+    at = betaset.a_coords(betaset.t_core(p, t), t)
+    for j in range(t):
+        num = at.a[j] - (at.a[(j + s) % t] - s)
+        lhs = sum(1 for x in sset if (x - s) % t == j)
+        if num % t or lhs != num // t:
+            return f"p={p.parts}, s={s}, t={t}, j={j}"
+    return None
+
+
+def _faithful_witness(s: int, t: int, p: Partition, q: Partition) -> str | None:
+    same_residues = _residue_multiset(s_set_of(p, s), t) == _residue_multiset(s_set_of(q, s), t)
+    same_core = betaset.t_core(p, t) == betaset.t_core(q, t)
+    if same_residues != same_core:
+        return f"p={p.parts}, q={q.parts}, s={s}, t={t}"
+    return None
+
+
+def _st_core_witness(s: int, t: int, p: Partition) -> str | None:
+    a = betaset.a_coords(p, t)
+    z = coords.a_to_z(a, s)
+    truth = betaset.is_s_core(betaset.beta_from_partition(p), s)
+    if coords.is_st_core_a(a, s) != truth or z.is_nonnegative() != truth:
+        return f"p={p.parts}, s={s}, t={t}"
+    return None
+
+
+def _z_residue_witness(s: int, t: int, k: int, p: Partition) -> str | None:
+    sset = s_set_of(p, s)
+    z = coords.a_to_z(betaset.a_coords(betaset.t_core(p, t), t), s)
+    for j in range(t):
+        if z.z[j] != sum(1 for x in sset if (x - s) % t == (s * j + k) % t):
+            return f"p={p.parts}, s={s}, t={t}, j={j}"
+    return None
+
+
+def _sc_transfer_witness(s: int, t: int, p: Partition) -> str | None:
+    a = betaset.a_coords(p, t)
+    z = coords.a_to_z(a, s)
+    symmetric_z = all(z.z[i] == z.z[(-i) % t] for i in range(t))
+    if coords.is_self_conjugate_a(a) != symmetric_z:
+        return f"p={p.parts}, s={s}, t={t}"
+    if coords.is_self_conjugate_a(a) != (p == p.conjugate()):
+        return f"p={p.parts}, s={s}, t={t}: a-symmetry vs partition"
+    return None
+
+
+def _count_witness(s: int, t: int) -> str | None:
+    if len(enumeration.enum_st_cores(s, t)) != enumeration.count_st(s, t):
+        return f"(s,t)=({s},{t}) general count"
+    if len(enumeration.enum_sc_st_cores(s, t)) != enumeration.count_sc(s, t):
+        return f"(s,t)=({s},{t}) self-conjugate count"
+    return None
+
+
+def _orbit_rep_witness(s: int, t: int, comp: tuple[int, ...]) -> str | None:
+    hits = [r for r in range(t) if sum(j * comp[(r + j) % t] for j in range(t)) % t == 0]
+    if len(hits) != 1 or hits[0] != enumeration.canonical_cyclic_rep(comp):
+        return f"x={comp}, s={s}, t={t}, hits={hits}"
+    return None
+
+
+def _sc_subset_witness(s: int, t: int) -> str | None:
+    general = {r.partition for r in enumeration.enum_st_cores(s, t)}
+    sc = [r.partition for r in enumeration.enum_sc_st_cores(s, t)]
+    if not all(p.is_self_conjugate() for p in sc):
+        return f"(s,t)=({s},{t}): non-self-conjugate output"
+    if set(sc) != {p for p in general if p.is_self_conjugate()}:
+        return f"(s,t)=({s},{t}): subset mismatch"
+    return None
+
+
+def _triple_witness(m: int, d: int) -> str | None:
+    sym = enumeration.enum_triple_sym(m, d)
+    asym = enumeration.enum_triple_asym(m, d)
+    want = enumeration.count_triple(m, d)
+    sym_parts = {r.partition for r in sym}
+    if len(sym) != want or len(asym) != want or sym_parts != {r.partition for r in asym}:
+        return f"(m,d)=({m},{d}): counts {len(sym)}/{len(asym)} vs {want}"
+    moduli = (m, m + d, m + 2 * d)
+    for p in sym_parts:
+        if any(h % mod == 0 for mod in moduli for h in p.hook_lengths()):
+            return f"(m,d)=({m},{d}): {p.parts} has a divisible hook"
+    return None
+
+
+def _average_witness(weighted: bool, self_conjugate: bool, s: int, t: int) -> str | None:
+    rep = stats.check_average(s, t, weighted, self_conjugate)
+    return None if rep.passed else f"(s,t)=({s},{t}): {rep.lhs} != {rep.rhs}"
+
+
+def _asymmetry_witness(in_range: bool) -> str | None:
+    if not in_range:
+        return None
+    lhs = stats.average_size(2, 3, weighted=True)
+    rhs = stats.average_size(3, 2, weighted=True)
+    return None if lhs != rhs else f"weighted average symmetric at (2,3): {lhs}"
+
+
+def _stab_witness(s: int, t: int, self_conjugate: bool, rec: enumeration.CoreRecord) -> str | None:
+    sset = s_set_of(rec.partition, s)
+    got = stats.stab_size_sc(coords.z_to_u(rec.z)) if self_conjugate else stats.stab_size(rec.z)
+    if got != brute_stab_count(sset, t, s, self_conjugate=self_conjugate):
+        return f"(s,t)=({s},{t}), p={rec.partition.parts}" + (" (sc)" if self_conjugate else "")
+    return None
+
+
+def _size_witness(s: int, t: int, rec: enumeration.CoreRecord) -> str | None:
+    p = rec.partition
+    c = betaset.charge(betaset.beta_from_partition(p), t)
+    if stats.size_from_a(rec.a) == rec.size == p.size and stats.size_from_c(c) == rec.size:
+        return None
+    return f"(s,t)=({s},{t}), p={p.parts}"
+
+
+def _oracle_witness(s: int, t: int) -> str | None:
+    enum_parts = {r.partition for r in enumeration.enum_st_cores(s, t)}
+    bound = max((p.size for p in enum_parts), default=0)
+    brute = brute_st_cores({s, t}, bound + s + t)
+    if {p for p in brute if p.size <= bound} != enum_parts:
+        return f"(s,t)=({s},{t}): set mismatch at size <= {bound}"
+    stray = [p for p in brute if p.size > bound]
+    if stray:
+        return f"(s,t)=({s},{t}): unexpected core {stray[0].parts}"
+    return None
+
+
 def run_verify_suite(
     s_max: int = 5,
     t_max: int = 6,
@@ -151,356 +386,33 @@ def run_verify_suite(
     Each sub-check keeps its own documented size cap (for instance, size <= 12
     for exhaustive hook multisets); the requested bounds clamp those caps
     rather than extend them.  Randomized checks draw from a fixed-seed
-    generator, so output is reproducible byte for byte.
+    generator, so output is reproducible byte for byte.  Raises ValueError
+    when s_max or t_max is below 1.
     """
+    if s_max < 1:
+        raise ValueError(f"s_max must be >= 1, got {s_max}")
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
     rng = random.Random(seed)
     mod_max = max(s_max, t_max)
-    reports: list[VerifyReport] = []
+    half, quarter = max(1, trials // 2), max(1, trials // 4)
+    n12, n14, n15, n20 = (min(k, n_max) for k in (12, 14, 15, 20))
+    sum9, sum12, sum14 = (min(k, s_max + t_max) for k in (9, 12, 14))
+    all_parts = list(enum_partitions_up_to(n20))
 
-    def report(check: str, params: dict, passed: bool, witness: str | None, checked: int) -> None:
-        reports.append(
-            VerifyReport(check, params, passed, witness if not passed else None, {"checked": checked})
-        )
+    def parts_upto(k: int) -> Iterator[Partition]:
+        return (p for p in all_parts if p.size <= k)
 
-    all_parts = list(enum_partitions_up_to(min(20, n_max)))
+    def coprime_pairs(limit_sum: int = s_max + t_max) -> list[tuple[int, int]]:
+        return [
+            (s, t)
+            for s in range(1, s_max + 1)
+            for t in range(1, t_max + 1)
+            if math.gcd(s, t) == 1 and s + t <= limit_sum
+        ]
 
-    def parts_upto(k: int) -> list[Partition]:
-        return [p for p in all_parts if p.size <= k]
-
-    def coprime_pairs(limit_sum: int | None = None) -> list[tuple[int, int]]:
-        out = []
-        for s in range(1, s_max + 1):
-            for t in range(1, t_max + 1):
-                if math.gcd(s, t) != 1:
-                    continue
-                if limit_sum is not None and s + t > limit_sum:
-                    continue
-                out.append((s, t))
-        return out
-
-    # --- partition module ------------------------------------------------
-
-    def chk_conjugate_involution() -> None:
-        witness, n = None, 0
-        for p in parts_upto(min(20, n_max)):
-            n += 1
-            if p.conjugate().conjugate() != p:
-                witness = f"p={p.parts}"
-                break
-        report("conjugate-involution", {"n_max": min(20, n_max)}, witness is None, witness, n)
-
-    def chk_hook_multiset_conjugation() -> None:
-        witness, n = None, 0
-        for p in parts_upto(min(12, n_max)):
-            n += 1
-            if sorted(p.hook_lengths()) != sorted(p.conjugate().hook_lengths()):
-                witness = f"p={p.parts}"
-                break
-        report("hook-multiset-conjugation-invariant", {"n_max": min(12, n_max)}, witness is None, witness, n)
-
-    def chk_diagram_core_hooks() -> None:
-        witness, n = None, 0
-        for p in parts_upto(min(12, n_max)):
-            for t in range(1, t_max + 1):
-                n += 1
-                q = p.t_core_by_diagram(t)
-                if any(h % t == 0 for h in q.hook_lengths()):
-                    witness = f"p={p.parts}, t={t} -> {q.parts}"
-                    break
-            if witness:
-                break
-        report("diagram-core-kills-divisible-hooks", {"n_max": min(12, n_max), "t_max": t_max}, witness is None, witness, n)
-
-    def chk_removal_order_independence() -> None:
-        witness, n = None, 0
-        for t in range(2, min(5, t_max) + 1):
-            memo: dict[Partition, frozenset[Partition]] = {}
-
-            def results(p: Partition) -> frozenset[Partition]:
-                got = memo.get(p)
-                if got is not None:
-                    return got
-                cells = [(r, c) for r, c in p.cells() if p.hook_length(r, c) == t]
-                if not cells:
-                    res = frozenset([p])
-                else:
-                    acc: set[Partition] = set()
-                    for cell in cells:
-                        acc |= results(p.remove_rim_hook(*cell))
-                    res = frozenset(acc)
-                memo[p] = res
-                return res
-
-            for p in parts_upto(min(12, n_max)):
-                n += 1
-                res = results(p)
-                if len(res) != 1 or next(iter(res)) != p.t_core_by_diagram(t):
-                    witness = f"p={p.parts}, t={t}: results={sorted(q.parts for q in res)}"
-                    break
-            if witness:
-                break
-        report("rim-removal-order-independence", {"n_max": min(12, n_max), "t_max": min(5, t_max)}, witness is None, witness, n)
-
-    # --- betaset module ---------------------------------------------------
-
-    def chk_beta_round_trip() -> None:
-        witness, n = None, 0
-        for p in parts_upto(min(20, n_max)):
-            n += 1
-            if betaset.partition_from_beta(betaset.beta_from_partition(p)) != p:
-                witness = f"p={p.parts}"
-                break
-        report("beta-round-trip", {"n_max": min(20, n_max)}, witness is None, witness, n)
-
-    def chk_hook_count_bijection() -> None:
-        witness, n = None, 0
-        for p in parts_upto(min(12, n_max)):
-            b = betaset.beta_from_partition(p)
-            hooks = p.hook_lengths()
-            for s in range(1, min(6, mod_max) + 1):
-                n += 1
-                if betaset.hook_count(b, s) != sum(1 for h in hooks if h == s):
-                    witness = f"p={p.parts}, s={s}"
-                    break
-            if witness:
-                break
-        report("hook-count-matches-beta-difference", {"n_max": min(12, n_max), "s_max": min(6, mod_max)}, witness is None, witness, n)
-
-    def chk_push_preserves_charge() -> None:
-        witness, n = None, 0
-        for p in parts_upto(min(14, n_max)):
-            b = betaset.beta_from_partition(p)
-            for s in range(1, mod_max + 1):
-                n += 1
-                pushed = betaset.s_push(b, s)
-                ok = (
-                    betaset.charge(pushed, s) == betaset.charge(b, s)
-                    and betaset.is_s_core(pushed, s)
-                    and betaset.s_push(pushed, s) == pushed
-                )
-                if not ok:
-                    witness = f"p={p.parts}, s={s}"
-                    break
-            if witness:
-                break
-        report("push-preserves-charge-and-idempotent", {"n_max": min(14, n_max), "s_max": mod_max}, witness is None, witness, n)
-
-    def chk_diagram_vs_abacus() -> None:
-        witness, n = None, 0
-        for p in parts_upto(min(14, n_max)):
-            for t in range(1, min(6, mod_max) + 1):
-                n += 1
-                if betaset.t_core(p, t) != p.t_core_by_diagram(t):
-                    witness = f"p={p.parts}, t={t}"
-                    break
-            if witness:
-                break
-        report("diagram-vs-abacus-core", {"n_max": min(14, n_max), "t_max": min(6, mod_max)}, witness is None, witness, n)
-
-    def chk_charge_a_translation() -> None:
-        witness, n = None, 0
-        for s in range(1, mod_max + 1):
-            for _ in range(trials):
-                n += 1
-                p = betaset.random_s_core(s, rng)
-                b = betaset.beta_from_partition(p)
-                a = betaset.a_coords(p, s)
-                c = betaset.charge(b, s)
-                if any(a.a[i] != i - s * c.c[(-1 - i) % s] for i in range(s)):
-                    witness = f"p={p.parts}, s={s}"
-                    break
-                if a.as_set() != betaset.s_set(b, s):
-                    witness = f"p={p.parts}, s={s}: a-set != (B+s)\\B"
-                    break
-            if witness:
-                break
-        report("charge-to-a-translation", {"s_max": mod_max, "trials": trials}, witness is None, witness, n)
-
-    def chk_conjugate_charge() -> None:
-        witness, n = None, 0
-        for p in parts_upto(min(14, n_max)):
-            b = betaset.beta_from_partition(p)
-            cb = betaset.conjugate_beta(b)
-            for s in range(1, mod_max + 1):
-                n += 1
-                c, cc = betaset.charge(b, s), betaset.charge(cb, s)
-                if any(cc.c[i] != -c.c[(-1 - i) % s] for i in range(s)):
-                    witness = f"p={p.parts}, s={s}"
-                    break
-            if witness:
-                break
-        report("conjugate-charge-negation", {"n_max": min(14, n_max), "s_max": mod_max}, witness is None, witness, n)
-
-    def chk_core_commutes_conjugation() -> None:
-        witness, n = None, 0
-        for p in parts_upto(min(15, n_max)):
-            for s in range(1, min(5, mod_max) + 1):
-                n += 1
-                if betaset.t_core(p.conjugate(), s) != betaset.t_core(p, s).conjugate():
-                    witness = f"p={p.parts}, s={s}"
-                    break
-            if witness:
-                break
-        report("core-commutes-with-conjugation", {"n_max": min(15, n_max), "s_max": min(5, mod_max)}, witness is None, witness, n)
-
-    def chk_conjugate_s_set() -> None:
-        witness, n = None, 0
-        for s in range(1, mod_max + 1):
-            for _ in range(trials):
-                n += 1
-                p = betaset.random_s_core(s, rng)
-                a = betaset.a_coords(p, s)
-                ac = betaset.a_coords(p.conjugate(), s)
-                if any(ac.a[i] != s - 1 - a.a[(-1 - i) % s] for i in range(s)):
-                    witness = f"p={p.parts}, s={s}"
-                    break
-                if coords.is_self_conjugate_a(a) != (p == p.conjugate()):
-                    witness = f"p={p.parts}, s={s}: symmetry mismatch"
-                    break
-            if witness:
-                break
-        report("conjugate-s-set-reflection", {"s_max": mod_max, "trials": trials}, witness is None, witness, n)
-
-    def chk_core_closure() -> None:
-        witness, n = None, 0
-        for s in range(1, mod_max + 1):
-            for t in range(1, mod_max + 1):
-                for _ in range(max(1, trials // 4)):
-                    n += 1
-                    p = betaset.random_s_core(s, rng)
-                    q = betaset.t_core(p, t)
-                    if not betaset.is_s_core(betaset.beta_from_partition(q), s):
-                        witness = f"p={p.parts}, s={s}, t={t}: core not closed"
-                        break
-                    if _residue_multiset(s_set_of(p, s), t) != _residue_multiset(s_set_of(q, s), t):
-                        witness = f"p={p.parts}, s={s}, t={t}: s-set residues moved"
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        report("t-core-preserves-s-core", {"mod_max": mod_max}, witness is None, witness, n)
-
-    def chk_s_set_t_set_interaction() -> None:
-        witness, n = None, 0
-        for s in range(1, mod_max + 1):
-            for t in range(1, mod_max + 1):
-                for _ in range(max(1, trials // 4)):
-                    n += 1
-                    p = betaset.random_s_core(s, rng)
-                    sset = s_set_of(p, s)
-                    at = betaset.a_coords(betaset.t_core(p, t), t)
-                    for j in range(t):
-                        num = at.a[j] - (at.a[(j + s) % t] - s)
-                        lhs = sum(1 for x in sset if (x - s) % t == j)
-                        if num % t or lhs != num // t:
-                            witness = f"p={p.parts}, s={s}, t={t}, j={j}"
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        report("s-set-t-set-interaction", {"mod_max": mod_max}, witness is None, witness, n)
-
-    def chk_faithful_invariant() -> None:
-        witness, n = None, 0
-        for s in range(1, min(6, mod_max) + 1):
-            for t in range(1, min(6, mod_max) + 1):
-                if math.gcd(s, t) != 1:
-                    continue
-                for _ in range(max(1, trials // 4)):
-                    n += 1
-                    p = betaset.random_s_core(s, rng)
-                    q = rng.choice([betaset.random_s_core(s, rng), betaset.t_core(p, t)])
-                    same_residues = _residue_multiset(s_set_of(p, s), t) == _residue_multiset(s_set_of(q, s), t)
-                    same_core = betaset.t_core(p, t) == betaset.t_core(q, t)
-                    if same_residues != same_core:
-                        witness = f"p={p.parts}, q={q.parts}, s={s}, t={t}"
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        report("faithful-invariant", {"mod_max": min(6, mod_max)}, witness is None, witness, n)
-
-    # --- coords module ----------------------------------------------------
-
-    def random_t_core(t: int) -> Partition:
-        return betaset.random_s_core(t, rng)
-
-    def chk_a_z_round_trip() -> None:
-        witness, n = None, 0
-        for s, t in coprime_pairs():
-            for _ in range(max(1, trials // 2)):
-                n += 1
-                a = betaset.a_coords(random_t_core(t), t)
-                z = coords.a_to_z(a, s)
-                if coords.z_to_a(z) != a:
-                    witness = f"a={a.a}, s={s}, t={t}"
-                    break
-            if witness:
-                break
-        report("a-z-round-trip", {"pairs": len(coprime_pairs()), "trials": trials}, witness is None, witness, n)
-
-    def chk_z_u_round_trip() -> None:
-        witness, n = None, 0
-        for s, t in coprime_pairs():
-            tp = t // 2
-            for _ in range(max(1, trials // 2)):
-                n += 1
-                cuts = sorted(rng.randint(0, s // 2) for _ in range(tp))
-                u_entries = [b - a for a, b in zip([0] + cuts, cuts + [s // 2])]
-                if len(u_entries) > 1 and rng.random() < 0.5:
-                    # exercise the general (possibly negative) lattice too
-                    i, j = rng.sample(range(len(u_entries)), 2)
-                    delta = rng.randint(1, 4)
-                    u_entries[i] += delta
-                    u_entries[j] -= delta
-                u = coords.UTuple(t, s, tuple(u_entries))
-                z = coords.u_to_z(u)
-                if coords.z_to_u(z) != u:
-                    witness = f"u={u.u}, s={s}, t={t}"
-                    break
-            if witness:
-                break
-        report("z-u-round-trip", {"pairs": len(coprime_pairs()), "trials": trials}, witness is None, witness, n)
-
-    def chk_st_core_iff_z_nonneg() -> None:
-        witness, n = None, 0
-        for s, t in coprime_pairs():
-            for _ in range(max(1, trials // 2)):
-                n += 1
-                p = random_t_core(t)
-                a = betaset.a_coords(p, t)
-                z = coords.a_to_z(a, s)
-                truth = betaset.is_s_core(betaset.beta_from_partition(p), s)
-                if coords.is_st_core_a(a, s) != truth or z.is_nonnegative() != truth:
-                    witness = f"p={p.parts}, s={s}, t={t}"
-                    break
-            if witness:
-                break
-        report("st-core-iff-z-nonnegative", {"pairs": len(coprime_pairs())}, witness is None, witness, n)
-
-    def chk_z_counts_s_set_residues() -> None:
-        witness, n = None, 0
-        for s, t in coprime_pairs():
-            k = coords.shift_constant(s, t)
-            for _ in range(max(1, trials // 2)):
-                n += 1
-                p = betaset.random_s_core(s, rng)
-                sset = s_set_of(p, s)
-                z = coords.a_to_z(betaset.a_coords(betaset.t_core(p, t), t), s)
-                for j in range(t):
-                    if z.z[j] != sum(1 for x in sset if (x - s) % t == (s * j + k) % t):
-                        witness = f"p={p.parts}, s={s}, t={t}, j={j}"
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        report("z-counts-s-set-residues", {"pairs": len(coprime_pairs())}, witness is None, witness, n)
+    def random_core(s: int) -> Partition:
+        return betaset.random_s_core(s, rng)
 
     def random_sc_t_core(t: int, s: int) -> Partition:
         # symmetric by construction: random u, unfolded through z to a
@@ -508,247 +420,118 @@ def run_verify_suite(
         u = coords.UTuple(t, s, (s // 2 - sum(tail), *tail))
         return betaset.partition_from_a(coords.z_to_a(coords.u_to_z(u)))
 
-    def chk_self_conjugate_transfer() -> None:
-        witness, n = None, 0
-        for s, t in coprime_pairs():
-            for _ in range(max(1, trials // 2)):
-                n += 1
-                p = random_sc_t_core(t, s) if rng.random() < 0.5 else random_t_core(t)
-                a = betaset.a_coords(p, t)
-                z = coords.a_to_z(a, s)
-                symmetric_z = all(z.z[i] == z.z[(-i) % t] for i in range(t))
-                if coords.is_self_conjugate_a(a) != symmetric_z:
-                    witness = f"p={p.parts}, s={s}, t={t}"
-                    break
-                if coords.is_self_conjugate_a(a) != (p == p.conjugate()):
-                    witness = f"p={p.parts}, s={s}, t={t}: a-symmetry vs partition"
-                    break
-            if witness:
-                break
-        report("self-conjugacy-transfer", {"pairs": len(coprime_pairs())}, witness is None, witness, n)
+    def random_u(s: int, t: int) -> coords.UTuple:
+        cuts = sorted(rng.randint(0, s // 2) for _ in range(t // 2))
+        u_entries = [b - a for a, b in zip([0] + cuts, cuts + [s // 2])]
+        if len(u_entries) > 1 and rng.random() < 0.5:
+            # exercise the general (possibly negative) lattice too
+            i, j = rng.sample(range(len(u_entries)), 2)
+            delta = rng.randint(1, 4)
+            u_entries[i] += delta
+            u_entries[j] -= delta
+        return coords.UTuple(t, s, tuple(u_entries))
 
-    # --- enumeration module -------------------------------------------------
+    def random_st_cases() -> Iterator[tuple[int, int, Partition]]:
+        mods = range(1, mod_max + 1)
+        return ((s, t, random_core(s)) for s in mods for t in mods for _ in range(quarter))
 
-    def chk_count_closed_forms() -> None:
-        witness, n = None, 0
-        for s, t in coprime_pairs():
-            n += 1
-            if len(enumeration.enum_st_cores(s, t)) != enumeration.count_st(s, t):
-                witness = f"(s,t)=({s},{t}) general count"
-                break
-            if len(enumeration.enum_sc_st_cores(s, t)) != enumeration.count_sc(s, t):
-                witness = f"(s,t)=({s},{t}) self-conjugate count"
-                break
-        report("count-closed-forms", {"pairs": len(coprime_pairs())}, witness is None, witness, n)
+    pairs = coprime_pairs()
+    oracle_pairs = [(s, t) for s, t in [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)] if s <= s_max and t <= t_max]
 
-    def chk_cyclic_orbit_unique_rep() -> None:
-        witness, n = None, 0
-        for s, t in coprime_pairs(limit_sum=min(14, s_max + t_max)):
-            for comp in enumeration.iter_weak_compositions(s, t):
-                n += 1
-                hits = [
-                    r
-                    for r in range(t)
-                    if sum(j * comp[(r + j) % t] for j in range(t)) % t == 0
-                ]
-                if len(hits) != 1 or hits[0] != enumeration.canonical_cyclic_rep(comp):
-                    witness = f"x={comp}, s={s}, t={t}, hits={hits}"
-                    break
-            if witness:
-                break
-        report("cyclic-orbit-unique-representative", {"sum_max": min(14, s_max + t_max)}, witness is None, witness, n)
-
-    def chk_sc_subset() -> None:
-        witness, n = None, 0
-        for s, t in coprime_pairs():
-            n += 1
-            general = {r.partition for r in enumeration.enum_st_cores(s, t)}
-            sc = [r.partition for r in enumeration.enum_sc_st_cores(s, t)]
-            if not all(p.is_self_conjugate() for p in sc):
-                witness = f"(s,t)=({s},{t}): non-self-conjugate output"
-                break
-            if set(sc) != {p for p in general if p.is_self_conjugate()}:
-                witness = f"(s,t)=({s},{t}): subset mismatch"
-                break
-        report("sc-enumeration-is-symmetric-subset", {"pairs": len(coprime_pairs())}, witness is None, witness, n)
-
-    def chk_triple_enumerations() -> None:
-        witness, n = None, 0
-        limit = min(12, s_max + t_max)
-        for m in range(1, limit):
-            for d in range(1, limit - m + 1):
-                if math.gcd(m, d) != 1:
-                    continue
-                n += 1
-                sym = enumeration.enum_triple_sym(m, d)
-                asym = enumeration.enum_triple_asym(m, d)
-                want = enumeration.count_triple(m, d)
-                sym_parts = {r.partition for r in sym}
-                if len(sym) != want or len(asym) != want or sym_parts != {r.partition for r in asym}:
-                    witness = f"(m,d)=({m},{d}): counts {len(sym)}/{len(asym)} vs {want}"
-                    break
-                moduli = (m, m + d, m + 2 * d)
-                bad = next(
-                    (
-                        p
-                        for p in sym_parts
-                        if any(h % mod == 0 for mod in moduli for h in p.hook_lengths())
-                    ),
-                    None,
-                )
-                if bad is not None:
-                    witness = f"(m,d)=({m},{d}): {bad.parts} has a divisible hook"
-                    break
-            if witness:
-                break
-        report("triple-enumerations-agree", {"sum_max": limit}, witness is None, witness, n)
-
-    def chk_motzkin_column() -> None:
-        witness, n = None, 0
-        m_max = min(12, s_max + t_max)
-        for m in range(1, m_max + 1):
-            n += 1
-            if enumeration.count_triple(m, 1) != motzkin_number(m):
-                witness = f"m={m}"
-                break
-        report("motzkin-column", {"m_max": m_max}, witness is None, witness, n)
-
-    # --- stats module -------------------------------------------------------
-
-    def chk_averages() -> None:
-        for weighted in (False, True):
-            for self_conjugate in (False, True):
-                witness, n = None, 0
-                for s, t in coprime_pairs():
-                    n += 1
-                    rep = stats.check_average(s, t, weighted, self_conjugate)
-                    if not rep.passed:
-                        witness = f"(s,t)=({s},{t}): {rep.lhs} != {rep.rhs}"
-                        break
-                report(
-                    f"average-size-{'weighted' if weighted else 'unweighted'}-{'sc' if self_conjugate else 'general'}",
-                    {"pairs": len(coprime_pairs())},
-                    witness is None,
-                    witness,
-                    n,
-                )
-
-    def chk_weighted_asymmetry() -> None:
-        ok = True
-        witness = None
-        if s_max >= 3 and t_max >= 3:
-            lhs = stats.average_size(2, 3, weighted=True)
-            rhs = stats.average_size(3, 2, weighted=True)
-            ok = lhs != rhs
-            if not ok:
-                witness = f"weighted average symmetric at (2,3): {lhs}"
-        report("weighted-average-asymmetry", {"pair": [2, 3]}, ok, witness, 1)
-
-    def chk_stab_vs_brute() -> None:
-        witness, n = None, 0
-        for s, t in coprime_pairs(limit_sum=min(9, s_max + t_max)):
-            if s > 8:
-                continue
-            for rec in enumeration.enum_st_cores(s, t):
-                n += 1
-                sset = s_set_of(rec.partition, s)
-                if stats.stab_size(rec.z) != brute_stab_count(sset, t, s):
-                    witness = f"(s,t)=({s},{t}), p={rec.partition.parts}"
-                    break
-            if witness:
-                break
-            for rec in enumeration.enum_sc_st_cores(s, t):
-                n += 1
-                sset = s_set_of(rec.partition, s)
-                got = stats.stab_size_sc(coords.z_to_u(rec.z))
-                if got != brute_stab_count(sset, t, s, self_conjugate=True):
-                    witness = f"(s,t)=({s},{t}), p={rec.partition.parts} (sc)"
-                    break
-            if witness:
-                break
-        report("stabilizer-formula-vs-brute", {"sum_max": min(9, s_max + t_max)}, witness is None, witness, n)
-
-    def chk_size_formulas() -> None:
-        witness, n = None, 0
-        for s, t in coprime_pairs():
-            for rec in enumeration.enum_st_cores(s, t):
-                n += 1
-                p = rec.partition
-                c = betaset.charge(betaset.beta_from_partition(p), t)
-                ok = (
-                    stats.size_from_a(rec.a) == rec.size == p.size
-                    and stats.size_from_c(c) == rec.size
-                )
-                if not ok:
-                    witness = f"(s,t)=({s},{t}), p={p.parts}"
-                    break
-            if witness:
-                break
-        report("size-formulas-triple-agreement", {"pairs": len(coprime_pairs())}, witness is None, witness, n)
-
-    def chk_oracle_equivalence() -> None:
-        witness, n = None, 0
-        for s, t in [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]:
-            if s > s_max or t > t_max:
-                continue
-            n += 1
-            enum_parts = {r.partition for r in enumeration.enum_st_cores(s, t)}
-            bound = max((p.size for p in enum_parts), default=0)
-            brute = brute_st_cores({s, t}, bound + s + t)
-            if {p for p in brute if p.size <= bound} != enum_parts:
-                witness = f"(s,t)=({s},{t}): set mismatch at size <= {bound}"
-                break
-            stray = [p for p in brute if p.size > bound]
-            if stray:
-                witness = f"(s,t)=({s},{t}): unexpected core {stray[0].parts}"
-                break
-        report("oracle-enumeration-equivalence", {"pairs_run": n}, witness is None, witness, n)
-
-    def chk_cyclic_sums() -> None:
-        witness, n = None, 0
-        for s, t in coprime_pairs(limit_sum=min(14, s_max + t_max)):
-            for rep in stats.verify_cyclic_sum_identities(s, t):
-                n += 1
-                if not rep.passed:
-                    witness = f"{rep.name} at (s,t)=({s},{t}): {rep.lhs} != {rep.rhs}"
-                    break
-            if witness:
-                break
-        report("cyclic-sum-identities", {"sum_max": min(14, s_max + t_max)}, witness is None, witness, n)
-
-    checks = [
-        chk_conjugate_involution,
-        chk_hook_multiset_conjugation,
-        chk_diagram_core_hooks,
-        chk_removal_order_independence,
-        chk_beta_round_trip,
-        chk_hook_count_bijection,
-        chk_push_preserves_charge,
-        chk_diagram_vs_abacus,
-        chk_charge_a_translation,
-        chk_conjugate_charge,
-        chk_core_commutes_conjugation,
-        chk_conjugate_s_set,
-        chk_core_closure,
-        chk_s_set_t_set_interaction,
-        chk_faithful_invariant,
-        chk_a_z_round_trip,
-        chk_z_u_round_trip,
-        chk_st_core_iff_z_nonneg,
-        chk_z_counts_s_set_residues,
-        chk_self_conjugate_transfer,
-        chk_count_closed_forms,
-        chk_cyclic_orbit_unique_rep,
-        chk_sc_subset,
-        chk_triple_enumerations,
-        chk_motzkin_column,
-        chk_averages,
-        chk_weighted_asymmetry,
-        chk_stab_vs_brute,
-        chk_size_formulas,
-        chk_oracle_equivalence,
-        chk_cyclic_sums,
+    # Every row is (name, params, cases, witness_of).  The cases are lazy, so a
+    # randomized check draws from rng only while it runs, and per-partition
+    # work (beta-set, hooks, conjugate, rim-removal memo) rides along in them.
+    rows = [
+        # --- partition module -------------------------------------------
+        ("conjugate-involution", {"n_max": n20}, ((p,) for p in parts_upto(n20)),
+         lambda p: f"p={p.parts}" if p.conjugate().conjugate() != p else None),
+        ("hook-multiset-conjugation-invariant", {"n_max": n12}, ((p,) for p in parts_upto(n12)),
+         lambda p: f"p={p.parts}" if sorted(p.hook_lengths()) != sorted(p.conjugate().hook_lengths()) else None),
+        ("diagram-core-kills-divisible-hooks", {"n_max": n12, "t_max": t_max},
+         ((p, t, p.t_core_by_diagram(t)) for p in parts_upto(n12) for t in range(1, t_max + 1)),
+         lambda p, t, q: f"p={p.parts}, t={t} -> {q.parts}" if any(h % t == 0 for h in q.hook_lengths()) else None),
+        ("rim-removal-order-independence", {"n_max": n12, "t_max": min(5, t_max)},
+         ((p, t, results) for t in range(2, min(5, t_max) + 1)
+          for results in [_rim_removal_results(t)] for p in parts_upto(n12)),
+         _removal_witness),
+        # --- betaset module ---------------------------------------------
+        ("beta-round-trip", {"n_max": n20}, ((p,) for p in parts_upto(n20)),
+         lambda p: f"p={p.parts}" if betaset.partition_from_beta(betaset.beta_from_partition(p)) != p else None),
+        ("hook-count-matches-beta-difference", {"n_max": n12, "s_max": min(6, mod_max)},
+         ((p, s, b, hooks) for p in parts_upto(n12)
+          for b, hooks in [(betaset.beta_from_partition(p), p.hook_lengths())] for s in range(1, min(6, mod_max) + 1)),
+         lambda p, s, b, hooks: f"p={p.parts}, s={s}" if betaset.hook_count(b, s) != hooks.count(s) else None),
+        ("push-preserves-charge-and-idempotent", {"n_max": n14, "s_max": mod_max},
+         ((p, s, b) for p in parts_upto(n14) for b in [betaset.beta_from_partition(p)] for s in range(1, mod_max + 1)),
+         _push_witness),
+        ("diagram-vs-abacus-core", {"n_max": n14, "t_max": min(6, mod_max)},
+         ((p, t) for p in parts_upto(n14) for t in range(1, min(6, mod_max) + 1)),
+         lambda p, t: f"p={p.parts}, t={t}" if betaset.t_core(p, t) != p.t_core_by_diagram(t) else None),
+        ("charge-to-a-translation", {"s_max": mod_max, "trials": trials},
+         ((s, random_core(s)) for s in range(1, mod_max + 1) for _ in range(trials)),
+         _charge_a_witness),
+        ("conjugate-charge-negation", {"n_max": n14, "s_max": mod_max},
+         ((p, s, b, cb) for p in parts_upto(n14) for b in [betaset.beta_from_partition(p)]
+          for cb in [betaset.conjugate_beta(b)] for s in range(1, mod_max + 1)),
+         _conjugate_charge_witness),
+        ("core-commutes-with-conjugation", {"n_max": n15, "s_max": min(5, mod_max)},
+         ((p, s) for p in parts_upto(n15) for s in range(1, min(5, mod_max) + 1)),
+         lambda p, s: f"p={p.parts}, s={s}" if betaset.t_core(p.conjugate(), s) != betaset.t_core(p, s).conjugate() else None),
+        ("conjugate-s-set-reflection", {"s_max": mod_max, "trials": trials},
+         ((s, random_core(s)) for s in range(1, mod_max + 1) for _ in range(trials)),
+         _conjugate_s_set_witness),
+        ("t-core-preserves-s-core", {"mod_max": mod_max}, random_st_cases(), _core_closure_witness),
+        ("s-set-t-set-interaction", {"mod_max": mod_max}, random_st_cases(), _s_set_t_set_witness),
+        ("faithful-invariant", {"mod_max": min(6, mod_max)},
+         ((s, t, p, rng.choice([random_core(s), betaset.t_core(p, t)]))
+          for s in range(1, min(6, mod_max) + 1) for t in range(1, min(6, mod_max) + 1) if math.gcd(s, t) == 1
+          for _ in range(quarter) for p in [random_core(s)]),
+         _faithful_witness),
+        # --- coords module ----------------------------------------------
+        ("a-z-round-trip", {"pairs": len(pairs), "trials": trials},
+         ((s, t, betaset.a_coords(random_core(t), t)) for s, t in pairs for _ in range(half)),
+         lambda s, t, a: f"a={a.a}, s={s}, t={t}" if coords.z_to_a(coords.a_to_z(a, s)) != a else None),
+        ("z-u-round-trip", {"pairs": len(pairs), "trials": trials},
+         ((s, t, random_u(s, t)) for s, t in pairs for _ in range(half)),
+         lambda s, t, u: f"u={u.u}, s={s}, t={t}" if coords.z_to_u(coords.u_to_z(u)) != u else None),
+        ("st-core-iff-z-nonnegative", {"pairs": len(pairs)},
+         ((s, t, random_core(t)) for s, t in pairs for _ in range(half)),
+         _st_core_witness),
+        ("z-counts-s-set-residues", {"pairs": len(pairs)},
+         ((s, t, k, random_core(s)) for s, t in pairs for k in [coords.shift_constant(s, t)] for _ in range(half)),
+         _z_residue_witness),
+        ("self-conjugacy-transfer", {"pairs": len(pairs)},
+         ((s, t, random_sc_t_core(t, s) if rng.random() < 0.5 else random_core(t)) for s, t in pairs for _ in range(half)),
+         _sc_transfer_witness),
+        # --- enumeration module -----------------------------------------
+        ("count-closed-forms", {"pairs": len(pairs)}, pairs, _count_witness),
+        ("cyclic-orbit-unique-representative", {"sum_max": sum14},
+         ((s, t, comp) for s, t in coprime_pairs(sum14) for comp in enumeration.iter_weak_compositions(s, t)),
+         _orbit_rep_witness),
+        ("sc-enumeration-is-symmetric-subset", {"pairs": len(pairs)}, pairs, _sc_subset_witness),
+        ("triple-enumerations-agree", {"sum_max": sum12},
+         ((m, d) for m in range(1, sum12) for d in range(1, sum12 - m + 1) if math.gcd(m, d) == 1),
+         _triple_witness),
+        ("motzkin-column", {"m_max": sum12}, ((m,) for m in range(1, sum12 + 1)),
+         lambda m: f"m={m}" if enumeration.count_triple(m, 1) != motzkin_number(m) else None),
+        # --- stats module -----------------------------------------------
+        *(
+            (f"average-size-{'weighted' if weighted else 'unweighted'}-{'sc' if self_conjugate else 'general'}",
+             {"pairs": len(pairs)}, pairs, functools.partial(_average_witness, weighted, self_conjugate))
+            for weighted in (False, True)
+            for self_conjugate in (False, True)
+        ),
+        ("weighted-average-asymmetry", {"pair": [2, 3]}, [(s_max >= 3 and t_max >= 3,)], _asymmetry_witness),
+        ("stabilizer-formula-vs-brute", {"sum_max": sum9},
+         ((s, t, self_conjugate, rec) for s, t in coprime_pairs(sum9) for self_conjugate in (False, True)
+          for rec in (enumeration.enum_sc_st_cores if self_conjugate else enumeration.enum_st_cores)(s, t)),
+         _stab_witness),
+        ("size-formulas-triple-agreement", {"pairs": len(pairs)},
+         ((s, t, rec) for s, t in pairs for rec in enumeration.enum_st_cores(s, t)),
+         _size_witness),
+        ("oracle-enumeration-equivalence", {"pairs_run": len(oracle_pairs)}, oracle_pairs, _oracle_witness),
+        ("cyclic-sum-identities", {"sum_max": sum14},
+         ((s, t, rep) for s, t in coprime_pairs(sum14) for rep in stats.verify_cyclic_sum_identities(s, t)),
+         lambda s, t, rep: None if rep.passed else f"{rep.name} at (s,t)=({s},{t}): {rep.lhs} != {rep.rhs}"),
     ]
-    for chk in checks:
-        chk()
-    return reports
+    return [_run_check(*row) for row in rows]

@@ -16,9 +16,9 @@ from typing import Iterable, Iterator
 # size_from_a lives next to ATuple so that enumeration can use it; it is
 # re-exported here with the other size formula.
 from .betaset import CTuple, size_from_a  # noqa: F401
-from .coords import UTuple, ZTuple, z_to_u
+from .coords import UTuple, ZTuple, _require_coprime, z_to_u
 from .enumeration import CoreRecord, iter_sc_st_cores, iter_st_cores, multinomial
-from .errors import InvariantError, NegativeEntryError, NonzeroChargeError, NotCoprimeError
+from .errors import InvariantError, NegativeEntryError, NonzeroChargeError
 
 
 def format_rational(q: Fraction) -> str:
@@ -126,8 +126,7 @@ def average_size(s: int, t: int, weighted: bool = False, self_conjugate: bool = 
 
 def expected_average(s: int, t: int, weighted: bool = False, self_conjugate: bool = False) -> Fraction:
     """The closed form that :func:`average_size` must equal."""
-    if math.gcd(s, t) != 1:
-        raise NotCoprimeError(f"{s} and {t} must be coprime")
+    _require_coprime(s, t)
     if not weighted:
         return Fraction((s - 1) * (t - 1) * (s + t + 1), 24)
     if self_conjugate and t % 2 == 0:
@@ -185,8 +184,7 @@ def verify_cyclic_sum_identities(s: int, t: int) -> list[IdentityReport]:
       square quad    -> 2 C(s+t-1, t+1) / t
       mixed quad     -> C(s+t-1, t+1) / t   for each r != 0 mod t
     """
-    if math.gcd(s, t) != 1:
-        raise NotCoprimeError(f"{s} and {t} must be coprime")
+    _require_coprime(s, t)
     zs = [rec.z.z for rec in iter_st_cores(s, t)]
     weights = [multinomial(s, z) for z in zs]
 

@@ -120,6 +120,14 @@ def test_t_core_agrees_with_diagram_oracle(p, t):
     assert t_core(p, t) == p.t_core_by_diagram(t)
 
 
+def test_t_core_matches_push_path():
+    from stcores.oracle import enum_partitions_up_to
+
+    for p in enum_partitions_up_to(12):
+        for t in range(1, 7):
+            assert t_core(p, t) == partition_from_beta(s_push(beta_from_partition(p), t)), (p, t)
+
+
 def test_a_coords_examples():
     assert a_coords(Partition(), 3).a == (0, 1, 2)
     assert a_coords(Partition([1]), 3).a == (3, 1, -1)

@@ -1,5 +1,6 @@
 import json
 
+import stcores.betaset
 import stcores.stats
 from stcores.cli import main
 
@@ -27,7 +28,9 @@ def test_count_triple(capsys):
 
 def test_count_non_coprime_exits_2(capsys):
     code, _, err = run(capsys, "count", "2", "4")
-    assert code == 2 and "coprime" in err
+    assert code == 2 and "2 and 4 must be coprime" in err
+    code, _, err = run(capsys, "count", "triple", "2", "4")
+    assert code == 2 and "2 and 4 must be coprime" in err
 
 
 def test_count_malformed_exits_2(capsys):
@@ -38,8 +41,14 @@ def test_count_malformed_exits_2(capsys):
 def test_nonpositive_parameters_exit_2(capsys):
     code, _, err = run(capsys, "count", "0", "3")
     assert code == 2 and "error" in err
-    code, _, err = run(capsys, "avg", "0", "3")
-    assert code == 2 and "error" in err
+    code, _, err = run(capsys, "avg", "0", "5")
+    assert code == 2 and "moduli must be >= 1, got 0 and 5" in err
+    code, _, err = run(capsys, "enum", "--triple", "0", "1")
+    assert code == 2 and "got 0 and 1" in err
+    code, out, err = run(capsys, "verify", "--smax", "0", "--tmax", "0", "--nmax", "0")
+    assert code == 2 and "s_max must be >= 1" in err and out == ""
+    code, out, err = run(capsys, "verify", "--tmax", "-1")
+    assert code == 2 and "t_max must be >= 1" in err and out == ""
     code, _, err = run(capsys, "tcore", "0", "--partition", "1")
     assert code == 2 and "error" in err
 
@@ -174,6 +183,16 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--smax", "2", "--tmax", "3", "--nmax", "6")
     assert code == 1
     assert any(line.startswith("FAIL") and "witness=" in line for line in out.splitlines())
+
+
+def test_verify_reports_a_raising_check_as_fail(capsys, monkeypatch):
+    monkeypatch.setattr(stcores.betaset, "t_core", lambda p, t: p)
+    code, out, _ = run(capsys, "verify", "--smax", "2", "--tmax", "3", "--nmax", "6")
+    lines = out.splitlines()
+    assert code == 1
+    assert any(line.startswith("FAIL") and "witness=NotACoreError: " in line for line in lines)
+    passed = sum(1 for line in lines if line.startswith("PASS"))
+    assert 0 < passed < 34 and lines[-1] == f"{passed}/34 checks passed"
 
 
 def test_output_byte_stability(capsys):

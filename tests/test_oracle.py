@@ -2,12 +2,18 @@ import math
 
 import pytest
 
+import stcores.betaset
+import stcores.coords
+import stcores.enumeration
 import stcores.stats
 from stcores import (
+    BetaSet,
     CapExceededError,
+    CTuple,
     InvalidSSetError,
     Partition,
     TooLargeError,
+    UTuple,
     brute_st_cores,
     brute_stab_count,
     enum_partitions_up_to,
@@ -94,20 +100,124 @@ def test_run_verify_suite_trivial_scale():
     assert all(r.witness is None for r in reports)
 
 
+# (check, cases checked) of run_verify_suite(3, 3, 8, trials=10), in order
+SUITE_SHAPE = [
+    ("conjugate-involution", 67),
+    ("hook-multiset-conjugation-invariant", 67),
+    ("diagram-core-kills-divisible-hooks", 201),
+    ("rim-removal-order-independence", 134),
+    ("beta-round-trip", 67),
+    ("hook-count-matches-beta-difference", 201),
+    ("push-preserves-charge-and-idempotent", 201),
+    ("diagram-vs-abacus-core", 201),
+    ("charge-to-a-translation", 30),
+    ("conjugate-charge-negation", 201),
+    ("core-commutes-with-conjugation", 201),
+    ("conjugate-s-set-reflection", 30),
+    ("t-core-preserves-s-core", 18),
+    ("s-set-t-set-interaction", 18),
+    ("faithful-invariant", 14),
+    ("a-z-round-trip", 35),
+    ("z-u-round-trip", 35),
+    ("st-core-iff-z-nonnegative", 35),
+    ("z-counts-s-set-residues", 35),
+    ("self-conjugacy-transfer", 35),
+    ("count-closed-forms", 7),
+    ("cyclic-orbit-unique-representative", 18),
+    ("sc-enumeration-is-symmetric-subset", 7),
+    ("triple-enumerations-agree", 11),
+    ("motzkin-column", 6),
+    ("average-size-unweighted-general", 7),
+    ("average-size-unweighted-sc", 7),
+    ("average-size-weighted-general", 7),
+    ("average-size-weighted-sc", 7),
+    ("weighted-average-asymmetry", 1),
+    ("stabilizer-formula-vs-brute", 18),
+    ("size-formulas-triple-agreement", 9),
+    ("oracle-enumeration-equivalence", 1),
+    ("cyclic-sum-identities", 54),
+]
+
+
 def test_run_verify_suite_small_scale():
     reports = run_verify_suite(3, 3, 8, trials=10)
     assert reports and all(r.passed for r in reports), [
         (r.check, r.witness) for r in reports if not r.passed
     ]
+    assert [(r.check, r.counts["checked"]) for r in reports] == SUITE_SHAPE
 
 
-def test_corrupted_stab_formula_is_caught_with_witness(monkeypatch):
-    monkeypatch.setattr(stcores.stats, "stab_size", lambda z: 1)
-    reports = run_verify_suite(2, 3, 6, trials=5)
-    bad = [r for r in reports if r.check == "stabilizer-formula-vs-brute"]
-    assert len(bad) == 1
-    assert not bad[0].passed
-    assert bad[0].witness is not None
+@pytest.mark.parametrize(
+    "bounds, name",
+    [((0, 3, 8), "s_max"), ((-1, 3, 8), "s_max"), ((0, 0, 0), "s_max"), ((3, 0, 8), "t_max")],
+    ids=["s_max=0", "s_max=-1", "all-zero", "t_max=0"],
+)
+def test_run_verify_suite_rejects_bounds_below_1(bounds, name):
+    with pytest.raises(ValueError, match=name):
+        run_verify_suite(*bounds)
+
+
+def _flip_gap_sign(orig):
+    return lambda b: BetaSet(members=(-g for g in b.gaps), gaps=(-1 - m for m in b.members))
+
+
+def _reverse_u(orig):
+    def z_to_u(z):
+        u = orig(z)
+        return UTuple(u.t, u.s, u.u[::-1])
+
+    return z_to_u
+
+
+def _negate_charge(orig):
+    def charge(b, s):
+        c = orig(b, s)
+        return CTuple(c.s, tuple(-v for v in c.c))
+
+    return charge
+
+
+# (module, attribute, make the faulty replacement from the original,
+#  check that must fail, start of its witness).  The last two faults make
+#  a library call raise; the runner turns that into the check's failure.
+FAULTS = {
+    "conjugate_beta-gap-sign": (stcores.betaset, "conjugate_beta", _flip_gap_sign, "conjugate-charge-negation", "p="),
+    "z_to_u-reversed": (stcores.coords, "z_to_u", _reverse_u, "z-u-round-trip", "u="),
+    "stab_size-constant": (stcores.stats, "stab_size", lambda orig: lambda z: 1, "stabilizer-formula-vs-brute", "(s,t)="),
+    "size_from_a-plus-1": (
+        stcores.enumeration,
+        "size_from_a",
+        lambda orig: lambda a: orig(a) + 1,
+        "size-formulas-triple-agreement",
+        "(s,t)=",
+    ),
+    "charge-negated": (stcores.betaset, "charge", _negate_charge, "charge-to-a-translation", "p="),
+    "shift_constant-plus-1": (
+        stcores.coords,
+        "shift_constant",
+        lambda orig: lambda s, t: orig(s, t) + 1,
+        "a-z-round-trip",
+        "InvalidZError: ",
+    ),
+    "t_core-identity": (
+        stcores.betaset,
+        "t_core",
+        lambda orig: lambda p, t: p,
+        "s-set-t-set-interaction",
+        "NotACoreError: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_injected_fault_is_caught_with_witness(monkeypatch, fault):
+    module, name, make, check, witness_start = FAULTS[fault]
+    monkeypatch.setattr(module, name, make(getattr(module, name)))
+    reports = run_verify_suite(4, 5, 12, trials=10)
+    assert [r.check for r in reports] == [shape[0] for shape in SUITE_SHAPE]
+    failed = {r.check: r.witness for r in reports if not r.passed}
+    assert check in failed, sorted(failed)
+    assert failed[check].startswith(witness_start), failed[check]
 
 
 def test_report_json_shape():

@@ -10,6 +10,7 @@ from stcores import (
     InvariantError,
     NegativeEntryError,
     NonzeroChargeError,
+    NotCoprimeError,
     Partition,
     UTuple,
     ZTuple,
@@ -143,6 +144,14 @@ def test_expected_average_parity_split():
     assert expected_average(2, 3, weighted=True, self_conjugate=True) == Fraction(
         (2 - 1) * (9 - 1), 24
     )
+
+
+def test_closed_forms_name_bad_moduli():
+    for f in (expected_average, verify_cyclic_sum_identities):
+        with pytest.raises(ValueError, match="got 0 and 5"):
+            f(0, 5)
+        with pytest.raises(NotCoprimeError, match="2 and 4 must be coprime"):
+            f(2, 4)
 
 
 def test_unweighted_average_is_symmetric_weighted_is_not():

@@ -22,7 +22,6 @@ from stcores import (
     average_size,
     enum_st_cores,
     expected_average,
-    format_rational,
     moment_sum,
 )
 
@@ -31,8 +30,8 @@ print("(2,3)-cores with stabilizers:")
 for rec in attach_stabilizers(enum_st_cores(2, 3)):
     print("  z =", rec.z.z, " partition =", rec.partition.parts,
           " size =", rec.size, " stab =", rec.stab)
-print("unweighted average:", format_rational(average_size(2, 3)))
-print("weighted average:  ", format_rational(average_size(2, 3, weighted=True)),
+print("unweighted average:", average_size(2, 3))
+print("weighted average:  ", average_size(2, 3, weighted=True),
       "= (0*1 + 1*(1/2)) / (1 + 1/2)")
 
 # A sweep over coprime pairs: enumeration vs closed form, exactly.
@@ -45,19 +44,17 @@ for s in range(1, 8):
         for weighted, sc in [(False, False), (True, False), (True, True)]:
             got = average_size(s, t, weighted, sc)
             assert got == expected_average(s, t, weighted, sc)
-            row.append(format_rational(got).rjust(8))
+            row.append(str(got).rjust(8))
         print(f"  {s}  {t} " + "   ".join(row) + "   (all equal the closed forms)")
 
 # The weighted average is not symmetric in s and t, unlike the unweighted one.
-print("\nweighted (2,3):", format_rational(average_size(2, 3, weighted=True)),
-      " weighted (3,2):", format_rational(average_size(3, 2, weighted=True)))
+print("\nweighted (2,3):", average_size(2, 3, weighted=True),
+      " weighted (3,2):", average_size(3, 2, weighted=True))
 
 # Higher power sums have no closed form here; the library just computes them.
 print("\nmoment sums at (4,5): sum |core|^e for e = 0..4:")
-print([format_rational(moment_sum(4, 5, e)) for e in range(5)])
+print([str(moment_sum(4, 5, e)) for e in range(5)])
 print("second moment about the mean:",
-      format_rational(
-          moment_sum(4, 5, 2) / moment_sum(4, 5, 0)
-          - (moment_sum(4, 5, 1) / moment_sum(4, 5, 0)) ** 2
-      ))
+      moment_sum(4, 5, 2) / moment_sum(4, 5, 0)
+      - (moment_sum(4, 5, 1) / moment_sum(4, 5, 0)) ** 2)
 assert average_size(4, 5) == Fraction(3 * 4 * 10, 24)

@@ -82,7 +82,6 @@ from .stats import (
     average_size,
     check_average,
     expected_average,
-    format_rational,
     moment_sum,
     size_from_a,
     size_from_c,

@@ -126,7 +126,7 @@ def cmd_avg(args) -> int:
         value = stats.moment_sum(s, t, args.moment, args.weighted, args.self_conjugate)
     else:
         value = stats.average_size(s, t, args.weighted, args.self_conjugate)
-    print(stats.format_rational(value))
+    print(value)
     return 0
 
 
@@ -158,15 +158,23 @@ def cmd_convert(args) -> int:
         t = t or len(entries)
     elif args.z is not None:
         entries = _parse_ints(args.z, "z-tuple")
-        zt = coords.ZTuple(len(entries), sum(entries), entries)
-        p = betaset.partition_from_a(coords.z_to_a(zt))
-        t, s = len(entries), sum(entries)
+        t_z, s_z = len(entries), sum(entries)
+        if s_z < 1:
+            raise UsageError(f"--z entries must sum to s >= 1, got {s_z}")
+        if t not in (None, t_z):
+            raise UsageError(f"--t {t} disagrees with --z, which has {t_z} entries")
+        if s not in (None, s_z):
+            raise UsageError(f"--s {s} disagrees with --z, whose entries sum to {s_z}")
+        t, s = t_z, s_z
+        p = betaset.partition_from_a(coords.z_to_a(coords.ZTuple(t, s, entries)))
     else:
         if t is None or s is None:
             raise UsageError("--u needs both --t and --s")
         entries = _parse_ints(args.u, "u-tuple")
         zt = coords.u_to_z(coords.UTuple(t, s, entries))
         p = betaset.partition_from_a(coords.z_to_a(zt))
+    if s is not None and t is None:
+        raise UsageError("--s needs --t with --partition or --beta")
 
     out: dict = {"partition": p.to_json(), "size": p.size}
     out["beta"] = betaset.beta_from_partition(p).to_json_dict()

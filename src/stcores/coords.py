@@ -71,7 +71,7 @@ class ZTuple:
         return shift_constant(self.s, self.t)
 
     def is_nonnegative(self) -> bool:
-        return all(v >= 0 for v in self.z)
+        return min(self.z) >= 0
 
     def to_json_dict(self) -> dict:
         return {"t": self.t, "s": self.s, "z": list(self.z)}
@@ -94,7 +94,7 @@ class UTuple:
             raise InvalidZError(f"entries sum to {sum(self.u)}, expected {self.s // 2}")
 
     def is_nonnegative(self) -> bool:
-        return all(v >= 0 for v in self.u)
+        return min(self.u) >= 0
 
     def to_json_dict(self) -> dict:
         return {"t": self.t, "s": self.s, "u": list(self.u)}

@@ -185,12 +185,7 @@ def iter_st_cores(s: int, t: int) -> Iterator[CoreRecord]:
     """Stream all (s,t)-cores in lexicographic order of z.  Arguments are
     validated eagerly."""
     _require_coprime(s, t)
-
-    def gen() -> Iterator[CoreRecord]:
-        for z in _iter_z(s, t, range(s + 1)):
-            yield record_from_z(ZTuple(t, s, z))
-
-    return gen()
+    return (record_from_z(ZTuple(t, s, z)) for z in _iter_z(s, t, range(s + 1)))
 
 
 def enum_st_cores(s: int, t: int) -> list[CoreRecord]:
@@ -205,12 +200,7 @@ def iter_sc_st_cores(s: int, t: int) -> Iterator[CoreRecord]:
     increasing functions of u_0 and u_1..u_{floor(t/2)}, and the remaining
     entries are determined by those."""
     _require_coprime(s, t)
-
-    def gen() -> Iterator[CoreRecord]:
-        for comp in iter_weak_compositions(s // 2, t // 2 + 1):
-            yield record_from_z(u_to_z(UTuple(t, s, comp)))
-
-    return gen()
+    return (record_from_z(u_to_z(UTuple(t, s, comp))) for comp in iter_weak_compositions(s // 2, t // 2 + 1))
 
 
 def enum_sc_st_cores(s: int, t: int) -> list[CoreRecord]:
@@ -222,12 +212,7 @@ def iter_triple_sym(m: int, d: int) -> Iterator[CoreRecord]:
     parameter s = d take values in {-1, 0, 1}."""
     _require_coprime(m, d)
     t = m + d
-
-    def gen() -> Iterator[CoreRecord]:
-        for z in _iter_z(d, t, range(-1, 2)):
-            yield record_from_z(ZTuple(t, d, z))
-
-    return gen()
+    return (record_from_z(ZTuple(t, d, z)) for z in _iter_z(d, t, range(-1, 2)))
 
 
 def enum_triple_sym(m: int, d: int) -> list[CoreRecord]:
@@ -239,12 +224,7 @@ def iter_triple_asym(m: int, d: int) -> Iterator[CoreRecord]:
     no-two-adjacent-zeros condition z_j + z_{j+1} >= 1."""
     _require_coprime(m, d)
     s, t = m + d, m
-
-    def gen() -> Iterator[CoreRecord]:
-        for z in _iter_z(s, t, range(s + 1), no_zero_pair=True):
-            yield record_from_z(ZTuple(t, s, z))
-
-    return gen()
+    return (record_from_z(ZTuple(t, s, z)) for z in _iter_z(s, t, range(s + 1), no_zero_pair=True))
 
 
 def enum_triple_asym(m: int, d: int) -> list[CoreRecord]:

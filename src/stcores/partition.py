@@ -85,19 +85,20 @@ class Partition:
         return sum(1 for p in self._parts if p >= c)
 
     def hook_length(self, r: int, c: int) -> int:
-        """1 + arm + leg of the cell (r, c)."""
+        """1 + arm + leg of the cell (r, c), read off :meth:`hook_lengths`."""
         if not self.contains(r, c):
             raise OutOfDiagramError(f"cell ({r}, {c}) is outside {self!r}")
-        return 1 + (self._parts[r - 1] - c) + (self.column_height(c) - r)
+        return self.hook_lengths()[sum(self._parts[: r - 1]) + c - 1]
 
     def hook_lengths(self) -> list[int]:
-        """All hook lengths, row-major.  The multiset is a conjugation invariant."""
-        heights = [self.column_height(c + 1) for c in range(self._parts[0])] if self._parts else []
-        out = []
-        for r, p in enumerate(self._parts, start=1):
-            for c in range(1, p + 1):
-                out.append(1 + (p - c) + (heights[c - 1] - r))
-        return out
+        """All hook lengths, in the row-major order of :meth:`cells`.  The
+        multiset is a conjugation invariant."""
+        heights = self.conjugate()._parts
+        return [
+            1 + (p - c) + (heights[c - 1] - r)
+            for r, p in enumerate(self._parts, start=1)
+            for c in range(1, p + 1)
+        ]
 
     def remove_rim_hook(self, r: int, c: int) -> "Partition":
         """Remove the rim hook of (r, c): the border cells {(i, j) : i >= r,
@@ -117,12 +118,7 @@ class Partition:
 
     def find_hook_cell(self, t: int) -> tuple[int, int] | None:
         """First cell (row-major) whose hook length is exactly t, if any."""
-        heights = [self.column_height(c + 1) for c in range(self._parts[0])] if self._parts else []
-        for r, p in enumerate(self._parts, start=1):
-            for c in range(1, p + 1):
-                if 1 + (p - c) + (heights[c - 1] - r) == t:
-                    return r, c
-        return None
+        return next((cell for cell, h in zip(self.cells(), self.hook_lengths()) if h == t), None)
 
     def t_core_by_diagram(self, t: int) -> "Partition":
         """t-core by repeated rim t-hook removal on the diagram.

@@ -21,13 +21,6 @@ from .enumeration import CoreRecord, iter_sc_st_cores, iter_st_cores, multinomia
 from .errors import InvariantError, NegativeEntryError, NonzeroChargeError
 
 
-def format_rational(q: Fraction) -> str:
-    """Canonical string form: ``p/q`` reduced, or plain ``p`` when q = 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def size_from_c(c: CTuple) -> int:
     """Size of the t-core with these charge coordinates:
 
@@ -52,16 +45,7 @@ def stab_size(z: ZTuple) -> int:
     the product of the factorials of its z-coordinates."""
     if not z.is_nonnegative():
         raise NegativeEntryError("stabilizer formula needs z >= 0 (an (s,t)-core)")
-    out = 1
-    for v in z.z:
-        out *= math.factorial(v)
-    return out
-
-
-def _sc_exponent(u: UTuple) -> int:
-    """Power of 2 in the self-conjugate stabilizer: u_0 for odd t,
-    u_0 + u_{t'} for even t."""
-    return u.u[0] if u.t % 2 == 1 else u.u[0] + u.u[-1]
+    return math.prod(map(math.factorial, z.z))
 
 
 def stab_size_sc(u: UTuple) -> int:
@@ -69,40 +53,35 @@ def stab_size_sc(u: UTuple) -> int:
     2^{u_0 + u_{t'}} * prod u_i! for even t."""
     if not u.is_nonnegative():
         raise NegativeEntryError("stabilizer formula needs u >= 0")
-    out = 1 << _sc_exponent(u)
-    for v in u.u:
-        out *= math.factorial(v)
-    return out
+    twos = u.u[0] if u.t % 2 == 1 else u.u[0] + u.u[-1]
+    return math.prod(map(math.factorial, u.u)) << twos
+
+
+def _stab(rec: CoreRecord, self_conjugate: bool) -> int:
+    return stab_size_sc(z_to_u(rec.z)) if self_conjugate else stab_size(rec.z)
 
 
 def attach_stabilizers(records: Iterable[CoreRecord], self_conjugate: bool = False) -> Iterator[CoreRecord]:
     """Lazily fill the ``stab`` field of each record (self-conjugate records
     get the symmetric-action stabilizer computed from their u-coordinates)."""
     for r in records:
-        yield r.with_stab(stab_size_sc(z_to_u(r.z)) if self_conjugate else stab_size(r.z))
+        yield r.with_stab(_stab(r, self_conjugate))
 
 
-def _scaled_weight(rec: CoreRecord, weighted: bool, self_conjugate: bool) -> int:
-    """Weight proportional to 1/stab, rescaled to an integer:
-    s!/prod(z!) = multinom(s; z) in the general case and
-    (s'! 2^{s'}) / stab in the self-conjugate case, s' = floor(s/2).
-    :func:`_weight_denominator` is the matching scale."""
-    if not weighted:
-        return 1
+def _family(s: int, t: int, self_conjugate: bool) -> tuple[Iterator[CoreRecord], int]:
+    """The family's records and D = s!, or s'! 2^{s'} with s' = floor(s/2) for
+    self-conjugate cores: every stabilizer divides D, so 1/stab = (D/stab) / D."""
     if self_conjugate:
-        u = z_to_u(rec.z)
-        return multinomial(u.s // 2, u.u) * (1 << (u.s // 2 - _sc_exponent(u)))
-    return multinomial(rec.z.s, rec.z.z)
+        return iter_sc_st_cores(s, t), math.factorial(s // 2) << (s // 2)
+    return iter_st_cores(s, t), math.factorial(s)
 
 
-def _weight_denominator(s: int, weighted: bool, self_conjugate: bool) -> int:
-    """The factor D with _scaled_weight(rec) = D / stab(rec) when weighted:
-    s! in general, s'! 2^{s'} for self-conjugate cores; 1 unweighted."""
-    if not weighted:
-        return 1
-    if self_conjugate:
-        return math.factorial(s // 2) << (s // 2)
-    return math.factorial(s)
+def _scaled_inverse_stab(rec: CoreRecord, scale: int, self_conjugate: bool) -> int:
+    """D / stab(rec), exactly (InvariantError if stab does not divide D)."""
+    w, rem = divmod(scale, _stab(rec, self_conjugate))
+    if rem:
+        raise InvariantError(f"stabilizer of z={rec.z.z} does not divide {scale}")
+    return w
 
 
 def average_size(s: int, t: int, weighted: bool = False, self_conjugate: bool = False) -> Fraction:
@@ -114,11 +93,10 @@ def average_size(s: int, t: int, weighted: bool = False, self_conjugate: bool = 
       weighted, general:         (s-1)(t^2-1)/24
       weighted, self-conjugate:  the same for odd t, (s-1)(t^2+2)/24 for even t
     """
-    records = iter_sc_st_cores(s, t) if self_conjugate else iter_st_cores(s, t)
-    num = 0
-    den = 0
+    records, scale = _family(s, t, self_conjugate)
+    num = den = 0
     for rec in records:
-        w = _scaled_weight(rec, weighted, self_conjugate)
+        w = _scaled_inverse_stab(rec, scale, self_conjugate) if weighted else 1
         num += w * rec.size
         den += w
     return Fraction(num, den)
@@ -139,9 +117,9 @@ def moment_sum(s: int, t: int, e: int, weighted: bool = False, self_conjugate: b
     zeroth unweighted moment is the count."""
     if e < 0:
         raise ValueError("exponent must be >= 0")
-    records = iter_sc_st_cores(s, t) if self_conjugate else iter_st_cores(s, t)
-    num = sum(_scaled_weight(rec, weighted, self_conjugate) * rec.size**e for rec in records)
-    return Fraction(num, _weight_denominator(s, weighted, self_conjugate))
+    records, scale = _family(s, t, self_conjugate)
+    num = sum((_scaled_inverse_stab(rec, scale, self_conjugate) if weighted else 1) * rec.size**e for rec in records)
+    return Fraction(num, scale if weighted else 1)
 
 
 @dataclass(frozen=True)
@@ -186,52 +164,27 @@ def verify_cyclic_sum_identities(s: int, t: int) -> list[IdentityReport]:
     """
     _require_coprime(s, t)
     zs = [rec.z.z for rec in iter_st_cores(s, t)]
-    weights = [multinomial(s, z) for z in zs]
 
-    def rot_products(z: tuple[int, ...], r: int) -> int:
-        return sum(z[i] * z[(i + r) % t] for i in range(t))
+    def rot_products(r: int):
+        return lambda z: sum(a * b for a, b in zip(z, z[r:] + z[:r]))
 
-    reports = []
-
-    def add(name: str, lhs: Fraction, rhs: Fraction, **extra) -> None:
-        reports.append(IdentityReport(name, {"s": s, "t": t, **extra}, lhs, rhs))
-
-    tq = Fraction(t)
-    add("exp-constant", Fraction(sum(weights)), tq**s / t)
-    add(
-        "exp-linear",
-        sum(w * Fraction(sum(z), t) for w, z in zip(weights, zs)),
-        s * tq ** (s - 1) / t,
-    )
-    quad_rhs = s * (s - 1) * tq ** (s - 2) / t
-    add(
-        "exp-quadratic-square",
-        sum(w * Fraction(sum(v * (v - 1) for v in z), t) for w, z in zip(weights, zs)),
-        quad_rhs,
-    )
-    for r in range(1, t):
-        add(
-            "exp-quadratic-mixed",
-            sum(w * Fraction(rot_products(z, r), t) for w, z in zip(weights, zs)),
-            quad_rhs,
-            r=r,
+    quad = s * (s - 1) * t ** max(s - 2, 0)  # s(s-1) vanishes for s = 1
+    mixed = math.comb(s + t - 1, t + 1)
+    # (name, extra params, integer statistic of z, t * exponential rhs, t * ordinary rhs)
+    rows = [
+        ("constant", {}, lambda z: t, t**s, math.comb(s + t - 1, t - 1)),
+        ("linear", {}, sum, s * t ** (s - 1), math.comb(s + t - 1, t)),
+        ("quadratic-square", {}, lambda z: sum(v * (v - 1) for v in z), quad, 2 * mixed),
+        *(("quadratic-mixed", {"r": r}, rot_products(r), quad, mixed) for r in range(1, t)),
+    ]
+    families = (("exp", [multinomial(s, z) for z in zs]), ("ord", [1] * len(zs)))
+    return [
+        IdentityReport(
+            f"{family}-{name}",
+            {"s": s, "t": t, **extra},
+            Fraction(sum(w * stat(z) for w, z in zip(weights, zs)), t),
+            Fraction(rhs[k], t),
         )
-    add("ord-constant", Fraction(len(zs)), Fraction(math.comb(s + t - 1, t - 1), t))
-    add(
-        "ord-linear",
-        sum(Fraction(sum(z), t) for z in zs),
-        Fraction(math.comb(s + t - 1, t), t),
-    )
-    add(
-        "ord-quadratic-square",
-        sum(Fraction(sum(v * (v - 1) for v in z), t) for z in zs),
-        Fraction(2 * math.comb(s + t - 1, t + 1), t),
-    )
-    for r in range(1, t):
-        add(
-            "ord-quadratic-mixed",
-            sum(Fraction(rot_products(z, r), t) for z in zs),
-            Fraction(math.comb(s + t - 1, t + 1), t),
-            r=r,
-        )
-    return reports
+        for k, (family, weights) in enumerate(families)
+        for name, extra, stat, *rhs in rows
+    ]

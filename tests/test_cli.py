@@ -104,6 +104,7 @@ def test_avg(capsys):
     assert run(capsys, "avg", "2", "3") == (0, "1/2\n", "")
     assert run(capsys, "avg", "2", "3", "--weighted") == (0, "1/3\n", "")
     assert run(capsys, "avg", "3", "2", "--weighted", "--self-conjugate") == (0, "1/2\n", "")
+    assert run(capsys, "avg", "1", "2") == (0, "0\n", "")
 
 
 def test_avg_moment(capsys):
@@ -138,6 +139,24 @@ def test_convert_from_z(capsys):
     assert code == 0
     d = json.loads(out)
     assert d["partition"] == [1] and d["a"] == [3, 1, -1]
+
+
+def test_convert_z_names_the_flag_it_rejects(capsys):
+    for z in ("1,-1", "0,0"):
+        code, out, err = run(capsys, "convert", "--z", z)
+        assert (code, out) == (2, "") and "--z entries must sum to s >= 1, got 0" in err
+    code, out, err = run(capsys, "convert", "--z", "2,0,0", "--t", "4")
+    assert (code, out) == (2, "") and "--t 4 disagrees with --z" in err
+    code, out, err = run(capsys, "convert", "--z", "2,0,0", "--s", "3")
+    assert (code, out) == (2, "") and "--s 3 disagrees with --z" in err
+    code, out, _ = run(capsys, "convert", "--z", "2,0,0", "--t", "3", "--s", "2")
+    assert code == 0 and json.loads(out)["z"] == {"t": 3, "s": 2, "z": [2, 0, 0]}
+
+
+def test_convert_s_without_t_exits_2(capsys):
+    for flag, value in (("--partition", "5,5"), ("--beta", '{"members":[0],"gaps":[-1]}')):
+        code, out, err = run(capsys, "convert", flag, value, "--s", "2")
+        assert (code, out) == (2, "") and "--s needs --t" in err
 
 
 def test_convert_from_beta(capsys):

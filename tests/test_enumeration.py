@@ -129,8 +129,9 @@ def test_enum_rejects_non_coprime():
 
 def test_iterators_validate_before_first_yield():
     for factory in (iter_st_cores, iter_sc_st_cores, iter_triple_sym, iter_triple_asym):
-        with pytest.raises(NotCoprimeError):
-            factory(2, 4)
+        for args in ((2, 4), (3, 6)):
+            with pytest.raises(NotCoprimeError):
+                factory(*args)
 
 
 def test_enum_sc_small_cases():

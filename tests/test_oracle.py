@@ -147,6 +147,12 @@ def test_run_verify_suite_small_scale():
     assert [(r.check, r.counts["checked"]) for r in reports] == SUITE_SHAPE
 
 
+@pytest.mark.parametrize("bounds, checked", [((2, 3, 6), 0), ((3, 2, 6), 0), ((3, 3, 6), 1)])
+def test_asymmetry_check_has_no_case_outside_its_range(bounds, checked):
+    rep = {r.check: r for r in run_verify_suite(*bounds, trials=4)}["weighted-average-asymmetry"]
+    assert rep.passed and rep.counts["checked"] == checked
+
+
 @pytest.mark.parametrize(
     "bounds, name",
     [((0, 3, 8), "s_max"), ((-1, 3, 8), "s_max"), ((0, 0, 0), "s_max"), ((3, 0, 8), "t_max")],
@@ -184,6 +190,14 @@ FAULTS = {
     "conjugate_beta-gap-sign": (stcores.betaset, "conjugate_beta", _flip_gap_sign, "conjugate-charge-negation", "p="),
     "z_to_u-reversed": (stcores.coords, "z_to_u", _reverse_u, "z-u-round-trip", "u="),
     "stab_size-constant": (stcores.stats, "stab_size", lambda orig: lambda z: 1, "stabilizer-formula-vs-brute", "(s,t)="),
+    "stab_size-constant-weights": (
+        stcores.stats,
+        "stab_size",
+        lambda orig: lambda z: 1,
+        "average-size-weighted-general",
+        "(s,t)=",
+    ),
+    "stab_size_sc-constant": (stcores.stats, "stab_size_sc", lambda orig: lambda u: 1, "average-size-weighted-sc", "(s,t)="),
     "size_from_a-plus-1": (
         stcores.enumeration,
         "size_from_a",

@@ -22,7 +22,6 @@ from stcores import (
     enum_sc_st_cores,
     enum_st_cores,
     expected_average,
-    format_rational,
     moment_sum,
     random_s_core,
     size_from_a,
@@ -198,13 +197,6 @@ def test_cyclic_sum_identities_all_pass_small():
             if math.gcd(s, t) != 1:
                 continue
             assert all(r.passed for r in verify_cyclic_sum_identities(s, t))
-
-
-def test_format_rational():
-    assert format_rational(Fraction(1, 2)) == "1/2"
-    assert format_rational(Fraction(4, 2)) == "2"
-    assert format_rational(Fraction(0)) == "0"
-    assert format_rational(Fraction(-5, 3)) == "-5/3"
 
 
 def test_moment_sum_matches_per_core_fraction_sum():

@@ -319,11 +319,13 @@ def _sc_subset_witness(s: int, t: int) -> str | None:
 
 
 def _triple_witness(m: int, d: int) -> str | None:
-    sym = enumeration.enum_triple_sym(m, d)
-    asym = enumeration.enum_triple_asym(m, d)
+    # Keep only the partitions: the two record lists set the peak memory of
+    # a default verify run.
+    sym = [r.partition for r in enumeration.iter_triple_sym(m, d)]
+    asym = [r.partition for r in enumeration.iter_triple_asym(m, d)]
     want = enumeration.count_triple(m, d)
-    sym_parts = {r.partition for r in sym}
-    if len(sym) != want or len(asym) != want or sym_parts != {r.partition for r in asym}:
+    sym_parts = set(sym)
+    if len(sym) != want or len(asym) != want or sym_parts != set(asym):
         return f"(m,d)=({m},{d}): counts {len(sym)}/{len(asym)} vs {want}"
     moduli = (m, m + d, m + 2 * d)
     for p in sym_parts:

@@ -11,7 +11,9 @@ Four families of averages admit closed forms, all with denominator 24:
 The weighted average is the expected size of the t-core of a random
 s-core; the stabilizer of a core is the product of the factorials of its
 z-coordinates (with powers of 2 in the self-conjugate case).  Everything
-below is computed by exact enumeration and compared for equality.
+below is exact and compared for equality: the (2,3) listing by
+enumeration, the averages and moments by a dynamic program over the
+prefix sums of z that visits no core.
 """
 
 import math
@@ -34,7 +36,7 @@ print("unweighted average:", average_size(2, 3))
 print("weighted average:  ", average_size(2, 3, weighted=True),
       "= (0*1 + 1*(1/2)) / (1 + 1/2)")
 
-# A sweep over coprime pairs: enumeration vs closed form, exactly.
+# A sweep over coprime pairs: the DP vs the closed form, exactly.
 print("\n  s  t   unweighted      weighted        weighted-sc")
 for s in range(1, 8):
     for t in range(1, 8):

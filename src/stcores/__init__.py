@@ -66,15 +66,6 @@ from .errors import (
     ParityError,
     TooLargeError,
 )
-from .oracle import (
-    VerifyReport,
-    brute_st_cores,
-    brute_stab_count,
-    enum_partitions_up_to,
-    motzkin_number,
-    run_verify_suite,
-    s_set_of,
-)
 from .partition import Partition
 from .stats import (
     IdentityReport,
@@ -90,5 +81,27 @@ from .stats import (
     verify_cyclic_sum_identities,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The oracle is the largest module.  It is imported on first use, so that
+# work which never verifies (every ``cores`` command but ``verify``) does not
+# compile it at each start.
+_ORACLE_NAMES = (
+    "VerifyReport",
+    "brute_st_cores",
+    "brute_stab_count",
+    "enum_partitions_up_to",
+    "motzkin_number",
+    "run_verify_suite",
+    "s_set_of",
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_ORACLE_NAMES)
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import betaset, coords, enumeration, oracle, stats
+from . import betaset, coords, enumeration, stats
 from .partition import Partition
 
 FORMATS = ("json", "jsonl", "csv", "plain")
@@ -195,6 +195,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
+
     reports = oracle.run_verify_suite(args.smax, args.tmax, args.nmax)
     if args.format == "jsonl":
         for rep in reports:
@@ -238,7 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--format", choices=FORMATS, default="jsonl")
     p_enum.set_defaults(func=cmd_enum)
 
-    p_avg = sub.add_parser("avg", help="exact average size or moment sum")
+    avg_help = (
+        "exact average size or moment sum, by a prefix-sum DP with integer weights:"
+        " O(s^3 t^2 e^2) operations for moment E (e = 1 for the average)"
+    )
+    p_avg = sub.add_parser("avg", help=avg_help, description=avg_help)
     p_avg.add_argument("s", type=int)
     p_avg.add_argument("t", type=int)
     p_avg.add_argument("--weighted", action="store_true")
@@ -272,6 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Exact answers can exceed CPython's default 4300-digit limit on int -> str;
+    # interpreters older than that limit have no setter and need none.
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is not None:
+        set_limit(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

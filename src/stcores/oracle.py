@@ -4,7 +4,9 @@ The reference computations here (partition enumeration with hook filters,
 raw s-sets, explicit permutation counting, the Motzkin recurrence) work
 only on :class:`~stcores.partition.Partition` values and raw integer sets,
 never on the abacus or coordinate internals, so agreement with the library
-paths is meaningful evidence.
+paths is meaningful evidence.  :func:`enumerated_moment_sums` visits every
+enumerated core and is the reference for the dynamic program behind
+:func:`stcores.stats.moment_sum` and :func:`stcores.stats.average_size`.
 
 :func:`run_verify_suite` executes every structural invariant of the package
 at a requested scale and returns one report per check.  A check is a row
@@ -25,6 +27,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from . import betaset, coords, enumeration, errors, stats
@@ -139,6 +142,37 @@ def motzkin_number(n: int) -> int:
         j = len(ms)
         ms.append(ms[j - 1] + sum(ms[k] * ms[j - 2 - k] for k in range(j - 1)))
     return ms[n]
+
+
+def _family(s: int, t: int, self_conjugate: bool) -> tuple[Iterator[enumeration.CoreRecord], int]:
+    """The family's records and D = s!, or s'! 2^{s'} with s' = floor(s/2) for
+    self-conjugate cores: every stabilizer divides D, so 1/stab = (D/stab) / D."""
+    if self_conjugate:
+        return enumeration.iter_sc_st_cores(s, t), math.factorial(s // 2) << (s // 2)
+    return enumeration.iter_st_cores(s, t), math.factorial(s)
+
+
+def _scaled_inverse_stab(rec: enumeration.CoreRecord, scale: int, self_conjugate: bool) -> int:
+    """D / stab(rec), exactly (InvariantError if stab does not divide D)."""
+    w, rem = divmod(scale, stats._stab(rec, self_conjugate))
+    if rem:
+        raise errors.InvariantError(f"stabilizer of z={rec.z.z} does not divide {scale}")
+    return w
+
+
+def enumerated_moment_sums(
+    s: int, t: int, e: int, weighted: bool = False, self_conjugate: bool = False
+) -> list[Fraction]:
+    """[sum of w(core) * |core|^r for r = 0..e], w = 1 or w = 1/stab, summed
+    over every enumerated core: the reference for :func:`stats.moment_sum`
+    and :func:`stats.average_size`."""
+    records, scale = _family(s, t, self_conjugate)
+    sums = [0] * (e + 1)
+    for rec in records:
+        w = _scaled_inverse_stab(rec, scale, self_conjugate) if weighted else 1
+        for r in range(e + 1):
+            sums[r] += w * rec.size**r
+    return [Fraction(v, scale if weighted else 1) for v in sums]
 
 
 def _residue_multiset(values: Iterable[int], t: int) -> tuple[tuple[int, int], ...]:
@@ -335,8 +369,17 @@ def _triple_witness(m: int, d: int) -> str | None:
 
 
 def _average_witness(weighted: bool, self_conjugate: bool, s: int, t: int) -> str | None:
+    # The average alone would miss a DP that sums each cyclic orbit of
+    # compositions instead of its one core: that scales both moments by t.
     rep = stats.check_average(s, t, weighted, self_conjugate)
-    return None if rep.passed else f"(s,t)=({s},{t}): {rep.lhs} != {rep.rhs}"
+    mass = stats.moment_sum(s, t, 0, weighted, self_conjugate)
+    ref_mass, ref_first = enumerated_moment_sums(s, t, 1, weighted, self_conjugate)
+    if rep.passed and (mass, rep.lhs) == (ref_mass, ref_first / ref_mass):
+        return None
+    return (
+        f"(s,t)=({s},{t}): average {rep.lhs}, closed form {rep.rhs}, enumerated {ref_first / ref_mass};"
+        f" mass {mass}, enumerated {ref_mass}"
+    )
 
 
 def _asymmetry_witness() -> str | None:
@@ -347,8 +390,7 @@ def _asymmetry_witness() -> str | None:
 
 def _stab_witness(s: int, t: int, self_conjugate: bool, rec: enumeration.CoreRecord) -> str | None:
     sset = s_set_of(rec.partition, s)
-    got = stats.stab_size_sc(coords.z_to_u(rec.z)) if self_conjugate else stats.stab_size(rec.z)
-    if got != brute_stab_count(sset, t, s, self_conjugate=self_conjugate):
+    if stats._stab(rec, self_conjugate) != brute_stab_count(sset, t, s, self_conjugate=self_conjugate):
         return f"(s,t)=({s},{t}), p={rec.partition.parts}" + (" (sc)" if self_conjugate else "")
     return None
 

@@ -72,13 +72,14 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Reflect the diagram across the main diagonal."""
-        if not self._parts:
-            return Partition()
-        cols = [0] * self._parts[0]
-        for p in self._parts:
-            for c in range(p):
-                cols[c] += 1
-        return Partition(cols)
+        return Partition(self._column_heights())
+
+    def _column_heights(self) -> list[int]:
+        # columns lambda_{i+1} + 1 .. lambda_i have height i
+        heights: list[int] = []
+        for i in range(len(self._parts), 0, -1):
+            heights += [i] * (self._parts[i - 1] - len(heights))
+        return heights
 
     def column_height(self, c: int) -> int:
         """Number of rows reaching column c (= c-th conjugate part)."""
@@ -93,12 +94,16 @@ class Partition:
     def hook_lengths(self) -> list[int]:
         """All hook lengths, in the row-major order of :meth:`cells`.  The
         multiset is a conjugation invariant."""
-        heights = self.conjugate()._parts
-        return [
+        return list(self._hooks())
+
+    def _hooks(self) -> Iterator[int]:
+        """The hook lengths 1 + arm + leg, lazily, in the order of :meth:`cells`."""
+        heights = self._column_heights()
+        return (
             1 + (p - c) + (heights[c - 1] - r)
             for r, p in enumerate(self._parts, start=1)
             for c in range(1, p + 1)
-        ]
+        )
 
     def remove_rim_hook(self, r: int, c: int) -> "Partition":
         """Remove the rim hook of (r, c): the border cells {(i, j) : i >= r,
@@ -118,7 +123,12 @@ class Partition:
 
     def find_hook_cell(self, t: int) -> tuple[int, int] | None:
         """First cell (row-major) whose hook length is exactly t, if any."""
-        return next((cell for cell, h in zip(self.cells(), self.hook_lengths()) if h == t), None)
+        hooks = self._hooks()
+        for r, p in enumerate(self._parts, start=1):
+            for c in range(1, p + 1):
+                if next(hooks) == t:
+                    return r, c
+        return None
 
     def t_core_by_diagram(self, t: int) -> "Partition":
         """t-core by repeated rim t-hook removal on the diagram.

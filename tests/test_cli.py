@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 
 import stcores.betaset
 import stcores.stats
@@ -14,6 +16,15 @@ def run(capsys, *argv):
 def test_count_general(capsys):
     code, out, _ = run(capsys, "count", "3", "4")
     assert code == 0 and out == "5\n"
+
+
+def test_count_prints_answers_beyond_the_int_str_digit_limit(capsys):
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(4300)  # CPython's default, as in a fresh interpreter
+    code, out, err = run(capsys, "count", "10000", "10001")
+    assert (code, err) == (0, "")
+    assert len(out.strip()) > 4300
+    assert int(out) == math.comb(20001, 10000) // 20001
 
 
 def test_count_self_conjugate(capsys):
@@ -105,11 +116,14 @@ def test_avg(capsys):
     assert run(capsys, "avg", "2", "3", "--weighted") == (0, "1/3\n", "")
     assert run(capsys, "avg", "3", "2", "--weighted", "--self-conjugate") == (0, "1/2\n", "")
     assert run(capsys, "avg", "1", "2") == (0, "0\n", "")
+    assert run(capsys, "avg", "19", "20") == (0, "570\n", "")  # 1.77e9 cores
 
 
 def test_avg_moment(capsys):
     assert run(capsys, "avg", "2", "3", "--moment", "0") == (0, "2\n", "")
     assert run(capsys, "avg", "2", "3", "--moment", "2") == (0, "1\n", "")
+    # the sum over all 742,900 cores, as enumeration computes it
+    assert run(capsys, "avg", "13", "14", "--moment", "2") == (0, "35681338420\n", "")
     code, _, err = run(capsys, "avg", "2", "3", "--moment", "9")
     assert code == 2 and "capped" in err
 

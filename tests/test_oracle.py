@@ -19,10 +19,12 @@ from stcores import (
     enum_partitions_up_to,
     enum_st_cores,
     enum_triple_sym,
+    moment_sum,
     motzkin_number,
     run_verify_suite,
     s_set_of,
 )
+from stcores.oracle import enumerated_moment_sums
 
 
 def test_enum_partitions_counts():
@@ -92,6 +94,14 @@ def test_stab_formula_matches_brute_on_all_small_pairs():
                 assert stab_size_sc(z_to_u(rec.z)) == brute_stab_count(
                     sset, t, s, self_conjugate=True
                 )
+
+
+def test_enumerated_moment_sums_match_the_dp():
+    for s, t in [(4, 5), (5, 4), (3, 8), (7, 2)]:
+        for weighted in (False, True):
+            for sc in (False, True):
+                want = [moment_sum(s, t, e, weighted, sc) for e in range(4)]
+                assert enumerated_moment_sums(s, t, 3, weighted, sc) == want, (s, t, weighted, sc)
 
 
 def test_run_verify_suite_trivial_scale():
@@ -212,6 +222,22 @@ FAULTS = {
         lambda orig: lambda s, t: orig(s, t) + 1,
         "a-z-round-trip",
         "InvalidZError: ",
+    ),
+    "dp-x-off-by-one": (
+        stcores.stats,
+        "_x",
+        lambda orig: lambda s, t, l, p: orig(s, t, l + 1, p),
+        "average-size-unweighted-general",
+        "(s,t)=",
+    ),
+    # Without the residue filter the DP sums every composition: t times each
+    # moment, which leaves the averages unchanged (the cyclic-orbit lemma).
+    "dp-residue-filter-dropped": (
+        stcores.stats,
+        "_cores",
+        lambda orig: lambda s, t, sums: orig(s, 1, sums),
+        "average-size-unweighted-general",
+        "(s,t)=",
     ),
     "t_core-identity": (
         stcores.betaset,

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import stcores.stats
 from stcores import (
     ATuple,
     CTuple,
@@ -19,6 +20,8 @@ from stcores import (
     beta_from_partition,
     charge,
     check_average,
+    count_sc,
+    count_st,
     enum_sc_st_cores,
     enum_st_cores,
     expected_average,
@@ -125,15 +128,36 @@ def test_average_size_examples():
     assert average_size(3, 4, weighted=True) == Fraction(5, 4)
 
 
-def test_average_size_matches_closed_forms_small():
-    for s in range(1, 7):
-        for t in range(1, 7):
+def test_average_size_matches_closed_forms_to_sum_24():
+    # s + t = 24 has up to 104,006 general cores per pair; the DP visits none
+    for s in range(1, 24):
+        for t in range(1, 25 - s):
             if math.gcd(s, t) != 1:
                 continue
             for weighted in (False, True):
                 for sc in (False, True):
                     rep = check_average(s, t, weighted, sc)
                     assert rep.passed, (s, t, weighted, sc, rep.lhs, rep.rhs)
+
+
+def test_zeroth_moment_is_the_count_beyond_enumeration():
+    for s, t in [(19, 20), (20, 19), (13, 14)]:
+        assert moment_sum(s, t, 0) == count_st(s, t)
+        assert moment_sum(s, t, 0, self_conjugate=True) == count_sc(s, t)
+
+
+def test_bad_arguments_raise_before_the_dp(monkeypatch):
+    def no_dp(*args):
+        raise AssertionError("the DP ran")
+
+    monkeypatch.setattr(stcores.stats, "_path_sums", no_dp)
+    for sc in (False, True):
+        with pytest.raises(ValueError, match="got 0 and 5"):
+            average_size(0, 5, self_conjugate=sc)
+        with pytest.raises(NotCoprimeError, match="4 and 6 must be coprime"):
+            average_size(4, 6, self_conjugate=sc)
+        with pytest.raises(ValueError, match="exponent must be >= 0"):
+            moment_sum(2, 3, -1, self_conjugate=sc)
 
 
 def test_expected_average_parity_split():

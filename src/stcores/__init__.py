@@ -21,6 +21,7 @@ from .betaset import (
     random_s_core,
     s_push,
     s_set,
+    size_from_a,
     t_core,
 )
 from .coords import (
@@ -67,41 +68,51 @@ from .errors import (
     TooLargeError,
 )
 from .partition import Partition
-from .stats import (
-    IdentityReport,
-    attach_stabilizers,
-    average_size,
-    check_average,
-    expected_average,
-    moment_sum,
-    size_from_a,
-    size_from_c,
-    stab_size,
-    stab_size_sc,
-    verify_cyclic_sum_identities,
-)
 
-# The oracle is the largest module.  It is imported on first use, so that
-# work which never verifies (every ``cores`` command but ``verify``) does not
-# compile it at each start.
-_ORACLE_NAMES = (
-    "VerifyReport",
-    "brute_st_cores",
-    "brute_stab_count",
-    "enum_partitions_up_to",
-    "motzkin_number",
-    "run_verify_suite",
-    "s_set_of",
-)
+# ``stats`` (with ``fractions``) and the oracle, the largest module, are
+# imported on first use of one of their names, so that work which needs
+# neither (``cores enum``, ``count``, ``convert``, ``tcore``) does not load
+# them at each start.
+_LAZY = {
+    "stats": (
+        "IdentityReport",
+        "attach_stabilizers",
+        "average_size",
+        "check_average",
+        "expected_average",
+        "moment_sum",
+        "size_from_c",
+        "stab_size",
+        "stab_size_sc",
+        "verify_cyclic_sum_identities",
+    ),
+    "oracle": (
+        "VerifyReport",
+        "brute_st_cores",
+        "brute_stab_count",
+        "enum_partitions_up_to",
+        "motzkin_number",
+        "run_verify_suite",
+        "s_set_of",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 
 def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracle
+    from importlib import import_module
 
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name == "stats":
+        return import_module(".stats", __name__)
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
 
 
-__all__ = [name for name in dir() if not name.startswith("_")] + list(_ORACLE_NAMES)
+# The same list as with eager imports: the loaded names, the stats submodule
+# and its names in sorted order, then the oracle names.
+__all__ = sorted(
+    [name for name in dir() if not name.startswith("_")] + ["stats", *_LAZY["stats"]]
+) + list(_LAZY["oracle"])
 __version__ = "0.1.0"

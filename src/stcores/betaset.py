@@ -112,9 +112,16 @@ class ATuple:
             raise ValueError("modulus must be >= 1")
         if len(self.a) != self.t:
             raise ValueError(f"expected {self.t} entries, got {len(self.a)}")
-        for i, v in enumerate(self.a):
-            if v % self.t != i % self.t:
-                raise ValueError(f"a[{i}] = {v} is not congruent to {i} mod {self.t}")
+        # One list comparison; the loop names the first offender (or raises
+        # what reducing it raises).
+        try:
+            valid = [v % self.t for v in self.a] == list(range(self.t))
+        except TypeError:
+            valid = False
+        if not valid:
+            for i, v in enumerate(self.a):
+                if v % self.t != i % self.t:
+                    raise ValueError(f"a[{i}] = {v} is not congruent to {i} mod {self.t}")
         want = self.t * (self.t - 1) // 2
         if sum(self.a) != want:
             raise ValueError(f"entries sum to {sum(self.a)}, expected {want}")
@@ -280,18 +287,17 @@ def partition_from_a(a: ATuple) -> Partition:
     """Partition of the t-core with the given a-coordinates, read off the
     abacus.
 
-    Class i mod t holds beads at a_i - t, a_i - 2t, ..., so every position
-    at or below lo = min(a) - t is a bead.  Listing the beads above lo in
-    descending order, b_1 > b_2 > ..., the parts are b_i + i.  Total charge
-    zero makes lo = -(n+1) for n beads above it, so every later part is 0.
+    Class i mod t holds beads at a_i - t, a_i - 2t, ..., so a position x is a
+    bead exactly when x < a_{x mod t}.  Every position below m = min(a) is a
+    bead and m itself is not.  Listing the beads in (m, max(a) - t] in
+    descending order, b_1 > b_2 > ... > b_n, the parts are b_i + i; charge
+    zero makes m = -n, so these parts are positive and every later one is 0.
+    The walk visits max(a) - t - m positions in descending order and needs no
+    sort.
     """
-    t = a.t
-    lo = min(a.a) - t
-    beads = sorted([b for v in a.a for b in range(v - t, lo, -t)], reverse=True)
-    parts = [b + i for i, b in enumerate(beads, start=1)]
-    while parts and parts[-1] == 0:
-        parts.pop()
-    return Partition(parts)
+    t, av = a.t, a.a
+    beads = [x for x in range(max(av) - t, min(av), -1) if x < av[x % t]]
+    return Partition([x + i for i, x in enumerate(beads, start=1)])
 
 
 def s_set(b: BetaSet, s: int) -> frozenset[int]:

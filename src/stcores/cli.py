@@ -10,10 +10,9 @@ suite seeds its randomness deterministically.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import betaset, coords, enumeration, stats
+from . import betaset, coords, enumeration
 from .partition import Partition
 
 FORMATS = ("json", "jsonl", "csv", "plain")
@@ -24,7 +23,19 @@ class UsageError(Exception):
 
 
 def _compact_json(obj) -> str:
+    import json
+
     return json.dumps(obj, separators=(",", ":"))
+
+
+def _json_record(d: dict) -> str:
+    """``_compact_json(d)``, byte for byte, for a dict whose keys need no
+    escaping and whose values are ints or lists of ints: a record's
+    ``to_json_dict()``."""
+    return "{" + ",".join([
+        f'"{key}":[{",".join(map(str, value))}]' if type(value) is list else f'"{key}":{value}'
+        for key, value in d.items()
+    ]) + "}"
 
 
 def _parse_partition(text: str) -> Partition:
@@ -49,11 +60,11 @@ def _emit_records(records, fmt: str, out) -> None:
     array, byte-identical to dumping the collected list."""
     if fmt == "jsonl":
         for rec in records:
-            out.write(_compact_json(rec.to_json_dict()) + "\n")
+            out.write(_json_record(rec.to_json_dict()) + "\n")
     elif fmt == "json":
         out.write("[")
         for i, rec in enumerate(records):
-            out.write(("," if i else "") + _compact_json(rec.to_json_dict()))
+            out.write(("," if i else "") + _json_record(rec.to_json_dict()))
         out.write("]\n")
     elif fmt == "csv":
         for rec in records:
@@ -111,12 +122,16 @@ def cmd_enum(args) -> int:
         else:
             records = enumeration.iter_st_cores(s, t)
         if args.with_stab:
+            from . import stats
+
             records = stats.attach_stabilizers(records, self_conjugate=args.self_conjugate)
     _emit_records(records, args.format, sys.stdout)
     return 0
 
 
 def cmd_avg(args) -> int:
+    from . import stats
+
     s, t = args.s, args.t
     if args.moment is not None:
         if args.moment < 0:
@@ -146,6 +161,8 @@ def cmd_convert(args) -> int:
     if args.partition is not None:
         p = _parse_partition(args.partition)
     elif args.beta is not None:
+        import json
+
         try:
             d = json.loads(args.beta)
             b = betaset.BetaSet(d["members"], d["gaps"])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .betaset import ATuple
 from .errors import (
@@ -63,7 +64,7 @@ class ZTuple:
             raise InvalidZError(f"expected {self.t} entries, got {len(self.z)}")
         if sum(self.z) != self.s:
             raise InvalidZError(f"entries sum to {sum(self.z)}, expected {self.s}")
-        if sum(j * v for j, v in enumerate(self.z)) % self.t != 0:
+        if sum(map(mul, range(self.t), self.z)) % self.t != 0:
             raise InvalidZError("sum(j * z_j) is not 0 mod t")
 
     @property

@@ -5,8 +5,16 @@ tuples z of length t with sum s and sum(j * z_j) = 0 mod t.  The
 (m, m+d, m+2d)-cores are the same kind of tuple with entries in {-1, 0, 1},
 or nonnegative with no two cyclically adjacent zeros.  One generator,
 :func:`_iter_z`, visits exactly these lattice points in lexicographic order:
-a depth-first search guided by a table of the weighted residues each suffix
-can still reach, so it never builds a tuple it would have to throw away.
+a depth-first search, run on an explicit stack, guided by a table of the
+weighted residues each suffix can still reach, so it never builds a tuple
+it would have to throw away.
+
+Each record is built from the prefix sums P_l = z_0 + ... + z_{l-1}
+(:func:`_records`): the a-coordinates are affine in P_l and the size is a
+quadratic form in P_l (:func:`_x`), the same form the dynamic program of
+:mod:`stcores.stats` sums.  :func:`record_from_z`, which goes through
+:func:`~stcores.coords.z_to_a` and :func:`~stcores.betaset.size_from_a`,
+is the reference the records are tested against.
 
 Each cyclic rotation orbit of a weak composition contains exactly one tuple
 with the congruence (:func:`canonical_cyclic_rep`), which yields the
@@ -20,11 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from functools import partial
+from itertools import accumulate
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from .betaset import ATuple, partition_from_a, size_from_a
-from .coords import ZTuple, _require_coprime, u_to_z, z_to_a, UTuple
-from .errors import CoreError
+from .coords import UTuple, ZTuple, _require_coprime, shift_constant, u_to_z, z_to_a
+from .errors import CoreError, InvariantError
 from .partition import Partition
 
 
@@ -77,9 +88,54 @@ class CoreRecord:
 
 def record_from_z(zt: ZTuple) -> CoreRecord:
     """The record of the t-core with z-coordinates ``zt``: a by the O(t)
-    inverse change of variables, the size from a, no partition."""
+    inverse change of variables, the size from a, no partition.  The
+    reference for the records :func:`_records` builds from prefix sums."""
     a = z_to_a(zt)
     return CoreRecord(z=zt, a=a, size=size_from_a(a))
+
+
+def _x(s: int, t: int, l: int, p: int) -> int:
+    """x_l = (2l - t + 1)s - 2t P_l, for the prefix sum P_l = z_0 + ... + z_{l-1}.
+
+    With S = P_0 + ... + P_{t-1}, the a-coordinates are
+    2a_{(k + ls) mod t} = x_l + 2S + t - 1, so that
+
+        24t |core| = 3 sum_l x_l^2 - 12t S^2 - t(t^2 - 1)
+
+    (:func:`_scaled_size`).
+    """
+    return (2 * l - t + 1) * s - 2 * t * p
+
+
+def _scaled_size(t: int, S: int, g: int) -> int:
+    """24t |core| of the t-core with g = sum_l x_l^2 and S = sum_l P_l."""
+    return 3 * g - 12 * t * S * S - t * (t * t - 1)
+
+
+def _records(s: int, t: int, zts: Iterable[ZTuple]) -> Iterator[CoreRecord]:
+    """The record of each t-core in ``zts`` (all with sum s): its
+    a-coordinates and size read off the prefix sums by the identities of
+    :func:`_x`, in O(t) operations.  Raises InvariantError, as
+    :func:`~stcores.betaset.size_from_a` does, unless 24t divides the
+    scaled size into a nonnegative integer."""
+    k = shift_constant(s, t)
+    # (x_l at P_l = 0, l) for the l with (k + ls) mod t = i, listed by a-index i
+    levels = [0] * t
+    for l in range(t):
+        levels[(k + l * s) % t] = l
+    by_index = [(_x(s, t, l, 0), l) for l in levels]
+    tt, t24 = 2 * t, 24 * t
+    for zt in zts:
+        prefix = list(accumulate(zt.z, initial=0))
+        S = sum(prefix) - s
+        x = [x0 - tt * prefix[l] for x0, l in by_index]
+        shift = 2 * S + t - 1
+        a = tuple([(v + shift) >> 1 for v in x])
+        num = _scaled_size(t, S, sum(map(mul, x, x)))
+        size, rem = divmod(num, t24)
+        if rem or size < 0:
+            raise InvariantError(f"size formula gives {num}/{t24} for a={a}")
+        yield CoreRecord(zt, ATuple(t, a), size)
 
 
 def iter_weak_compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -125,8 +181,11 @@ def _iter_z(total: int, t: int, values: range, no_zero_pair: bool = False) -> It
     sum_{j >= position} j * z_j mod t that some valid suffix reaches.  The
     search enters a prefix only when the bit of the residue that prefix
     still needs is set, so every prefix it enters ends in at least one
-    output tuple.  The cyclic pair (z_{t-1}, z_0) is covered by a second
-    table in which z_{t-1} must be nonzero, used when z_0 = 0.
+    output tuple, and the last entry is forced.  The cyclic pair
+    (z_{t-1}, z_0) is covered by a second table in which z_{t-1} must be
+    nonzero, used when z_0 = 0.  The search keeps the candidate entries of
+    each open position on an explicit stack; each state's candidate list is
+    computed once.
     """
     vmin, vmax = values.start, values.stop - 1
     full = (1 << t) - 1
@@ -159,33 +218,64 @@ def _iter_z(total: int, t: int, values: range, no_zero_pair: bool = False) -> It
             reach[pos] = (rows[0], rows[-1])
         return reach
 
+    memo: dict = {}
+
+    def candidates(reach: list, pos: int, rem: int, need: int, prev_zero: bool) -> list[int]:
+        """The entries at ``pos`` whose prefix the search enters, computed
+        once per state."""
+        key = (reach is wrap, pos, rem, need, prev_zero)
+        found = memo.get(key)
+        if found is None:
+            rows = reach[pos + 1]
+            memo[key] = found = [
+                v
+                for v in range(max(floor[prev_zero], rem - rhi[pos + 1]), min(vmax, rem - rlo[pos + 1]) + 1)
+                if rows[v == 0][rem - v] >> (need - pos * v) % t & 1
+            ]
+        return found
+
+    last = t - 1
     z = [0] * t
-
-    def descend(reach: list, pos: int, rem: int, need: int, prev_zero: bool) -> Iterator[tuple[int, ...]]:
-        if pos == t:
-            yield tuple(z)
-            return
-        rows = reach[pos + 1]
-        for v in range(max(floor[prev_zero], rem - rhi[pos + 1]), min(vmax, rem - rlo[pos + 1]) + 1):
-            left = (need - pos * v) % t
-            if rows[v == 0][rem - v] >> left & 1:
-                z[pos] = v
-                yield from descend(reach, pos + 1, rem - v, left, v == 0)
-
+    # rems[pos], needs[pos]: the sum and the residue positions pos.. still owe
+    rems = [0] * t
+    needs = [0] * t
     free = completions(False)
     wrap = completions(True) if no_zero_pair else free
-    for v in range(max(vmin, total - rhi[1]), min(vmax, total - rlo[1]) + 1):
-        reach = wrap if v == 0 else free
-        if reach[1][v == 0][total - v] & 1:
-            z[0] = v
-            yield from descend(reach, 1, total - v, 0, v == 0)
+    for first in range(max(vmin, total - rhi[1]), min(vmax, total - rlo[1]) + 1):
+        reach = wrap if first == 0 else free
+        if not reach[1][first == 0][total - first] & 1:
+            continue
+        if t < 3:
+            yield (first, total - first)[:t]
+            continue
+        z[0] = first
+        rems[1], needs[1] = total - first, 0
+        stack = [iter(candidates(reach, 1, total - first, 0, first == 0))]
+        while stack:
+            pos = len(stack)
+            if pos == last - 1:
+                # each candidate here completes a tuple: the last entry is forced
+                rem = rems[pos]
+                for v in stack.pop():
+                    z[pos], z[last] = v, rem - v
+                    yield tuple(z)
+                continue
+            for v in stack[-1]:
+                break
+            else:
+                stack.pop()
+                continue
+            z[pos] = v
+            rems[pos + 1] = rem = rems[pos] - v
+            needs[pos + 1] = need = (needs[pos] - pos * v) % t
+            stack.append(iter(candidates(reach, pos + 1, rem, need, v == 0)))
 
 
 def iter_st_cores(s: int, t: int) -> Iterator[CoreRecord]:
     """Stream all (s,t)-cores in lexicographic order of z.  Arguments are
     validated eagerly."""
     _require_coprime(s, t)
-    return (record_from_z(ZTuple(t, s, z)) for z in _iter_z(s, t, range(s + 1)))
+    return _records(s, t, map(partial(ZTuple, t, s), _iter_z(s, t, range(s + 1))))
 
 
 def enum_st_cores(s: int, t: int) -> list[CoreRecord]:
@@ -200,7 +290,7 @@ def iter_sc_st_cores(s: int, t: int) -> Iterator[CoreRecord]:
     increasing functions of u_0 and u_1..u_{floor(t/2)}, and the remaining
     entries are determined by those."""
     _require_coprime(s, t)
-    return (record_from_z(u_to_z(UTuple(t, s, comp))) for comp in iter_weak_compositions(s // 2, t // 2 + 1))
+    return _records(s, t, map(u_to_z, map(partial(UTuple, t, s), iter_weak_compositions(s // 2, t // 2 + 1))))
 
 
 def enum_sc_st_cores(s: int, t: int) -> list[CoreRecord]:
@@ -212,7 +302,7 @@ def iter_triple_sym(m: int, d: int) -> Iterator[CoreRecord]:
     parameter s = d take values in {-1, 0, 1}."""
     _require_coprime(m, d)
     t = m + d
-    return (record_from_z(ZTuple(t, d, z)) for z in _iter_z(d, t, range(-1, 2)))
+    return _records(d, t, map(partial(ZTuple, t, d), _iter_z(d, t, range(-1, 2))))
 
 
 def enum_triple_sym(m: int, d: int) -> list[CoreRecord]:
@@ -224,7 +314,7 @@ def iter_triple_asym(m: int, d: int) -> Iterator[CoreRecord]:
     no-two-adjacent-zeros condition z_j + z_{j+1} >= 1."""
     _require_coprime(m, d)
     s, t = m + d, m
-    return (record_from_z(ZTuple(t, s, z)) for z in _iter_z(s, t, range(s + 1), no_zero_pair=True))
+    return _records(s, t, map(partial(ZTuple, t, s), _iter_z(s, t, range(s + 1), no_zero_pair=True)))
 
 
 def enum_triple_asym(m: int, d: int) -> list[CoreRecord]:

@@ -353,14 +353,22 @@ def _sc_subset_witness(s: int, t: int) -> str | None:
 
 
 def _triple_witness(m: int, d: int) -> str | None:
-    # Keep only the partitions: the two record lists set the peak memory of
-    # a default verify run.
-    sym = [r.partition for r in enumeration.iter_triple_sym(m, d)]
-    asym = [r.partition for r in enumeration.iter_triple_asym(m, d)]
+    # One set of partitions, counted as it fills; each asym partition is then
+    # discarded from a copy.  This check sets the peak memory of a default
+    # verify run, so no list of either stream is kept.
     want = enumeration.count_triple(m, d)
-    sym_parts = set(sym)
-    if len(sym) != want or len(asym) != want or sym_parts != set(asym):
-        return f"(m,d)=({m},{d}): counts {len(sym)}/{len(asym)} vs {want}"
+    sym_parts: set[Partition] = set()
+    n_sym = 0
+    for rec in enumeration.iter_triple_sym(m, d):
+        sym_parts.add(rec.partition)
+        n_sym += 1
+    unmatched = set(sym_parts)
+    n_asym = 0
+    for rec in enumeration.iter_triple_asym(m, d):
+        unmatched.discard(rec.partition)
+        n_asym += 1
+    if n_sym != want or n_asym != want or len(sym_parts) != want or unmatched:
+        return f"(m,d)=({m},{d}): counts {n_sym}/{n_asym} vs {want}"
     moduli = (m, m + d, m + 2 * d)
     for p in sym_parts:
         if any(h % mod == 0 for h in p.hook_lengths() for mod in moduli):
@@ -396,9 +404,15 @@ def _stab_witness(s: int, t: int, self_conjugate: bool, rec: enumeration.CoreRec
 
 
 def _size_witness(s: int, t: int, rec: enumeration.CoreRecord) -> str | None:
+    # The record's a and size come from prefix sums; record_from_z gets them
+    # through z_to_a and size_from_a.
     p = rec.partition
     c = betaset.charge(betaset.beta_from_partition(p), t)
-    if stats.size_from_a(rec.a) == rec.size == p.size and stats.size_from_c(c) == rec.size:
+    if (
+        enumeration.record_from_z(rec.z) == rec
+        and stats.size_from_a(rec.a) == rec.size == p.size
+        and stats.size_from_c(c) == rec.size
+    ):
         return None
     return f"(s,t)=({s},{t}), p={p.parts}"
 

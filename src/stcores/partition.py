@@ -8,6 +8,7 @@ downward (English notation).
 
 from __future__ import annotations
 
+from operator import ge
 from typing import Iterable, Iterator
 
 from .errors import NonMonotoneError, OutOfDiagramError
@@ -31,11 +32,18 @@ class Partition:
             n -= 1
         if n < len(ps):
             ps = ps[:n]
-        for i, p in enumerate(ps):
-            if p < 1:
-                raise NonMonotoneError(f"part {i + 1} is {p}, expected a positive integer")
-            if i and ps[i - 1] < p:
-                raise NonMonotoneError(f"parts increase at index {i}: {ps[i - 1]} < {p}")
+        # Weakly decreasing down to a positive last part, checked at C speed;
+        # the loop names the first offender (or raises what comparing it raises).
+        try:
+            valid = not ps or (ps[-1] >= 1 and all(map(ge, ps, ps[1:])))
+        except TypeError:
+            valid = False
+        if not valid:
+            for i, p in enumerate(ps):
+                if p < 1:
+                    raise NonMonotoneError(f"part {i + 1} is {p}, expected a positive integer")
+                if i and ps[i - 1] < p:
+                    raise NonMonotoneError(f"parts increase at index {i}: {ps[i - 1]} < {p}")
         self._parts = ps
 
     @property

@@ -24,7 +24,8 @@ from typing import Callable, Iterable, Iterator
 # re-exported here with the other size formula.
 from .betaset import CTuple, size_from_a  # noqa: F401
 from .coords import UTuple, ZTuple, _require_coprime, z_to_u
-from .enumeration import CoreRecord, iter_st_cores, multinomial
+# The size identity of the prefix sums, shared with the records of enumeration.
+from .enumeration import CoreRecord, _scaled_size, _x, iter_st_cores, multinomial
 from .errors import InvariantError, NegativeEntryError, NonzeroChargeError
 
 
@@ -73,17 +74,6 @@ def attach_stabilizers(records: Iterable[CoreRecord], self_conjugate: bool = Fal
     get the symmetric-action stabilizer computed from their u-coordinates)."""
     for r in records:
         yield r.with_stab(_stab(r, self_conjugate))
-
-
-def _x(s: int, t: int, l: int, p: int) -> int:
-    """x_l = (2l - t + 1)s - 2t P_l, for the prefix sum P_l = z_0 + ... + z_{l-1}.
-
-    With S = P_0 + ... + P_{t-1}, the a-coordinates are
-    2a_{(k + ls) mod t} = x_l + 2S + t - 1, so that
-
-        24t |core| = 3 sum_l x_l^2 - 12t S^2 - t(t^2 - 1).
-    """
-    return (2 * l - t + 1) * s - 2 * t * p
 
 
 def _axpy(acc: list[list[int]] | None, w: int, sums: list[list[int]]) -> list[list[int]]:
@@ -194,7 +184,8 @@ def _scaled_moments(s: int, t: int, e: int, weighted: bool, self_conjugate: bool
     _require_coprime(s, t)
     out = [0] * (e + 1)
     for S, col in (_sc_sums if self_conjugate else _general_sums)(s, t, e, weighted):
-        c = -12 * t * S * S - t * (t * t - 1)
+        # 24t |core| = 3G + c with G = sum_l x_l^2, so its r-th power expands binomially
+        c = _scaled_size(t, S, 0)
         terms = [3**k * v for k, v in enumerate(col)]
         for r in range(e + 1):
             out[r] += sum(math.comb(r, k) * c ** (r - k) * terms[k] for k in range(r + 1))

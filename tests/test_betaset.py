@@ -163,6 +163,15 @@ def test_partition_from_a_round_trip():
             assert partition_from_a(a_coords(p, s)) == p
 
 
+def test_partition_from_a_inverts_a_coords_on_every_small_core():
+    from stcores import enum_partitions_up_to
+
+    parts = list(enum_partitions_up_to(20))
+    for t in range(1, 8):
+        cores = [p for p in parts if is_s_core(beta_from_partition(p), t)]
+        assert cores and all(partition_from_a(a_coords(p, t)) == p for p in cores), t
+
+
 def test_partition_from_a_matches_class_maxima_path():
     rng = random.Random(6)
     for t in range(1, 9):

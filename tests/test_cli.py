@@ -1,6 +1,10 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import stcores.betaset
 import stcores.stats
@@ -101,6 +105,41 @@ def test_enum_triple_methods_agree(capsys):
 def test_enum_triple_with_stab_rejected(capsys):
     code, _, err = run(capsys, "enum", "--triple", "3", "2", "--with-stab")
     assert code == 2 and "stab" in err
+
+
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+
+
+def test_enum_output_matches_the_recorded_digests(capsys):
+    # every enum command of the benchmark, in both orientations
+    digests = json.loads(DIGESTS.read_text())
+    keys = [key for key in digests if key.startswith("enum ")]
+    oriented = [key.split() for key in keys if "--triple" not in key]
+    assert len(keys) == 10
+    assert all(" ".join([argv[0], argv[2], argv[1], *argv[3:]]) in keys for argv in oriented)
+    for key in keys:
+        code, out, err = run(capsys, *key.split())
+        assert (code, err) == (0, ""), key
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[key], key
+
+
+def test_json_record_matches_json_dumps():
+    from stcores.cli import _compact_json, _json_record
+
+    for d in (
+        {"z": [0, 1, 1], "a": [0, 1, 2], "parts": [], "size": 0},
+        {"z": [-1, 1, 0], "a": [3, -2, 2], "parts": [10**30, 1], "size": 7, "stab": 2},
+    ):
+        assert _json_record(d) == _compact_json(d)
+
+
+def test_cli_import_leaves_stats_fractions_and_json_unloaded():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, stcores.cli; print(sorted({'stcores.stats', 'fractions', 'json'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_enum_json_and_plain(capsys):

@@ -22,7 +22,7 @@ from stcores import (
     iter_weak_compositions,
     motzkin_number,
 )
-from stcores.enumeration import _iter_z, multinomial
+from stcores.enumeration import _iter_z, multinomial, record_from_z
 
 
 def test_weak_compositions_lex_and_complete():
@@ -246,3 +246,25 @@ def test_record_size_matches_partition_size_in_every_family():
         for a, b in pairs:
             for rec in factory(a, b):
                 assert rec.size == rec.partition.size, (factory.__name__, a, b, rec.z.z)
+
+
+def test_records_equal_the_z_to_a_reference():
+    # Prefix-sum records against z_to_a plus size_from_a, bounded by the
+    # (s, t) of each family's z-tuples.  The {-1, 0, 1} tuples of iter_triple_sym
+    # grow like Motzkin numbers (208,915 at s + t <= 16), so they stop at 12.
+    families = (
+        (iter_st_cores, lambda s, t: (s, t), 16, 4505),
+        (iter_sc_st_cores, lambda s, t: (s, t), 16, 577),
+        (iter_triple_sym, lambda m, d: (d, m + d), 12, 3969),
+        (iter_triple_asym, lambda m, d: (m + d, m), 16, 1175),
+    )
+    for factory, st_of, bound, cores in families:
+        checked = 0
+        for x in range(1, bound):
+            for y in range(1, bound):
+                if math.gcd(x, y) != 1 or sum(st_of(x, y)) > bound:
+                    continue
+                for rec in factory(x, y):
+                    assert rec == record_from_z(rec.z), (factory.__name__, x, y, rec.z.z)
+                    checked += 1
+        assert checked == cores, factory.__name__

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import pytest
 
@@ -185,6 +187,19 @@ def _reverse_u(orig):
     return z_to_u
 
 
+def _bead_walk(is_bead, a):
+    """partition_from_a with the bead test ``is_bead(x, a_{x mod t})``."""
+    t, av = a.t, a.a
+    beads = [x for x in range(max(av) - t, min(av), -1) if is_bead(x, av[x % t])]
+    return Partition(x + i for i, x in enumerate(beads, start=1))
+
+
+def test_bead_walk_with_the_library_test_is_partition_from_a():
+    for t in range(1, 8):
+        for rec in (r for s in range(1, 9) if math.gcd(s, t) == 1 for r in enum_st_cores(s, t)):
+            assert _bead_walk(operator.lt, rec.a) == stcores.betaset.partition_from_a(rec.a)
+
+
 def _negate_charge(orig):
     def charge(b, s):
         c = orig(b, s)
@@ -208,12 +223,21 @@ FAULTS = {
         "(s,t)=",
     ),
     "stab_size_sc-constant": (stcores.stats, "stab_size_sc", lambda orig: lambda u: 1, "average-size-weighted-sc", "(s,t)="),
-    "size_from_a-plus-1": (
+    # The records' size, 24t |core| from the prefix sums, one core too large.
+    "record-size-plus-1": (
         stcores.enumeration,
-        "size_from_a",
-        lambda orig: lambda a: orig(a) + 1,
+        "_scaled_size",
+        lambda orig: lambda t, S, g: orig(t, S, g) + 24 * t,
         "size-formulas-triple-agreement",
         "(s,t)=",
+    ),
+    # partition_from_a counts the positions x = a_{x mod t} as beads too.
+    "partition_from_a-bead-test-le": (
+        stcores.betaset,
+        "partition_from_a",
+        lambda orig: functools.partial(_bead_walk, operator.le),
+        "diagram-vs-abacus-core",
+        "p=",
     ),
     "charge-negated": (stcores.betaset, "charge", _negate_charge, "charge-to-a-translation", "p="),
     "shift_constant-plus-1": (

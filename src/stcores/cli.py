@@ -4,18 +4,18 @@ Output is byte-stable across runs for identical arguments: enumerations come
 in lexicographic order of z and stream, one record written as soon as it is
 generated; rationals are rendered in canonical reduced form, and the verify
 suite seeds its randomness deterministically.  Exit codes: 0 success,
-1 verification failure, 2 usage error.
+1 verification failure, 2 usage error, 141 (128 + SIGPIPE) when the reader
+closes stdout early, as ``cores enum 8 11 | head -1`` does.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import betaset, coords, enumeration
 from .partition import Partition
-
-FORMATS = ("json", "jsonl", "csv", "plain")
 
 
 class UsageError(Exception):
@@ -28,24 +28,8 @@ def _compact_json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _json_record(d: dict) -> str:
-    """``_compact_json(d)``, byte for byte, for a dict whose keys need no
-    escaping and whose values are ints or lists of ints: a record's
-    ``to_json_dict()``."""
-    return "{" + ",".join([
-        f'"{key}":[{",".join(map(str, value))}]' if type(value) is list else f'"{key}":{value}'
-        for key, value in d.items()
-    ]) + "}"
-
-
 def _parse_partition(text: str) -> Partition:
-    if text.strip() == "":
-        return Partition()
-    try:
-        parts = [int(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"cannot parse partition {text!r}: {exc}") from None
-    return Partition(parts)
+    return Partition(_parse_ints(text, "partition") if text.strip() else ())
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -55,32 +39,37 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise UsageError(f"cannot parse {what} {text!r}: {exc}") from None
 
 
+_JSON_LINE = '{{"z":[{z}],"a":[{a}],"parts":[{parts}],"size":{size}{stab}}}'
+# format -> (joiner of parts, line template, stab template, and the opening,
+# separator and closing of the stream)
+_LINES = {
+    "json": (",", _JSON_LINE, ',"stab":{}', ("[", ",", "]\n")),
+    "jsonl": (",", _JSON_LINE + "\n", ',"stab":{}', ("", "", "")),
+    "csv": ("+", "{z};{a};{parts};{size}{stab}\n", ";{}", ("", "", "")),
+    "plain": ("+", "z={z} a={a} parts={parts} size={size}{stab}\n", " stab={}", ("", "", "")),
+}
+FORMATS = tuple(_LINES)
+
+
 def _emit_records(records, fmt: str, out) -> None:
-    """Write each record as it arrives; ``json`` frames the stream as one
-    array, byte-identical to dumping the collected list."""
-    if fmt == "jsonl":
-        for rec in records:
-            out.write(_json_record(rec.to_json_dict()) + "\n")
-    elif fmt == "json":
-        out.write("[")
-        for i, rec in enumerate(records):
-            out.write(("," if i else "") + _json_record(rec.to_json_dict()))
-        out.write("]\n")
-    elif fmt == "csv":
-        for rec in records:
-            out.write(rec.csv_row() + "\n")
-    else:
-        for rec in records:
-            d = rec.to_json_dict()
-            line = (
-                f"z={','.join(map(str, d['z']))}"
-                f" a={','.join(map(str, d['a']))}"
-                f" parts={'+'.join(map(str, d['parts']))}"
-                f" size={rec.size}"
-            )
-            if rec.stab is not None:
-                line += f" stab={rec.stab}"
-            out.write(line + "\n")
+    """Write each record as it arrives, filled in from its ``to_json_dict()``.
+    A ``jsonl`` line is ``_compact_json`` of that dict, and ``json`` frames
+    those lines as one array, byte-identical to dumping the collected list."""
+    join_parts, line, stab_field, (opening, between, closing) = _LINES[fmt]
+    out.write(opening)
+    lead = ""
+    for rec in records:
+        d = rec.to_json_dict()
+        stab = d.get("stab")
+        out.write(lead + line.format(
+            z=",".join(map(str, d["z"])),
+            a=",".join(map(str, d["a"])),
+            parts=join_parts.join(map(str, d["parts"])),
+            size=d["size"],
+            stab="" if stab is None else stab_field.format(stab),
+        ))
+        lead = between
+    out.write(closing)
 
 
 def cmd_count(args) -> int:
@@ -94,10 +83,7 @@ def cmd_count(args) -> int:
     if len(params) != 2:
         raise UsageError("usage: cores count <s> <t> [--self-conjugate]")
     s, t = _as_int(params[0], "s"), _as_int(params[1], "t")
-    if args.self_conjugate:
-        print(enumeration.count_sc(s, t))
-    else:
-        print(enumeration.count_st(s, t))
+    print((enumeration.count_sc if args.self_conjugate else enumeration.count_st)(s, t))
     return 0
 
 
@@ -108,19 +94,14 @@ def cmd_enum(args) -> int:
         if args.with_stab:
             raise UsageError("--with-stab is not defined for triple enumerations")
         m, d = args.triple
-        records = (
-            enumeration.iter_triple_sym(m, d)
-            if args.method == "sym"
-            else enumeration.iter_triple_asym(m, d)
-        )
+        records = (enumeration.iter_triple_asym if args.method == "asym" else enumeration.iter_triple_sym)(m, d)
     else:
+        if args.method is not None:
+            raise UsageError("--method chooses how --triple enumerates; it needs --triple")
         if len(args.params) != 2:
             raise UsageError("usage: cores enum <s> <t> [--self-conjugate] | cores enum --triple <m> <d>")
         s, t = _as_int(args.params[0], "s"), _as_int(args.params[1], "t")
-        if args.self_conjugate:
-            records = enumeration.iter_sc_st_cores(s, t)
-        else:
-            records = enumeration.iter_st_cores(s, t)
+        records = (enumeration.iter_sc_st_cores if args.self_conjugate else enumeration.iter_st_cores)(s, t)
         if args.with_stab:
             from . import stats
 
@@ -165,6 +146,9 @@ def cmd_convert(args) -> int:
 
         try:
             d = json.loads(args.beta)
+            for v in list(d["members"]) + list(d["gaps"]):
+                if type(v) is not int:
+                    raise TypeError(f"bead {json.dumps(v)} is not an integer")
             b = betaset.BetaSet(d["members"], d["gaps"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"bad --beta payload: {exc}") from None
@@ -193,11 +177,10 @@ def cmd_convert(args) -> int:
     if s is not None and t is None:
         raise UsageError("--s needs --t with --partition or --beta")
 
-    out: dict = {"partition": p.to_json(), "size": p.size}
-    out["beta"] = betaset.beta_from_partition(p).to_json_dict()
+    b = betaset.beta_from_partition(p)
+    out: dict = {"partition": p.to_json(), "size": p.size, "beta": b.to_json_dict()}
     if t is not None:
         out["t"] = t
-        b = betaset.beta_from_partition(p)
         out["is_t_core"] = betaset.is_s_core(b, t)
         if out["is_t_core"]:
             a = betaset.a_coords(p, t)
@@ -252,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("params", nargs="*", help="<s> <t>")
     p_enum.add_argument("--self-conjugate", action="store_true")
     p_enum.add_argument("--triple", nargs=2, type=int, metavar=("M", "D"))
-    p_enum.add_argument("--method", choices=("sym", "asym"), default="sym")
+    p_enum.add_argument("--method", choices=("sym", "asym"))
     p_enum.add_argument("--with-stab", action="store_true")
     p_enum.add_argument("--format", choices=FORMATS, default="jsonl")
     p_enum.set_defaults(func=cmd_enum)
@@ -266,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_avg.add_argument("t", type=int)
     p_avg.add_argument("--weighted", action="store_true")
     p_avg.add_argument("--self-conjugate", action="store_true")
-    p_avg.add_argument("--moment", type=int, default=None, metavar="E")
+    p_avg.add_argument("--moment", type=int, metavar="E")
     p_avg.set_defaults(func=cmd_avg)
 
     p_tcore = sub.add_parser("tcore", help="t-core of a partition")
@@ -280,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--a", help="comma-separated a-coordinates")
     p_conv.add_argument("--z", help="comma-separated z-coordinates")
     p_conv.add_argument("--u", help="comma-separated u-coordinates")
-    p_conv.add_argument("--t", type=int, default=None)
-    p_conv.add_argument("--s", type=int, default=None)
+    p_conv.add_argument("--t", type=int)
+    p_conv.add_argument("--s", type=int)
     p_conv.set_defaults(func=cmd_convert)
 
     p_verify = sub.add_parser("verify", help="run the structural cross-check suite")
@@ -300,15 +283,21 @@ def main(argv: list[str] | None = None) -> int:
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is not None:
         set_limit(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (UsageError, ValueError) as exc:
         # CoreError subclasses ValueError, so both contract violations and
         # plainly malformed values (s = 0, bad ranges) land here
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the flush at
+        # interpreter exit cannot raise again, and exit as SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

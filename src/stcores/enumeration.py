@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import accumulate
-from operator import mul
+from itertools import accumulate, combinations_with_replacement
+from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .betaset import ATuple, partition_from_a, size_from_a
@@ -73,17 +73,6 @@ class CoreRecord:
         if self.stab is not None:
             d["stab"] = self.stab
         return d
-
-    def csv_row(self) -> str:
-        cells = [
-            ",".join(str(v) for v in self.z.z),
-            ",".join(str(v) for v in self.a.a),
-            self.partition.csv_cell(),
-            str(self.size),
-        ]
-        if self.stab is not None:
-            cells.append(str(self.stab))
-        return ";".join(cells)
 
 
 def record_from_z(zt: ZTuple) -> CoreRecord:
@@ -139,21 +128,15 @@ def _records(s: int, t: int, zts: Iterable[ZTuple]) -> Iterator[CoreRecord]:
 
 
 def iter_weak_compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Weak compositions of ``total`` into ``k`` parts, lexicographic order."""
+    """Weak compositions of ``total`` into ``k`` parts, lexicographic order:
+    the gaps between k - 1 sorted cut points in 0..total, whose
+    lexicographic order is that of the compositions."""
     if k < 1:
         raise ValueError("need at least one part")
-    buf = [0] * k
-
-    def rec(pos: int, rem: int) -> Iterator[tuple[int, ...]]:
-        if pos == k - 1:
-            buf[pos] = rem
-            yield tuple(buf)
-            return
-        for v in range(rem + 1):
-            buf[pos] = v
-            yield from rec(pos + 1, rem - v)
-
-    yield from rec(0, total)
+    for cuts in combinations_with_replacement(range(total + 1), k - 1):
+        # through a list: on CPython 3.11, tuple() of a bare map (no length
+        # hint) left one ~100-byte block per composition allocated
+        yield tuple([*map(sub, cuts + (total,), (0,) + cuts)])
 
 
 def canonical_cyclic_rep(x: Sequence[int]) -> int:

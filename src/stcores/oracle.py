@@ -40,14 +40,13 @@ PARTITION_CAP = 40
 class VerifyReport:
     check: str
     params: dict
-    passed: bool
     witness: str | None = None
     counts: dict | None = None
 
-    def __post_init__(self):
-        # a witness is meaningful only for failures
-        if self.passed and self.witness is not None:
-            object.__setattr__(self, "witness", None)
+    @property
+    def passed(self) -> bool:
+        """A check passes when it found no witness against it."""
+        return self.witness is None
 
     def to_json_dict(self) -> dict:
         return {
@@ -195,7 +194,7 @@ def _run_check(name: str, params: dict, cases: Iterable[tuple], witness_of: Call
                 break
     except Exception as exc:
         witness = f"{type(exc).__name__}: {exc}"
-    return VerifyReport(name, params, witness is None, witness, {"checked": checked})
+    return VerifyReport(name, params, witness, {"checked": checked})
 
 
 # Witnesses of the checks that take more than one expression.  Each returns

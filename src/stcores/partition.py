@@ -162,7 +162,3 @@ class Partition:
     def to_json(self) -> list[int]:
         """JSON form: plain array of parts, ``[]`` for the empty partition."""
         return list(self._parts)
-
-    def csv_cell(self) -> str:
-        """CSV cell form: parts joined by ``+``, empty string when empty."""
-        return "+".join(str(p) for p in self._parts)

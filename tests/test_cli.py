@@ -6,8 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import stcores.betaset
 import stcores.stats
+from stcores import enumeration, stats
 from stcores.cli import main
 
 
@@ -69,17 +72,48 @@ def test_nonpositive_parameters_exit_2(capsys):
 
 
 def test_enum_csv(capsys):
-    code, out, _ = run(capsys, "enum", "2", "3", "--format", "csv")
-    assert code == 0
-    assert out == "0,1,1;0,1,2;;0\n2,0,0;3,1,-1;1;1\n"
+    assert run(capsys, "enum", "2", "3", "--format", "csv") == (0, "0,1,1;0,1,2;;0\n2,0,0;3,1,-1;1;1\n", "")
+    assert run(capsys, "enum", "2", "3", "--format", "csv", "--with-stab") == (
+        0, "0,1,1;0,1,2;;0;1\n2,0,0;3,1,-1;1;1;2\n", "")
+    # parts joined by "+"; the empty partition is an empty cell
+    code, out, _ = run(capsys, "enum", "6", "7", "--format", "csv")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 132
+    assert lines[97] == "1,2,1,0,0,2,0;7,1,9,3,-3,-2,6;3+2+2;7"
+    assert sum(line.split(";")[2] == "" for line in lines) == 1
 
 
 def test_enum_jsonl_with_stab(capsys):
-    code, out, _ = run(capsys, "enum", "2", "3", "--with-stab", "--format", "jsonl")
-    assert code == 0
-    rows = [json.loads(line) for line in out.splitlines()]
-    assert [row["stab"] for row in rows] == [1, 2]
-    assert rows[0] == {"z": [0, 1, 1], "a": [0, 1, 2], "parts": [], "size": 0, "stab": 1}
+    assert run(capsys, "enum", "2", "3") == (0, (
+        '{"z":[0,1,1],"a":[0,1,2],"parts":[],"size":0}\n'
+        '{"z":[2,0,0],"a":[3,1,-1],"parts":[1],"size":1}\n'
+    ), "")
+    assert run(capsys, "enum", "2", "3", "--with-stab", "--format", "jsonl") == (0, (
+        '{"z":[0,1,1],"a":[0,1,2],"parts":[],"size":0,"stab":1}\n'
+        '{"z":[2,0,0],"a":[3,1,-1],"parts":[1],"size":1,"stab":2}\n'
+    ), "")
+
+
+def test_enum_json_and_plain(capsys):
+    assert run(capsys, "enum", "2", "3", "--format", "json") == (0, (
+        '[{"z":[0,1,1],"a":[0,1,2],"parts":[],"size":0},{"z":[2,0,0],"a":[3,1,-1],"parts":[1],"size":1}]\n'
+    ), "")
+    assert run(capsys, "enum", "2", "3", "--format", "json", "--with-stab") == (0, (
+        '[{"z":[0,1,1],"a":[0,1,2],"parts":[],"size":0,"stab":1},'
+        '{"z":[2,0,0],"a":[3,1,-1],"parts":[1],"size":1,"stab":2}]\n'
+    ), "")
+    assert run(capsys, "enum", "2", "3", "--format", "plain") == (
+        0, "z=0,1,1 a=0,1,2 parts= size=0\nz=2,0,0 a=3,1,-1 parts=1 size=1\n", "")
+    assert run(capsys, "enum", "2", "3", "--format", "plain", "--with-stab") == (
+        0, "z=0,1,1 a=0,1,2 parts= size=0 stab=1\nz=2,0,0 a=3,1,-1 parts=1 size=1 stab=2\n", "")
+    assert run(capsys, "enum", "--triple", "3", "2", "--format", "plain") == (0, (
+        "z=0,0,1,1,0 a=5,1,2,3,-1 parts=1 size=1\n"
+        "z=0,1,0,0,1 a=0,1,2,3,4 parts= size=0\n"
+        "z=1,-1,1,0,1 a=5,1,2,-2,4 parts=1+1 size=2\n"
+        "z=1,0,-1,1,1 a=0,1,7,-2,4 parts=3+1 size=4\n"
+        "z=1,1,0,1,-1 a=0,6,2,3,-1 parts=2 size=2\n"
+        "z=1,1,1,-1,0 a=0,6,-3,3,4 parts=2+1+1 size=4\n"
+    ), "")
 
 
 def test_enum_non_coprime_exits_2(capsys):
@@ -123,31 +157,59 @@ def test_enum_output_matches_the_recorded_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digests[key], key
 
 
-def test_json_record_matches_json_dumps():
-    from stcores.cli import _compact_json, _json_record
+@pytest.mark.parametrize("argv, records", [
+    pytest.param(["4", "5"], lambda: enumeration.iter_st_cores(4, 5), id="general"),
+    pytest.param(["4", "5", "--with-stab"], lambda: stats.attach_stabilizers(enumeration.iter_st_cores(4, 5)),
+                 id="general-stab"),
+    pytest.param(["5", "7", "--self-conjugate"], lambda: enumeration.iter_sc_st_cores(5, 7), id="sc"),
+    pytest.param(["5", "7", "--self-conjugate", "--with-stab"],
+                 lambda: stats.attach_stabilizers(enumeration.iter_sc_st_cores(5, 7), self_conjugate=True),
+                 id="sc-stab"),
+    pytest.param(["--triple", "3", "2"], lambda: enumeration.iter_triple_sym(3, 2), id="triple-sym"),
+    pytest.param(["--triple", "3", "2", "--method", "asym"], lambda: enumeration.iter_triple_asym(3, 2),
+                 id="triple-asym"),
+])
+def test_jsonl_lines_are_compact_json_of_the_record(capsys, argv, records):
+    from stcores.cli import _compact_json
 
-    for d in (
-        {"z": [0, 1, 1], "a": [0, 1, 2], "parts": [], "size": 0},
-        {"z": [-1, 1, 0], "a": [3, -2, 2], "parts": [10**30, 1], "size": 7, "stab": 2},
-    ):
-        assert _json_record(d) == _compact_json(d)
+    code, out, err = run(capsys, "enum", *argv)
+    expected = [_compact_json(rec.to_json_dict()) for rec in records()]
+    assert (code, err) == (0, "") and len(expected) > 1
+    assert out.splitlines() == expected
+    assert run(capsys, "enum", *argv, "--format", "json") == (0, "[" + ",".join(expected) + "]\n", "")
 
 
-def test_cli_import_leaves_stats_fractions_and_json_unloaded():
+def test_enum_of_a_closed_pipe_exits_141_quietly():
+    # 3,978 lines, far more than a pipe buffers, so the writer meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stcores.cli", "enum", "8", "11"],
+        env=_env_with_src(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert json.loads(first)["z"] == [0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 5] and err == b""
+
+
+def test_enum_method_needs_triple(capsys):
+    for method in ("asym", "sym"):
+        code, out, err = run(capsys, "enum", "3", "4", "--method", method)
+        assert (code, out) == (2, "") and "--method" in err and "--triple" in err
+    assert run(capsys, "enum", "--triple", "3", "2") == run(capsys, "enum", "--triple", "3", "2", "--method", "sym")
+
+
+def _env_with_src() -> dict:
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_leaves_stats_fractions_and_json_unloaded():
     code = "import sys, stcores.cli; print(sorted({'stcores.stats', 'fractions', 'json'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], env=_env_with_src(), capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
-
-
-def test_enum_json_and_plain(capsys):
-    code, out, _ = run(capsys, "enum", "2", "3", "--format", "json")
-    assert code == 0 and json.loads(out)[1]["parts"] == [1]
-    code, out, _ = run(capsys, "enum", "2", "3", "--format", "plain")
-    assert code == 0
-    assert out.splitlines()[0] == "z=0,1,1 a=0,1,2 parts= size=0"
 
 
 def test_avg(capsys):
@@ -216,6 +278,17 @@ def test_convert_from_beta(capsys):
     code, out, _ = run(capsys, "convert", "--beta", '{"members":[0,2],"gaps":[-2,-3]}')
     assert code == 0
     assert json.loads(out)["partition"] == [3, 2, 2]
+
+
+def test_convert_beta_takes_integers_only(capsys):
+    for payload, bead in (
+        ('{"members":[1.5],"gaps":[-1]}', "1.5"),
+        ('{"members":[true],"gaps":[-1]}', "true"),
+        ('{"members":[0],"gaps":[-1.0]}', "-1.0"),
+        ('{"members":["0"],"gaps":[-1]}', '"0"'),
+    ):
+        code, out, err = run(capsys, "convert", "--beta", payload)
+        assert (code, out) == (2, "") and err == f"error: bad --beta payload: bead {bead} is not an integer\n"
 
 
 def test_convert_from_u(capsys):

@@ -31,6 +31,19 @@ def test_weak_compositions_lex_and_complete():
     assert comps == sorted(comps)
     assert len(comps) == math.comb(3 + 2, 2)
     assert all(sum(c) == 3 for c in comps)
+    for total in range(6):
+        for k in range(1, 6):
+            brute = [c for c in itertools.product(range(total + 1), repeat=k) if sum(c) == total]
+            assert list(iter_weak_compositions(total, k)) == brute, (total, k)
+    with pytest.raises(ValueError):
+        list(iter_weak_compositions(3, 0))
+
+
+def test_weak_compositions_do_not_recurse_per_part():
+    # 1001 parts: one nested generator per part would pass the recursion limit
+    assert [r.to_json_dict() for r in iter_sc_st_cores(1, 2001)] == [
+        {"z": [1] + [0] * 2000, "a": list(range(2001)), "parts": [], "size": 0}
+    ]
 
 
 def test_canonical_cyclic_rep_examples():
@@ -220,11 +233,8 @@ def test_record_serialization():
     recs = enum_st_cores(2, 3)
     assert recs[0].to_json_dict() == {"z": [0, 1, 1], "a": [0, 1, 2], "parts": [], "size": 0}
     assert recs[1].to_json_dict() == {"z": [2, 0, 0], "a": [3, 1, -1], "parts": [1], "size": 1}
-    assert recs[0].csv_row() == "0,1,1;0,1,2;;0"
-    assert recs[1].csv_row() == "2,0,0;3,1,-1;1;1"
     with_stab = recs[1].with_stab(2)
     assert with_stab.to_json_dict()["stab"] == 2
-    assert with_stab.csv_row() == "2,0,0;3,1,-1;1;1;2"
 
 
 def test_all_views_describe_the_same_core():

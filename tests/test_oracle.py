@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import operator
@@ -16,6 +17,7 @@ from stcores import (
     Partition,
     TooLargeError,
     UTuple,
+    VerifyReport,
     brute_st_cores,
     brute_stab_count,
     enum_partitions_up_to,
@@ -287,3 +289,11 @@ def test_injected_fault_is_caught_with_witness(monkeypatch, fault):
 def test_report_json_shape():
     rep = run_verify_suite(1, 1, 2)[0]
     assert set(rep.to_json_dict()) == {"check", "params", "pass", "witness"}
+
+
+def test_report_passes_exactly_without_a_witness():
+    assert [f.name for f in dataclasses.fields(VerifyReport)] == ["check", "params", "witness", "counts"]
+    ok, bad = VerifyReport("c", {}, None, {"checked": 3}), VerifyReport("c", {}, "w", {"checked": 1})
+    assert (ok.passed, bad.passed) == (True, False)
+    assert ok.to_json_dict() == {"check": "c", "params": {}, "pass": True, "witness": None}
+    assert bad.to_json_dict() == {"check": "c", "params": {}, "pass": False, "witness": "w"}

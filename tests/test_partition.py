@@ -95,8 +95,6 @@ def test_t_core_by_diagram_kills_divisible_hooks(p, t):
 def test_serialization():
     assert Partition([3, 2, 2]).to_json() == [3, 2, 2]
     assert Partition().to_json() == []
-    assert Partition([3, 2, 2]).csv_cell() == "3+2+2"
-    assert Partition().csv_cell() == ""
 
 
 def test_ordering_and_hash():

@@ -126,6 +126,15 @@ class ATuple:
         if sum(self.a) != want:
             raise ValueError(f"entries sum to {sum(self.a)}, expected {want}")
 
+    @classmethod
+    def _unchecked(cls, t: int, a: tuple[int, ...]) -> "ATuple":
+        """The ATuple of an ``a`` whose invariants the caller has checked,
+        built without :meth:`__post_init__`."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "a", a)
+        return self
+
     def as_set(self) -> frozenset[int]:
         return frozenset(self.a)
 
@@ -294,10 +303,19 @@ def partition_from_a(a: ATuple) -> Partition:
     zero makes m = -n, so these parts are positive and every later one is 0.
     The walk visits max(a) - t - m positions in descending order and needs no
     sort.
+
+    The beads strictly descend, so b_i + i >= b_{i+1} + (i + 1) and the
+    parts decrease weakly; they are all positive when the last one is, as
+    charge zero makes it.  That one comparison stands in for the checks of
+    the Partition constructor.  It fails, with InvariantError, only for an
+    ``a`` of nonzero charge, which ATuple rejects.
     """
     t, av = a.t, a.a
     beads = [x for x in range(max(av) - t, min(av), -1) if x < av[x % t]]
-    return Partition([x + i for i, x in enumerate(beads, start=1)])
+    parts = tuple([x + i for i, x in enumerate(beads, start=1)])
+    if parts and parts[-1] < 1:
+        raise InvariantError(f"a={av} gives the parts {parts}, whose last is not positive")
+    return Partition._unchecked(parts)
 
 
 def s_set(b: BetaSet, s: int) -> frozenset[int]:

@@ -14,29 +14,14 @@ import argparse
 import os
 import sys
 
-from . import betaset, coords, enumeration
-from .partition import Partition
-
-
-class UsageError(Exception):
-    """Bad arguments detected after argparse; maps to exit code 2."""
+from . import betaset, enumeration
+from .errors import UsageError
 
 
 def _compact_json(obj) -> str:
     import json
 
     return json.dumps(obj, separators=(",", ":"))
-
-
-def _parse_partition(text: str) -> Partition:
-    return Partition(_parse_ints(text, "partition") if text.strip() else ())
-
-
-def _parse_ints(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"cannot parse {what} {text!r}: {exc}") from None
 
 
 _JSON_LINE = '{{"z":[{z}],"a":[{a}],"parts":[{parts}],"size":{size}{stab}}}'
@@ -127,70 +112,16 @@ def cmd_avg(args) -> int:
 
 
 def cmd_tcore(args) -> int:
-    p = _parse_partition(args.partition)
-    print(_compact_json(betaset.t_core(p, args.t).to_json()))
+    from .convert import parse_partition
+
+    print(_compact_json(betaset.t_core(parse_partition(args.partition), args.t).to_json()))
     return 0
 
 
 def cmd_convert(args) -> int:
-    given = [name for name in ("partition", "beta", "a", "z", "u") if getattr(args, name) is not None]
-    if len(given) != 1:
-        raise UsageError("convert needs exactly one of --partition/--beta/--a/--z/--u")
-    t = args.t
-    s = args.s
+    from .convert import convert
 
-    if args.partition is not None:
-        p = _parse_partition(args.partition)
-    elif args.beta is not None:
-        import json
-
-        try:
-            d = json.loads(args.beta)
-            for v in list(d["members"]) + list(d["gaps"]):
-                if type(v) is not int:
-                    raise TypeError(f"bead {json.dumps(v)} is not an integer")
-            b = betaset.BetaSet(d["members"], d["gaps"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"bad --beta payload: {exc}") from None
-        p = betaset.partition_from_beta(b)
-    elif args.a is not None:
-        entries = _parse_ints(args.a, "a-tuple")
-        p = betaset.partition_from_a(betaset.ATuple(len(entries), entries))
-        t = t or len(entries)
-    elif args.z is not None:
-        entries = _parse_ints(args.z, "z-tuple")
-        t_z, s_z = len(entries), sum(entries)
-        if s_z < 1:
-            raise UsageError(f"--z entries must sum to s >= 1, got {s_z}")
-        if t not in (None, t_z):
-            raise UsageError(f"--t {t} disagrees with --z, which has {t_z} entries")
-        if s not in (None, s_z):
-            raise UsageError(f"--s {s} disagrees with --z, whose entries sum to {s_z}")
-        t, s = t_z, s_z
-        p = betaset.partition_from_a(coords.z_to_a(coords.ZTuple(t, s, entries)))
-    else:
-        if t is None or s is None:
-            raise UsageError("--u needs both --t and --s")
-        entries = _parse_ints(args.u, "u-tuple")
-        zt = coords.u_to_z(coords.UTuple(t, s, entries))
-        p = betaset.partition_from_a(coords.z_to_a(zt))
-    if s is not None and t is None:
-        raise UsageError("--s needs --t with --partition or --beta")
-
-    b = betaset.beta_from_partition(p)
-    out: dict = {"partition": p.to_json(), "size": p.size, "beta": b.to_json_dict()}
-    if t is not None:
-        out["t"] = t
-        out["is_t_core"] = betaset.is_s_core(b, t)
-        if out["is_t_core"]:
-            a = betaset.a_coords(p, t)
-            out["a"] = a.to_json()
-            if s is not None:
-                zt = coords.a_to_z(a, s)
-                out["z"] = zt.to_json_dict()
-                if coords.is_self_conjugate_a(a):
-                    out["u"] = coords.z_to_u(zt).to_json_dict()
-    print(_compact_json(out))
+    print(_compact_json(convert(args)))
     return 0
 
 

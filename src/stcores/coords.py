@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
+from typing import Sequence
 
 from .betaset import ATuple
 from .errors import (
@@ -66,6 +67,16 @@ class ZTuple:
             raise InvalidZError(f"entries sum to {sum(self.z)}, expected {self.s}")
         if sum(map(mul, range(self.t), self.z)) % self.t != 0:
             raise InvalidZError("sum(j * z_j) is not 0 mod t")
+
+    @classmethod
+    def _unchecked(cls, t: int, s: int, z: tuple[int, ...]) -> "ZTuple":
+        """The ZTuple of a z whose invariants the caller has checked, built
+        without :meth:`__post_init__`."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "z", z)
+        return self
 
     @property
     def k(self) -> int:
@@ -176,20 +187,17 @@ def z_to_u(z: ZTuple) -> UTuple:
     return UTuple(t, s, u)
 
 
+def _unfold(t: int, s: int, u: Sequence[int]) -> tuple[int, ...]:
+    """The symmetric z of the floor(t/2) + 1 u-coordinates ``u``: z_0 =
+    2u_0 + (s mod 2), z_i = z_{t-i} = u_i for 0 < i < t/2, and for even t
+    the middle entry z_{t/2} = 2u_{t/2}."""
+    head = 2 * u[0] + s % 2
+    if t % 2:
+        return (head, *u[1:], *u[:0:-1])
+    tp = t // 2
+    return (head, *u[1:tp], 2 * u[tp], *u[tp - 1 : 0 : -1])
+
+
 def u_to_z(u: UTuple) -> ZTuple:
     """Unfold u-coordinates; exact inverse of :func:`z_to_u`."""
-    t, s = u.t, u.s
-    tp = t // 2
-    z = [0] * t
-    z[0] = 2 * u.u[0] + (s % 2)
-    if t % 2 == 1:
-        for i in range(1, tp + 1):
-            z[i] = u.u[i]
-            z[t - i] = u.u[i]
-    else:
-        for i in range(1, tp):
-            z[i] = u.u[i]
-            z[t - i] = u.u[i]
-        if t >= 2:
-            z[tp] = 2 * u.u[tp]
-    return ZTuple(t, s, tuple(z))
+    return ZTuple(u.t, u.s, _unfold(u.t, u.s, u.u))

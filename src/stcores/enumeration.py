@@ -34,7 +34,7 @@ from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .betaset import ATuple, partition_from_a, size_from_a
-from .coords import UTuple, ZTuple, _require_coprime, shift_constant, u_to_z, z_to_a
+from .coords import ZTuple, _require_coprime, _unfold, shift_constant, z_to_a
 from .errors import CoreError, InvariantError
 from .partition import Partition
 
@@ -101,30 +101,43 @@ def _scaled_size(t: int, S: int, g: int) -> int:
     return 3 * g - 12 * t * S * S - t * (t * t - 1)
 
 
-def _records(s: int, t: int, zts: Iterable[ZTuple]) -> Iterator[CoreRecord]:
-    """The record of each t-core in ``zts`` (all with sum s): its
+def _records(s: int, t: int, zs: Iterable[tuple[int, ...]]) -> Iterator[CoreRecord]:
+    """The record of each t-core z in ``zs`` (raw tuples with sum s): its
     a-coordinates and size read off the prefix sums by the identities of
-    :func:`_x`, in O(t) operations.  Raises InvariantError, as
-    :func:`~stcores.betaset.size_from_a` does, unless 24t divides the
-    scaled size into a nonnegative integer."""
+    :func:`_x`, in O(t) operations.
+
+    Each record is validated once, here, on values the leaf already holds,
+    and any failure raises InvariantError.  The z checks of ZTuple: t + 1
+    prefix sums ending at s, and S + s = 0 (mod t), since
+    sum_j j z_j = (t-1)s - S.  The a checks of ATuple: a_i = i (mod t),
+    one comparison with a list built once per (s, t), and sum(a) =
+    t(t-1)/2.  The size check of :func:`~stcores.betaset.size_from_a`: 24t
+    divides the scaled size into a nonnegative integer.  The checked
+    values then become the ZTuple and ATuple without a second validation.
+    """
     k = shift_constant(s, t)
     # (x_l at P_l = 0, l) for the l with (k + ls) mod t = i, listed by a-index i
     levels = [0] * t
     for l in range(t):
         levels[(k + l * s) % t] = l
     by_index = [(_x(s, t, l, 0), l) for l in levels]
+    residues, a_sum = list(range(t)), t * (t - 1) // 2
     tt, t24 = 2 * t, 24 * t
-    for zt in zts:
-        prefix = list(accumulate(zt.z, initial=0))
+    for z in zs:
+        prefix = list(accumulate(z, initial=0))
         S = sum(prefix) - s
+        if len(prefix) != t + 1 or prefix[-1] != s or (S + s) % t:
+            raise InvariantError(f"z={z} is not {t} entries summing to {s} with sum(j * z_j) = 0 mod {t}")
         x = [x0 - tt * prefix[l] for x0, l in by_index]
         shift = 2 * S + t - 1
         a = tuple([(v + shift) >> 1 for v in x])
+        if [v % t for v in a] != residues or sum(a) != a_sum:
+            raise InvariantError(f"a={a} from z={z} breaks a_i = i mod {t} or sum(a) = {a_sum}")
         num = _scaled_size(t, S, sum(map(mul, x, x)))
         size, rem = divmod(num, t24)
         if rem or size < 0:
             raise InvariantError(f"size formula gives {num}/{t24} for a={a}")
-        yield CoreRecord(zt, ATuple(t, a), size)
+        yield CoreRecord(ZTuple._unchecked(t, s, z), ATuple._unchecked(t, a), size)
 
 
 def iter_weak_compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -258,7 +271,7 @@ def iter_st_cores(s: int, t: int) -> Iterator[CoreRecord]:
     """Stream all (s,t)-cores in lexicographic order of z.  Arguments are
     validated eagerly."""
     _require_coprime(s, t)
-    return _records(s, t, map(partial(ZTuple, t, s), _iter_z(s, t, range(s + 1))))
+    return _records(s, t, _iter_z(s, t, range(s + 1)))
 
 
 def enum_st_cores(s: int, t: int) -> list[CoreRecord]:
@@ -273,7 +286,7 @@ def iter_sc_st_cores(s: int, t: int) -> Iterator[CoreRecord]:
     increasing functions of u_0 and u_1..u_{floor(t/2)}, and the remaining
     entries are determined by those."""
     _require_coprime(s, t)
-    return _records(s, t, map(u_to_z, map(partial(UTuple, t, s), iter_weak_compositions(s // 2, t // 2 + 1))))
+    return _records(s, t, map(partial(_unfold, t, s), iter_weak_compositions(s // 2, t // 2 + 1)))
 
 
 def enum_sc_st_cores(s: int, t: int) -> list[CoreRecord]:
@@ -285,7 +298,7 @@ def iter_triple_sym(m: int, d: int) -> Iterator[CoreRecord]:
     parameter s = d take values in {-1, 0, 1}."""
     _require_coprime(m, d)
     t = m + d
-    return _records(d, t, map(partial(ZTuple, t, d), _iter_z(d, t, range(-1, 2))))
+    return _records(d, t, _iter_z(d, t, range(-1, 2)))
 
 
 def enum_triple_sym(m: int, d: int) -> list[CoreRecord]:
@@ -297,7 +310,7 @@ def iter_triple_asym(m: int, d: int) -> Iterator[CoreRecord]:
     no-two-adjacent-zeros condition z_j + z_{j+1} >= 1."""
     _require_coprime(m, d)
     s, t = m + d, m
-    return _records(s, t, map(partial(ZTuple, t, s), _iter_z(s, t, range(s + 1), no_zero_pair=True)))
+    return _records(s, t, _iter_z(s, t, range(s + 1), no_zero_pair=True))
 
 
 def enum_triple_asym(m: int, d: int) -> list[CoreRecord]:

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-Everything derives from :class:`CoreError` (a ``ValueError``), so callers can
-catch the whole family or match the precise contract violation.
+Everything except :class:`UsageError` derives from :class:`CoreError` (a
+``ValueError``), so callers can catch the whole family or match the precise
+contract violation.  :class:`UsageError` is the ``cores`` command's report of
+bad arguments.
 """
 
 
@@ -62,3 +64,8 @@ class InvariantError(CoreError):
     left a remainder, or a size came out negative.  Validated inputs never
     raise it; it means corrupted invariants, and unlike ``assert`` it also
     fires under ``python -O``."""
+
+
+class UsageError(Exception):
+    """Bad command-line arguments detected after argparse; ``cores`` maps it
+    to exit code 2."""

@@ -352,26 +352,26 @@ def _sc_subset_witness(s: int, t: int) -> str | None:
 
 
 def _triple_witness(m: int, d: int) -> str | None:
-    # One set of partitions, counted as it fills; each asym partition is then
-    # discarded from a copy.  This check sets the peak memory of a default
-    # verify run, so no list of either stream is kept.
+    # This check sets the peak memory of a default verify run, so it keeps
+    # one set of parts tuples: each sym partition is checked for divisible
+    # hooks as it arrives, and each asym one is discarded from the set.
     want = enumeration.count_triple(m, d)
-    sym_parts: set[Partition] = set()
+    moduli = (m, m + d, m + 2 * d)
+    sym_parts: set[tuple[int, ...]] = set()
     n_sym = 0
     for rec in enumeration.iter_triple_sym(m, d):
-        sym_parts.add(rec.partition)
-        n_sym += 1
-    unmatched = set(sym_parts)
-    n_asym = 0
-    for rec in enumeration.iter_triple_asym(m, d):
-        unmatched.discard(rec.partition)
-        n_asym += 1
-    if n_sym != want or n_asym != want or len(sym_parts) != want or unmatched:
-        return f"(m,d)=({m},{d}): counts {n_sym}/{n_asym} vs {want}"
-    moduli = (m, m + d, m + 2 * d)
-    for p in sym_parts:
+        p = rec.partition
         if any(h % mod == 0 for h in p.hook_lengths() for mod in moduli):
             return f"(m,d)=({m},{d}): {p.parts} has a divisible hook"
+        sym_parts.add(p.parts)
+        n_sym += 1
+    distinct = len(sym_parts)
+    n_asym = 0
+    for rec in enumeration.iter_triple_asym(m, d):
+        sym_parts.discard(rec.partition.parts)
+        n_asym += 1
+    if n_sym != want or n_asym != want or distinct != want or sym_parts:
+        return f"(m,d)=({m},{d}): counts {n_sym}/{n_asym} vs {want}"
     return None
 
 

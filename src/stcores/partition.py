@@ -46,6 +46,15 @@ class Partition:
                     raise NonMonotoneError(f"parts increase at index {i}: {ps[i - 1]} < {p}")
         self._parts = ps
 
+    @classmethod
+    def _unchecked(cls, parts: tuple[int, ...]) -> "Partition":
+        """The Partition of ``parts`` that the caller has checked to be
+        weakly decreasing and positive, built without the checks of
+        :meth:`__init__`."""
+        self = object.__new__(cls)
+        self._parts = parts
+        return self
+
     @property
     def parts(self) -> tuple[int, ...]:
         return self._parts

@@ -207,7 +207,8 @@ def _env_with_src() -> dict:
 
 
 def test_cli_import_leaves_stats_fractions_and_json_unloaded():
-    code = "import sys, stcores.cli; print(sorted({'stcores.stats', 'fractions', 'json'} & set(sys.modules)))"
+    # stcores.convert too: only convert and tcore compile it
+    code = "import sys, stcores.cli; print(sorted({'stcores.stats', 'stcores.convert', 'fractions', 'json'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], env=_env_with_src(), capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
@@ -266,6 +267,26 @@ def test_convert_z_names_the_flag_it_rejects(capsys):
     assert (code, out) == (2, "") and "--s 3 disagrees with --z" in err
     code, out, _ = run(capsys, "convert", "--z", "2,0,0", "--t", "3", "--s", "2")
     assert code == 0 and json.loads(out)["z"] == {"t": 3, "s": 2, "z": [2, 0, 0]}
+
+
+def test_convert_a_takes_t_from_its_length(capsys):
+    code, out, err = run(capsys, "convert", "--a", "2,-1", "--t", "3")
+    assert (code, out) == (2, "") and err == "error: --t 3 disagrees with --a, which has 2 entries\n"
+    for extra in ((), ("--t", "2")):
+        code, out, _ = run(capsys, "convert", "--a", "2,-1", *extra)
+        assert code == 0 and json.loads(out)["t"] == 2 and json.loads(out)["a"] == [2, -1]
+
+
+def test_convert_names_a_modulus_below_1(capsys):
+    for args, message in (
+        (("--partition", "3,1", "--t", "0"), "--t must be >= 1, got 0"),
+        (("--partition", "3,1", "--t", "-2"), "--t must be >= 1, got -2"),
+        (("--partition", "3,1", "--t", "3", "--s", "0"), "--s must be >= 1, got 0"),
+        (("--z", "2,0,0", "--t", "0"), "--t must be >= 1, got 0"),
+        (("--u", "0,1", "--t", "3", "--s", "0"), "--s must be >= 1, got 0"),
+    ):
+        code, out, err = run(capsys, "convert", *args)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), args
 
 
 def test_convert_s_without_t_exits_2(capsys):

@@ -4,9 +4,12 @@ import math
 import pytest
 
 from stcores import (
+    ATuple,
     CoreError,
+    InvariantError,
     NotCoprimeError,
     Partition,
+    ZTuple,
     canonical_cyclic_rep,
     count_sc,
     count_st,
@@ -21,8 +24,9 @@ from stcores import (
     iter_triple_sym,
     iter_weak_compositions,
     motzkin_number,
+    partition_from_a,
 )
-from stcores.enumeration import _iter_z, multinomial, record_from_z
+from stcores.enumeration import _iter_z, _records, multinomial, record_from_z
 
 
 def test_weak_compositions_lex_and_complete():
@@ -275,6 +279,46 @@ def test_records_equal_the_z_to_a_reference():
                 if math.gcd(x, y) != 1 or sum(st_of(x, y)) > bound:
                     continue
                 for rec in factory(x, y):
-                    assert rec == record_from_z(rec.z), (factory.__name__, x, y, rec.z.z)
+                    # through the validating constructor, not the record's own ZTuple
+                    ref = record_from_z(ZTuple(rec.z.t, rec.z.s, rec.z.z))
+                    assert rec == ref, (factory.__name__, x, y, rec.z.z)
                     checked += 1
         assert checked == cores, factory.__name__
+
+
+def test_records_check_every_z_at_the_leaf():
+    s, t = 2, 3
+    assert [r.z.z for r in _records(s, t, [(0, 1, 1), (2, 0, 0)])] == [(0, 1, 1), (2, 0, 0)]
+    # the z check's own message, not the a check that a bad residue also trips
+    z_message = r"is not 3 entries summing to 2 with sum\(j \* z_j\) = 0 mod 3"
+    for z in (
+        (0, 1, 1, 0),  # four entries, t = 3
+        (0, 1),  # two entries
+        (1, 1, 1),  # sums to 3, not s = 2
+        (1, 1, 0),  # sum(j * z_j) = 1 mod 3
+        (0, 2, 0),  # sum(j * z_j) = 2 mod 3
+    ):
+        with pytest.raises(InvariantError, match=z_message):
+            list(_records(s, t, [z]))
+
+
+def test_records_check_the_a_coordinates_at_the_leaf(monkeypatch):
+    # a wrong shift constant permutes the a-coordinates off their residues
+    import stcores.enumeration
+
+    shift = stcores.enumeration.shift_constant
+    monkeypatch.setattr(stcores.enumeration, "shift_constant", lambda s, t: shift(s, t) + 1)
+    for factory in (iter_st_cores, iter_sc_st_cores, iter_triple_sym, iter_triple_asym):
+        with pytest.raises(InvariantError, match="a_i = i mod"):
+            list(factory(3, 2))
+
+
+def test_partition_from_a_rejects_a_nonpositive_last_part():
+    assert partition_from_a(ATuple(2, (4, -3))) == Partition([3, 2, 1])
+    # residues right, but the entries sum to -1, not t(t-1)/2 = 1: the bead
+    # walk ends in the part 0
+    a = object.__new__(ATuple)
+    object.__setattr__(a, "t", 2)
+    object.__setattr__(a, "a", (-2, 1))
+    with pytest.raises(InvariantError, match="last is not positive"):
+        partition_from_a(a)

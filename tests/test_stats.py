@@ -146,6 +146,20 @@ def test_zeroth_moment_is_the_count_beyond_enumeration():
         assert moment_sum(s, t, 0, self_conjugate=True) == count_sc(s, t)
 
 
+def test_dp_without_the_residue_filter_sums_every_orbit_t_times(monkeypatch):
+    # The cyclic-orbit lemma: the t rotations of a composition share its
+    # weight and the value of the size form, and exactly one of them is a
+    # core, so summing every composition gives t times each moment.
+    pairs = [(s, t) for s in range(1, 9) for t in range(1, 9) if math.gcd(s, t) == 1]
+    cases = [(s, t, e, weighted) for s, t in pairs for e in range(4) for weighted in (False, True)]
+    filtered = {case: stcores.stats._scaled_moments(*case, False) for case in cases}
+    cores = stcores.stats._cores
+    monkeypatch.setattr(stcores.stats, "_cores", lambda s, t, sums: cores(s, 1, sums))
+    for (s, t, e, weighted), moments in filtered.items():
+        assert stcores.stats._scaled_moments(s, t, e, weighted, False) == [t * v for v in moments], (s, t, e, weighted)
+    assert len(cases) == 344
+
+
 def test_bad_arguments_raise_before_the_dp(monkeypatch):
     def no_dp(*args):
         raise AssertionError("the DP ran")

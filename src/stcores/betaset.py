@@ -52,9 +52,7 @@ class BetaSet:
 
     def __contains__(self, x: int) -> bool:
         """Membership in the encoded infinite set B."""
-        if x >= 0:
-            return x in set(self._members)
-        return x not in set(self._gaps)
+        return x in self._members if x >= 0 else x not in self._gaps
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -11,6 +11,12 @@ sum s and sum(j * z_j) = 0 mod t; the (s,t)-cores are exactly the tuples
 with every z_j >= 0.  All divisions are exact by construction; a remainder
 means corrupted invariants and raises InvariantError.
 
+The inverse map reads a off the prefix sums P_l = z_0 + ... + z_{l-1}
+(:func:`_x`, :func:`_a_from_prefix`).  The enumerated records and the
+dynamic program of :mod:`stcores.stats` use the same identities, and
+:func:`a_to_z`, which reads differences of a, is the independent check on
+them.
+
 u-coordinates fold the symmetric z-tuples (z_i = z_{-i}) of self-conjugate
 cores down to floor(t/2) + 1 entries summing to floor(s/2).
 """
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
@@ -78,10 +85,6 @@ class ZTuple:
         object.__setattr__(self, "z", z)
         return self
 
-    @property
-    def k(self) -> int:
-        return shift_constant(self.s, self.t)
-
     def is_nonnegative(self) -> bool:
         return min(self.z) >= 0
 
@@ -126,29 +129,52 @@ def a_to_z(a: ATuple, s: int) -> ZTuple:
     return ZTuple(t, s, tuple(z))
 
 
-def z_to_a(z: ZTuple) -> ATuple:
-    """Inverse change of variables, in O(t).
+def _x(s: int, t: int, l: int, p: int) -> int:
+    """x_l = (2l - t + 1)s - 2t P_l, for the prefix sum P_l = z_0 + ... + z_{l-1}.
 
-    The entry at index k is the l = 0 case of the telescoping identity
+    With S = P_0 + ... + P_{t-1}, the a-coordinates are
+    2a_{(k + ls) mod t} = x_l + 2S + t - 1, so that
 
-        a_{k + l*s} - (t-1)/2 = sum_j ((t-1)/2 - j) * z_{j+l},
+        24t |core| = 3 sum_l x_l^2 - 12t S^2 - t(t^2 - 1)
 
-    computed with doubled integers so the half-integers stay exact.  The
-    rest follow from the one-step relation a_{k+(l+1)s} = a_{k+ls} + s - t*z_l,
-    which is :func:`a_to_z` solved for the next entry.
+    (:func:`_scaled_size`).
     """
-    t, s, k, zz = z.t, z.s, z.k, z.z
-    doubled = (t - 1) + sum(((t - 1) - 2 * j) * v for j, v in enumerate(zz))
-    if doubled % 2:
-        raise InvariantError(f"a-coordinate from z={zz} is not an integer")
-    a = [0] * t
-    i = k % t
-    v = doubled // 2
-    for zl in zz:
-        a[i] = v
-        v += s - t * zl
-        i = (i + s) % t
-    return ATuple(t, tuple(a))
+    return (2 * l - t + 1) * s - 2 * t * p
+
+
+def _scaled_size(t: int, S: int, g: int) -> int:
+    """24t |core| of the t-core with g = sum_l x_l^2 and S = sum_l P_l."""
+    return 3 * g - 12 * t * S * S - t * (t * t - 1)
+
+
+def _a_layout(s: int, t: int, k: int) -> list[tuple[int, int]]:
+    """The per-(s,t) index layout of :func:`_a_from_prefix`: for each
+    a-index i, the level l with (k + ls) mod t = i and x_l at P_l = 0."""
+    levels = [0] * t
+    for l in range(t):
+        levels[(k + l * s) % t] = l
+    return [(_x(s, t, l, 0), l) for l in levels]
+
+
+def _a_from_prefix(layout: list[tuple[int, int]], prefix: list[int], S: int) -> tuple[list[int], tuple[int, ...]]:
+    """The x_l and the a-coordinates of the t-core whose z has the prefix
+    sums ``prefix`` (P_0..P_t) and S = P_0 + ... + P_{t-1}, both listed by
+    a-index: 2a_{(k + ls) mod t} = x_l + 2S + t - 1 (:func:`_x`).  The sum
+    is even whenever k = (s+1)(t-1)/2 is an integer."""
+    t = len(layout)
+    tt = 2 * t
+    x = [x0 - tt * prefix[l] for x0, l in layout]
+    shift = 2 * S + t - 1
+    return x, tuple([(v + shift) >> 1 for v in x])
+
+
+def z_to_a(z: ZTuple) -> ATuple:
+    """Inverse change of variables, in O(t), from the prefix sums of z
+    (:func:`_a_from_prefix`)."""
+    t, s = z.t, z.s
+    prefix = list(accumulate(z.z, initial=0))
+    _, a = _a_from_prefix(_a_layout(s, t, shift_constant(s, t)), prefix, sum(prefix) - s)
+    return ATuple(t, a)
 
 
 def is_st_core_a(a: ATuple, s: int) -> bool:

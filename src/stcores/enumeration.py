@@ -10,11 +10,13 @@ weighted residues each suffix can still reach, so it never builds a tuple
 it would have to throw away.
 
 Each record is built from the prefix sums P_l = z_0 + ... + z_{l-1}
-(:func:`_records`): the a-coordinates are affine in P_l and the size is a
-quadratic form in P_l (:func:`_x`), the same form the dynamic program of
-:mod:`stcores.stats` sums.  :func:`record_from_z`, which goes through
-:func:`~stcores.coords.z_to_a` and :func:`~stcores.betaset.size_from_a`,
-is the reference the records are tested against.
+(:func:`_records`) by the one z -> a step of :mod:`stcores.coords`, which
+:func:`~stcores.coords.z_to_a` takes too: the a-coordinates are affine in
+P_l and the size is a quadratic form in P_l
+(:func:`~stcores.coords._x`), the same form the dynamic program of
+:mod:`stcores.stats` sums.  The records are tested against the forward
+map :func:`~stcores.coords.a_to_z`, which reads differences of a, and
+against :func:`~stcores.betaset.size_from_a`.
 
 Each cyclic rotation orbit of a weak composition contains exactly one tuple
 with the congruence (:func:`canonical_cyclic_rep`), which yields the
@@ -33,8 +35,9 @@ from itertools import accumulate, combinations_with_replacement
 from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
-from .betaset import ATuple, partition_from_a, size_from_a
-from .coords import ZTuple, _require_coprime, _unfold, shift_constant, z_to_a
+from . import coords
+from .betaset import ATuple, partition_from_a
+from .coords import ZTuple, _require_coprime, _scaled_size, _unfold, shift_constant
 from .errors import CoreError, InvariantError
 from .partition import Partition
 
@@ -75,36 +78,11 @@ class CoreRecord:
         return d
 
 
-def record_from_z(zt: ZTuple) -> CoreRecord:
-    """The record of the t-core with z-coordinates ``zt``: a by the O(t)
-    inverse change of variables, the size from a, no partition.  The
-    reference for the records :func:`_records` builds from prefix sums."""
-    a = z_to_a(zt)
-    return CoreRecord(z=zt, a=a, size=size_from_a(a))
-
-
-def _x(s: int, t: int, l: int, p: int) -> int:
-    """x_l = (2l - t + 1)s - 2t P_l, for the prefix sum P_l = z_0 + ... + z_{l-1}.
-
-    With S = P_0 + ... + P_{t-1}, the a-coordinates are
-    2a_{(k + ls) mod t} = x_l + 2S + t - 1, so that
-
-        24t |core| = 3 sum_l x_l^2 - 12t S^2 - t(t^2 - 1)
-
-    (:func:`_scaled_size`).
-    """
-    return (2 * l - t + 1) * s - 2 * t * p
-
-
-def _scaled_size(t: int, S: int, g: int) -> int:
-    """24t |core| of the t-core with g = sum_l x_l^2 and S = sum_l P_l."""
-    return 3 * g - 12 * t * S * S - t * (t * t - 1)
-
-
 def _records(s: int, t: int, zs: Iterable[tuple[int, ...]]) -> Iterator[CoreRecord]:
     """The record of each t-core z in ``zs`` (raw tuples with sum s): its
-    a-coordinates and size read off the prefix sums by the identities of
-    :func:`_x`, in O(t) operations.
+    a-coordinates read off the prefix sums by
+    :func:`~stcores.coords._a_from_prefix` and its size by
+    :func:`~stcores.coords._scaled_size`, in O(t) operations.
 
     Each record is validated once, here, on values the leaf already holds,
     and any failure raises InvariantError.  The z checks of ZTuple: t + 1
@@ -115,22 +93,16 @@ def _records(s: int, t: int, zs: Iterable[tuple[int, ...]]) -> Iterator[CoreReco
     divides the scaled size into a nonnegative integer.  The checked
     values then become the ZTuple and ATuple without a second validation.
     """
-    k = shift_constant(s, t)
-    # (x_l at P_l = 0, l) for the l with (k + ls) mod t = i, listed by a-index i
-    levels = [0] * t
-    for l in range(t):
-        levels[(k + l * s) % t] = l
-    by_index = [(_x(s, t, l, 0), l) for l in levels]
+    # the z -> a step of z_to_a, looked up in coords when the stream starts
+    layout, step = coords._a_layout(s, t, shift_constant(s, t)), coords._a_from_prefix
     residues, a_sum = list(range(t)), t * (t - 1) // 2
-    tt, t24 = 2 * t, 24 * t
+    t24 = 24 * t
     for z in zs:
         prefix = list(accumulate(z, initial=0))
         S = sum(prefix) - s
         if len(prefix) != t + 1 or prefix[-1] != s or (S + s) % t:
             raise InvariantError(f"z={z} is not {t} entries summing to {s} with sum(j * z_j) = 0 mod {t}")
-        x = [x0 - tt * prefix[l] for x0, l in by_index]
-        shift = 2 * S + t - 1
-        a = tuple([(v + shift) >> 1 for v in x])
+        x, a = step(layout, prefix, S)
         if [v % t for v in a] != residues or sum(a) != a_sum:
             raise InvariantError(f"a={a} from z={z} breaks a_i = i mod {t} or sum(a) = {a_sum}")
         num = _scaled_size(t, S, sum(map(mul, x, x)))

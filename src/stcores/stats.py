@@ -20,12 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-# size_from_a lives next to ATuple so that enumeration can use it; it is
-# re-exported here with the other size formula.
-from .betaset import CTuple, size_from_a  # noqa: F401
-from .coords import UTuple, ZTuple, _require_coprime, z_to_u
-# The size identity of the prefix sums, shared with the records of enumeration.
-from .enumeration import CoreRecord, _scaled_size, _x, iter_st_cores, multinomial
+from .betaset import CTuple
+# The size identity of the prefix sums, shared with z_to_a and the records.
+from .coords import UTuple, ZTuple, _require_coprime, _scaled_size, _x, z_to_u
+from .enumeration import CoreRecord, iter_st_cores, multinomial
 from .errors import InvariantError, NegativeEntryError, NonzeroChargeError
 
 
@@ -67,6 +65,12 @@ def stab_size_sc(u: UTuple) -> int:
 
 def _stab(rec: CoreRecord, self_conjugate: bool) -> int:
     return stab_size_sc(z_to_u(rec.z)) if self_conjugate else stab_size(rec.z)
+
+
+def _weight_denominator(s: int, self_conjugate: bool) -> int:
+    """D = s!, or s'! 2^{s'} with s' = floor(s/2) for self-conjugate cores:
+    every stabilizer divides D, so 1/stab = (D/stab) / D."""
+    return math.factorial(s // 2) << (s // 2) if self_conjugate else math.factorial(s)
 
 
 def attach_stabilizers(records: Iterable[CoreRecord], self_conjugate: bool = False) -> Iterator[CoreRecord]:
@@ -221,7 +225,7 @@ def moment_sum(s: int, t: int, e: int, weighted: bool = False, self_conjugate: b
     if e < 0:
         raise ValueError("exponent must be >= 0")
     num = _scaled_moments(s, t, e, weighted, self_conjugate)[e]
-    scale = (math.factorial(s // 2) << (s // 2) if self_conjugate else math.factorial(s)) if weighted else 1
+    scale = _weight_denominator(s, self_conjugate) if weighted else 1
     return Fraction(num, scale * (24 * t) ** e)
 
 

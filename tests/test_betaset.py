@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import stcores.betaset
 from stcores import (
     ATuple,
     BetaSet,
@@ -28,6 +29,26 @@ partitions = st.lists(st.integers(min_value=1, max_value=10), max_size=8).map(
     lambda xs: Partition(sorted(xs, reverse=True))
 )
 moduli = st.integers(min_value=1, max_value=6)
+
+
+@given(partitions)
+def test_beta_set_membership_is_the_set_of_p_i_minus_i(p):
+    # B = {p_i - i : i >= 1} with p_i = 0 past the last part
+    n = len(p)
+    window = range(-n - 3, (p.parts[0] if n else 0) + 3)
+    want = {(p.parts[i - 1] if i <= n else 0) - i for i in range(1, n + 5)}
+    b = beta_from_partition(p)
+    assert [x for x in window if x in b] == [x for x in window if x in want]
+
+
+def test_beta_set_membership_builds_no_set(monkeypatch):
+    b = beta_from_partition(Partition([4, 2, 2, 1]))
+
+    def no_set(*args):
+        raise AssertionError("membership built a set")
+
+    monkeypatch.setattr(stcores.betaset, "set", no_set, raising=False)
+    assert [x for x in range(-6, 5) if x in b] == [-6, -5, -3, -1, 0, 3]
 
 
 def test_beta_from_partition_examples():

@@ -269,6 +269,41 @@ def test_convert_z_names_the_flag_it_rejects(capsys):
     assert code == 0 and json.loads(out)["z"] == {"t": 3, "s": 2, "z": [2, 0, 0]}
 
 
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (
+            ("--z", "0,2,-1"),
+            '{"partition":[1,1],"size":2,"beta":{"members":[0],"gaps":[-2]},"t":3,"is_t_core":true,'
+            '"a":[3,-2,2],"z":{"t":3,"s":1,"z":[0,2,-1]}}\n',
+        ),
+        (
+            ("--z=3,-1,0,-1",),
+            '{"partition":[4,1,1,1],"size":7,"beta":{"members":[3],"gaps":[-4]},"t":4,"is_t_core":true,'
+            '"a":[-4,1,2,7],"z":{"t":4,"s":1,"z":[3,-1,0,-1]},"u":{"t":4,"s":1,"u":[1,-1,0]}}\n',
+        ),
+        (
+            ("--u=-1,2", "--t", "3", "--s", "2"),
+            '{"partition":[3,1,1],"size":5,"beta":{"members":[2],"gaps":[-3]},"t":3,"is_t_core":true,'
+            '"a":[-3,1,5],"z":{"t":3,"s":2,"z":[-2,2,2]},"u":{"t":3,"s":2,"u":[-1,2]}}\n',
+        ),
+    ],
+    ids=["z-0,2,-1", "z=3,-1,0,-1", "u=-1,2"],
+)
+def test_convert_general_z_with_negative_entries(capsys, argv, out):
+    # z_to_a on t-cores that are not (s,t)-cores
+    assert run(capsys, "convert", *argv) == (0, out, "")
+
+
+def test_convert_needs_the_equals_form_for_a_leading_minus(capsys):
+    # argparse reads "-1,1,1" after a space as an option, not as the value
+    with pytest.raises(SystemExit) as exc:
+        main(["convert", "--z", "-1,1,1"])
+    assert exc.value.code == 2 and "--z: expected one argument" in capsys.readouterr().err
+    code, out, _ = run(capsys, "convert", "--z=-1,1,1")
+    assert code == 0 and json.loads(out)["z"] == {"t": 3, "s": 1, "z": [-1, 1, 1]}
+
+
 def test_convert_a_takes_t_from_its_length(capsys):
     code, out, err = run(capsys, "convert", "--a", "2,-1", "--t", "3")
     assert (code, out) == (2, "") and err == "error: --t 3 disagrees with --a, which has 2 entries\n"

@@ -26,7 +26,9 @@ from stcores import (
     motzkin_number,
     partition_from_a,
 )
-from stcores.enumeration import _iter_z, _records, multinomial, record_from_z
+from stcores.betaset import size_from_a
+from stcores.coords import a_to_z
+from stcores.enumeration import _iter_z, _records, multinomial
 
 
 def test_weak_compositions_lex_and_complete():
@@ -263,7 +265,9 @@ def test_record_size_matches_partition_size_in_every_family():
 
 
 def test_records_equal_the_z_to_a_reference():
-    # Prefix-sum records against z_to_a plus size_from_a, bounded by the
+    # Prefix-sum records against the forward map a_to_z, which reads
+    # differences of a and is injective (so a_to_z(rec.a) = rec.z says
+    # rec.a = z_to_a(rec.z)), and against size_from_a, bounded by the
     # (s, t) of each family's z-tuples.  The {-1, 0, 1} tuples of iter_triple_sym
     # grow like Motzkin numbers (208,915 at s + t <= 16), so they stop at 12.
     families = (
@@ -278,10 +282,12 @@ def test_records_equal_the_z_to_a_reference():
             for y in range(1, bound):
                 if math.gcd(x, y) != 1 or sum(st_of(x, y)) > bound:
                     continue
+                s, t = st_of(x, y)
                 for rec in factory(x, y):
-                    # through the validating constructor, not the record's own ZTuple
-                    ref = record_from_z(ZTuple(rec.z.t, rec.z.s, rec.z.z))
-                    assert rec == ref, (factory.__name__, x, y, rec.z.z)
+                    # through the validating constructors, not the record's own tuples
+                    a = ATuple(t, rec.a.a)
+                    assert a_to_z(a, s) == ZTuple(t, s, rec.z.z), (factory.__name__, x, y, rec.z.z)
+                    assert size_from_a(a) == rec.size, (factory.__name__, x, y, rec.z.z)
                     checked += 1
         assert checked == cores, factory.__name__
 

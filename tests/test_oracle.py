@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import math
 import operator
 
@@ -28,7 +29,7 @@ from stcores import (
     run_verify_suite,
     s_set_of,
 )
-from stcores.oracle import enumerated_moment_sums
+from stcores.oracle import _removal_witness, enumerated_moment_sums
 
 
 def test_enum_partitions_counts():
@@ -37,6 +38,15 @@ def test_enum_partitions_counts():
     assert sum(1 for _ in enum_partitions_up_to(10)) == 139
     with pytest.raises(CapExceededError):
         enum_partitions_up_to(41)
+
+
+def test_partition_cap_and_verify_seed_are_constants():
+    with pytest.raises(TypeError):
+        enum_partitions_up_to(5, 10)
+    with pytest.raises(TypeError):
+        brute_st_cores({2, 3}, 5, 10)
+    with pytest.raises(TypeError):
+        run_verify_suite(1, 1, 2, seed=1)
 
 
 def test_enum_partitions_each_exactly_once():
@@ -106,6 +116,35 @@ def test_enumerated_moment_sums_match_the_dp():
             for sc in (False, True):
                 want = [moment_sum(s, t, e, weighted, sc) for e in range(4)]
                 assert enumerated_moment_sums(s, t, 3, weighted, sc) == want, (s, t, weighted, sc)
+
+
+def test_moment_sums_and_their_reference_share_one_weight_denominator(monkeypatch):
+    denominator = stcores.stats._weight_denominator
+    assert (denominator(5, False), denominator(5, True)) == (120, 8)  # 5!, 2! * 2^2
+    seen = []
+
+    def spy(s, self_conjugate):
+        seen.append((s, self_conjugate))
+        return denominator(s, self_conjugate)
+
+    monkeypatch.setattr(stcores.stats, "_weight_denominator", spy)
+    for sc in (False, True):
+        assert enumerated_moment_sums(5, 4, 1, True, sc) == [moment_sum(5, 4, e, True, sc) for e in range(2)]
+    assert seen == [(5, False)] * 3 + [(5, True)] * 3
+
+
+def test_rim_removal_memo_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        for t in range(2, 6):
+            memo = {}
+            for p in enum_partitions_up_to(12):
+                assert _removal_witness(p, t, memo) is None
+        del memo, p
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_run_verify_suite_trivial_scale():
@@ -202,6 +241,18 @@ def test_bead_walk_with_the_library_test_is_partition_from_a():
             assert _bead_walk(operator.lt, rec.a) == stcores.betaset.partition_from_a(rec.a)
 
 
+def _misplace_a(orig):
+    """The z -> a step moved to a valid but wrong a: a_0 + t and a_1 - t keep
+    every residue and the sum, so the leaf guards pass."""
+
+    def step(layout, prefix, S):
+        x, a = orig(layout, prefix, S)
+        t = len(a)
+        return (x, (a[0] + t, a[1] - t, *a[2:])) if t >= 2 else (x, a)
+
+    return step
+
+
 def _negate_charge(orig):
     def charge(b, s):
         c = orig(b, s)
@@ -211,8 +262,9 @@ def _negate_charge(orig):
 
 
 # (module, attribute, make the faulty replacement from the original,
-#  check that must fail, start of its witness).  The last two faults make
-#  a library call raise; the runner turns that into the check's failure.
+#  check that must fail, start of its witness).  A fault whose witness
+#  starts with an exception name makes a library call raise; the runner
+#  turns that into the check's failure.
 FAULTS = {
     "conjugate_beta-gap-sign": (stcores.betaset, "conjugate_beta", _flip_gap_sign, "conjugate-charge-negation", "p="),
     "z_to_u-reversed": (stcores.coords, "z_to_u", _reverse_u, "z-u-round-trip", "u="),
@@ -272,6 +324,15 @@ FAULTS = {
         "_cores",
         lambda orig: lambda s, t, sums: orig(s, 1, sums),
         "average-size-unweighted-general",
+        "(s,t)=",
+    ),
+    # The one z -> a step, wrong alike in z_to_a and the records, so that
+    # comparing the two cannot see it; a_to_z, which reads differences of a, does.
+    "a_from_prefix-valid-but-wrong": (
+        stcores.coords,
+        "_a_from_prefix",
+        _misplace_a,
+        "size-formulas-triple-agreement",
         "(s,t)=",
     ),
     "t_core-identity": (

@@ -172,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(func=cmd_enum)
 
     avg_help = (
-        "exact average size or moment sum, by a prefix-sum DP with integer weights:"
-        " O(s^3 t^2 e^2) operations for moment E (e = 1 for the average)"
+        "exact average size or moment sum, by a prefix-sum DP over all compositions, divided by t:"
+        " O(s^2 t e^2) operations for moment E (e = 1 for the average)"
     )
     p_avg = sub.add_parser("avg", help=avg_help, description=avg_help)
     p_avg.add_argument("s", type=int)
@@ -214,7 +214,13 @@ def main(argv: list[str] | None = None) -> int:
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is not None:
         set_limit(0)
-    args = build_parser().parse_args(argv)
+    # --z -1,1,1 as --z=-1,1,1 (also --a, --u): argparse reads "-1,1,1" as an option
+    glued = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if glued and glued[-1] in ("--a", "--z", "--u") and arg.startswith("-") and arg[1:2].isdigit():
+            arg = glued.pop() + "=" + arg
+        glued.append(arg)
+    args = build_parser().parse_args(glued)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -18,9 +18,9 @@ P_l and the size is a quadratic form in P_l
 map :func:`~stcores.coords.a_to_z`, which reads differences of a, and
 against :func:`~stcores.betaset.size_from_a`.
 
-Each cyclic rotation orbit of a weak composition contains exactly one tuple
-with the congruence (:func:`canonical_cyclic_rep`), which yields the
-counting formulas.
+Each cyclic rotation orbit of a weak composition holds exactly one tuple
+with the congruence (:func:`canonical_cyclic_rep`): hence the counting
+formulas, and the division by t in :mod:`stcores.stats`.
 
 The ``iter_*`` functions stream records lazily, in lexicographic order of
 z; the ``enum_*`` wrappers collect them into lists.

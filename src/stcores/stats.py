@@ -5,12 +5,13 @@ All statistics are exact: sizes are integers, averages are
 every comparison against a closed form is an equality test, never a
 tolerance.
 
-Averages and moment sums visit no core.  They come from one dynamic
-program over the prefix sums P_l of z, in which the size is a quadratic
-form and the weight D/stab a product of binomials, with O(s^3 t^2 e^2)
-integer operations for the moments up to e.  The sum over every
-enumerated core is kept in :mod:`stcores.oracle` as the reference the
-dynamic program is checked against.
+Averages and moment sums visit no core.  One dynamic program over the
+prefix sums P_l sums every weak composition z of s, core or not, and
+divides by t: the t rotations of z share its size, a quadratic form in P_l,
+and its weight D/stab, a product of binomials, and one of them is a core.
+That is O(s^2 t e^2) integer operations for the moments up to e <= s
+(O(s^3 t e) for self-conjugate cores).  The sum over every enumerated core
+is kept in :mod:`stcores.oracle` as the reference it is checked against.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Iterable, Iterator
 
 from .betaset import CTuple
 # The size identity of the prefix sums, shared with z_to_a and the records.
-from .coords import UTuple, ZTuple, _require_coprime, _scaled_size, _x, z_to_u
+from .coords import UTuple, ZTuple, _require_coprime, _x, z_to_u
 from .enumeration import CoreRecord, iter_st_cores, multinomial
 from .errors import InvariantError, NegativeEntryError, NonzeroChargeError
 
@@ -85,47 +86,40 @@ def _axpy(acc: list[list[int]] | None, w: int, sums: list[list[int]]) -> list[li
     if acc is None:
         return [[w * v for v in row] for row in sums]
     for a, row in zip(acc, sums):
-        a.extend([0] * (len(row) - len(a)))
-        a[: len(row)] = [x + w * v for x, v in zip(a, row)]
+        a[:] = [x + w * v for x, v in zip(a, row)]
     return acc
 
 
 def _moved(sums: list[list[int]], g: int, d: int) -> list[list[int]]:
-    """From the sums of w * G^k to those of w * (G + g)^k, each S raised by d."""
-    out = []
-    for k, row in enumerate(sums):
-        for j in range(k):
-            c = math.comb(k, j) * g ** (k - j)
-            row = [a + c * v for a, v in zip(row, sums[j])]
-        out.append([0] * d + row)
-    return out
+    """From the sums of w * G^a * S^b to those of w * (G + g)^a * (S + d)^b,
+    in place, by a Taylor shift along each axis."""
+    for k in range(1, len(sums)):
+        for a in range(len(sums) - 1, k - 1, -1):
+            sums[a] = [x + g * v for x, v in zip(sums[a], sums[a - 1])]
+    for row in sums if d else ():
+        for k in range(1, len(row)):
+            for b in range(len(row) - 1, k - 1, -1):
+                row[b] += d * row[b - 1]
+    return sums
 
 
 def _path_sums(
-    n: int,
-    e: int,
-    start: int,
-    g0: int,
-    levels: Iterable[tuple[Callable[[int, int], int], Callable[[int], tuple[int, int]]]],
-    last: Callable[[int], int],
+    n: int, start: int, init: list[list[int]], levels: Iterable[int], step: Callable, add: Callable, last: Callable
 ) -> list[list[int]]:
-    """sums[k][S] = sum of w * G^k, k <= e, over the lattice paths
-    start = q_0 <= q_1 <= ... <= n that end with that S.
-
-    Each level is a pair (step, add): the step q -> r multiplies w by
-    step(q, r), then add(r) = (g, d) adds g to G and d to S.  A path starts
-    with w = 1, G = g0 and S = 0, and its end q multiplies w by last(q).  The
-    tables are lists indexed by q, then k, then S, one level at a time.
-    """
+    """sums[a][b] = sum of w * G^a * S^b over the lattice paths
+    start = q_0 <= q_1 <= ... <= n, for the (a, b) of ``init``, the sums at
+    the start.  At each level l the step q -> r multiplies w by step(q, r),
+    then add(l, r) = (g, d) adds g to G and d to S; the end q of a path
+    multiplies w by last(q).  The shift keeps the cells closed."""
     table: list = [None] * (n + 1)
-    table[start] = [[g0**k] for k in range(e + 1)]
-    for step, add in levels:
+    table[start] = init
+    for l in levels:
         new: list = [None] * (n + 1)
         for q, sums in enumerate(table):
             if sums is not None:
                 for r in range(q, n + 1):
                     new[r] = _axpy(new[r], step(q, r), sums)
-        table = [None if sums is None else _moved(sums, *add(r)) for r, sums in enumerate(new)]
+        table = [None if sums is None else _moved(sums, *add(l, r)) for r, sums in enumerate(new)]
     out = None
     for q, sums in enumerate(table):
         if sums is not None:
@@ -133,66 +127,65 @@ def _path_sums(
     return out
 
 
-def _unit(*_: int) -> int:
-    return 1
+def _general_sums(s: int, t: int, e: int, weighted: bool) -> tuple[list[list[int]], int]:
+    """Walk P_0 = 0 <= P_1 <= ... <= P_t = s over every weak composition z
+    of s, core or not.  The step to P_{l+1} chooses z_l and multiplies w by
+    C(P_{l+1}, z_l), so w = s!/prod z_j! = D/stab.  Returned with t, the
+    size of each rotation orbit, which holds one core."""
+    step = (lambda q, r: math.comb(r, r - q)) if weighted else (lambda q, r: 1)
+    # the cells 2a + b <= 2e that the moments up to e read, at G = x_0^2, S = 0
+    init = [[_x(s, t, 0, 0) ** (2 * a)] + [0] * (2 * (e - a)) for a in range(e + 1)]
+    sums = _path_sums(s, 0, init, range(1, t), step, lambda l, r: (_x(s, t, l, r) ** 2, r), lambda q: step(q, s))
+    return sums, t
 
 
-def _cores(s: int, t: int, sums: list[list[int]]) -> list[tuple[int, list[int]]]:
-    """The (S, [sums[k][S] for each k]) of the (s,t)-cores: a z >= 0 with
-    sum s is one iff S = -s (mod t), because sum_j j z_j = (t-1)s - S."""
-    return [(S, [row[S] for row in sums]) for S in range(-s % t, len(sums[0]), t)]
-
-
-def _general_sums(s: int, t: int, e: int, weighted: bool) -> list[tuple[int, list[int]]]:
-    """Walk P_0 = 0 <= P_1 <= ... <= P_t = s.  The step to P_{l+1} chooses
-    z_l and multiplies w by C(P_{l+1}, z_l), so w = s!/prod z_j! = D/stab."""
-    step = (lambda q, r: math.comb(r, r - q)) if weighted else _unit
-    levels = [(step, lambda r, l=l: (_x(s, t, l, r) ** 2, r)) for l in range(1, t)]
-    sums = _path_sums(s, e, 0, _x(s, t, 0, 0) ** 2, levels, lambda q: step(q, s))
-    return _cores(s, t, sums)
-
-
-def _sc_sums(s: int, t: int, e: int, weighted: bool) -> list[tuple[int, list[int]]]:
+def _sc_sums(s: int, t: int, e: int, weighted: bool) -> tuple[list[list[int]], int]:
     """Symmetric z (z_i = z_{-i}) with z_0 = s (mod 2), one DP over
     z_1..z_h per z_0 = 2 u_0 + s mod 2.
 
     With Q_i = z_1 + ... + z_i, the prefix sums come in pairs
     P_{i+1} = z_0 + Q_i and P_{t-i} = s - Q_i, whose S-part z_0 + s is fixed;
     P_0 = 0, P_1 = z_0 and, for odd t, the middle P_{(t+1)/2} = z_0 + m with
-    m = (s - z_0)/2 are fixed too.  The state is u_0 + Q_i <= s' = floor(s/2),
-    and w = D/stab_sc = s'!/(u_0! prod_i u_i!) * 2^{Q_h} is built from the
+    m = (s - z_0)/2 are fixed too, so the DP carries G alone.  The state is
+    u_0 + Q_i <= s' = floor(s/2), and
+    w = D/stab_sc = s'!/(u_0! prod_i u_i!) * 2^{Q_h} is built from the
     steps z_i, each weighing C(u_0 + Q_i, z_i) 2^{z_i}, and a last factor:
     for odd t the step to Q_h = m, for even t the choice of the (even)
     middle entry z_{t/2} = 2(s' - u_0 - Q_h), weighing C(s', s' - u_0 - Q_h).
     """
     sp, pairs = s // 2, max(t - 2, 0) // 2
-    step = (lambda q, r: math.comb(r, r - q) << (r - q)) if weighted else _unit
-    out = []
+    step = (lambda q, r: math.comb(r, r - q) << (r - q)) if weighted else (lambda q, r: 1)
+    out = None
     for u0 in range(sp + 1) if t > 1 else [sp]:
         z0 = 2 * u0 + s % 2
         fixed = [(0, 0), (1, z0)][:t]
         if t % 2 and t > 1:
             fixed.append(((t + 1) // 2, z0 + sp - u0))
-        levels = [
-            (step, lambda r, i=i: (_x(s, t, i + 1, z0 + r - u0) ** 2 + _x(s, t, t - i, s - r + u0) ** 2, 0))
-            for i in range(1, pairs + 1)
-        ]
-        last = (lambda q: step(q, sp)) if t % 2 else (lambda q: math.comb(sp, sp - q)) if weighted else _unit
-        sums = _path_sums(sp, e, u0, sum(_x(s, t, l, p) ** 2 for l, p in fixed), levels, last)
-        out.append((sum(p for _, p in fixed) + pairs * (z0 + s), [row[0] for row in sums]))
-    return out
+        last = (lambda q: step(q, sp)) if t % 2 else (lambda q: math.comb(sp, sp - q)) if weighted else (lambda q: 1)
+        g0 = sum(_x(s, t, l, p) ** 2 for l, p in fixed)
+        rows = _path_sums(sp, u0, [[g0**a] for a in range(e + 1)], range(1, pairs + 1), step,
+                          lambda i, r: (_x(s, t, i + 1, z0 + r - u0) ** 2 + _x(s, t, t - i, s - r + u0) ** 2, 0), last)
+        S = sum(p for _, p in fixed) + pairs * (z0 + s)
+        # the cells of _general_sums
+        out = _axpy(out, 1, [[v * S**b for b in range(2 * (e - a) + 1)] for a, (v,) in enumerate(rows)])
+    return out, 1
 
 
 def _scaled_moments(s: int, t: int, e: int, weighted: bool, self_conjugate: bool) -> list[int]:
     """sum of w * (24t |core|)^r for r = 0..e, with w = D/stab or w = 1."""
     _require_coprime(s, t)
-    out = [0] * (e + 1)
-    for S, col in (_sc_sums if self_conjugate else _general_sums)(s, t, e, weighted):
-        # 24t |core| = 3G + c with G = sum_l x_l^2, so its r-th power expands binomially
-        c = _scaled_size(t, S, 0)
-        terms = [3**k * v for k, v in enumerate(col)]
-        for r in range(e + 1):
-            out[r] += sum(math.comb(r, k) * c ** (r - k) * terms[k] for k in range(r + 1))
+    sums, orbit = (_sc_sums if self_conjugate else _general_sums)(s, t, e, weighted)
+    # 24t |core| = 3G - 12t S^2 - t(t^2 - 1) (coords._scaled_size), so its
+    # r-th power is a trinomial sum over the sums of w * G^i * S^(2j)
+    cg, cs, c = 3, -12 * t, -t * (t * t - 1)
+    out = []
+    for r in range(e + 1):
+        total = sum(math.comb(r, i) * math.comb(r - i, j) * cg**i * cs**j * c ** (r - i - j) * sums[i][2 * j]
+                    for i in range(r + 1) for j in range(r - i + 1))
+        moment, rem = divmod(total, orbit)
+        if rem:
+            raise InvariantError(f"a sum over the compositions, {total}, is not a multiple of {orbit}")
+        out.append(moment)
     return out
 
 

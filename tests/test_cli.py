@@ -295,13 +295,21 @@ def test_convert_general_z_with_negative_entries(capsys, argv, out):
     assert run(capsys, "convert", *argv) == (0, out, "")
 
 
-def test_convert_needs_the_equals_form_for_a_leading_minus(capsys):
-    # argparse reads "-1,1,1" after a space as an option, not as the value
-    with pytest.raises(SystemExit) as exc:
-        main(["convert", "--z", "-1,1,1"])
-    assert exc.value.code == 2 and "--z: expected one argument" in capsys.readouterr().err
-    code, out, _ = run(capsys, "convert", "--z=-1,1,1")
-    assert code == 0 and json.loads(out)["z"] == {"t": 3, "s": 1, "z": [-1, 1, 1]}
+def test_convert_takes_a_leading_minus_after_a_space_or_an_equals_sign(capsys):
+    for args in (("--z", "-1,1,1"), ("--z=-1,1,1",)):
+        code, out, _ = run(capsys, "convert", *args)
+        assert code == 0 and json.loads(out)["z"] == {"t": 3, "s": 1, "z": [-1, 1, 1]}
+    for args in (("--a", "-3,1,5"), ("--u", "-1,2", "--t", "3", "--s", "2")):
+        code, out, _ = run(capsys, "convert", *args)
+        assert code == 0 and json.loads(out)["a"] == [-3, 1, 5]
+    # an option after the flag is still an option, and an unknown one still exits 2
+    for args, message in (
+        (("--z", "--bogus"), "--z: expected one argument"),
+        (("--bogus", "-1,1,1"), "unrecognized arguments: --bogus -1,1,1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["convert", *args])
+        assert exc.value.code == 2 and message in capsys.readouterr().err
 
 
 def test_convert_a_takes_t_from_its_length(capsys):

@@ -317,12 +317,13 @@ FAULTS = {
         "average-size-unweighted-general",
         "(s,t)=",
     ),
-    # Without the residue filter the DP sums every composition: t times each
-    # moment, which leaves the averages unchanged (the cyclic-orbit lemma).
-    "dp-residue-filter-dropped": (
+    # The DP sums every composition; without the division by t it returns t
+    # times each moment, which leaves the averages unchanged (the cyclic-orbit
+    # lemma), so only the mass comparison sees it.
+    "dp-orbit-division-dropped": (
         stcores.stats,
-        "_cores",
-        lambda orig: lambda s, t, sums: orig(s, 1, sums),
+        "_general_sums",
+        lambda orig: lambda s, t, e, weighted: (orig(s, t, e, weighted)[0], 1),
         "average-size-unweighted-general",
         "(s,t)=",
     ),

@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import stcores.coords
 import stcores.stats
 from stcores import (
     ATuple,
@@ -18,6 +20,7 @@ from stcores import (
     attach_stabilizers,
     average_size,
     beta_from_partition,
+    canonical_cyclic_rep,
     charge,
     check_average,
     count_sc,
@@ -25,6 +28,7 @@ from stcores import (
     enum_sc_st_cores,
     enum_st_cores,
     expected_average,
+    iter_weak_compositions,
     moment_sum,
     random_s_core,
     size_from_a,
@@ -34,6 +38,7 @@ from stcores import (
     verify_cyclic_sum_identities,
     z_to_u,
 )
+from stcores.enumeration import multinomial
 
 
 def test_size_from_a_examples():
@@ -141,23 +146,60 @@ def test_average_size_matches_closed_forms_to_sum_24():
 
 
 def test_zeroth_moment_is_the_count_beyond_enumeration():
-    for s, t in [(19, 20), (20, 19), (13, 14)]:
+    for s, t in [(19, 20), (20, 19), (13, 14), (40, 41), (41, 40)]:
         assert moment_sum(s, t, 0) == count_st(s, t)
         assert moment_sum(s, t, 0, self_conjugate=True) == count_sc(s, t)
 
 
-def test_dp_without_the_residue_filter_sums_every_orbit_t_times(monkeypatch):
-    # The cyclic-orbit lemma: the t rotations of a composition share its
-    # weight and the value of the size form, and exactly one of them is a
-    # core, so summing every composition gives t times each moment.
-    pairs = [(s, t) for s in range(1, 9) for t in range(1, 9) if math.gcd(s, t) == 1]
-    cases = [(s, t, e, weighted) for s, t in pairs for e in range(4) for weighted in (False, True)]
-    filtered = {case: stcores.stats._scaled_moments(*case, False) for case in cases}
-    cores = stcores.stats._cores
-    monkeypatch.setattr(stcores.stats, "_cores", lambda s, t, sums: cores(s, 1, sums))
-    for (s, t, e, weighted), moments in filtered.items():
-        assert stcores.stats._scaled_moments(s, t, e, weighted, False) == [t * v for v in moments], (s, t, e, weighted)
-    assert len(cases) == 344
+def test_rotations_share_size_form_and_weight_and_hold_one_core():
+    # The cyclic-orbit lemma behind the DP, which sums every composition and
+    # divides by t: on each weak composition z, not only on cores, the size
+    # form 24t |core| of the prefix sums and the weight s!/prod z_j! are the
+    # same for all t rotations, and exactly one rotation is a core.
+    seen = 0
+    for s in range(1, 9):
+        for t in range(1, 9):
+            if math.gcd(s, t) != 1:
+                continue
+            for z in iter_weak_compositions(s, t):
+                rotations = [z[r:] + z[:r] for r in range(t)]
+                forms, weights, cores = set(), set(), []
+                for r, y in enumerate(rotations):
+                    prefix = list(itertools.accumulate(y, initial=0))[:t]
+                    g = sum(stcores.coords._x(s, t, l, p) ** 2 for l, p in enumerate(prefix))
+                    forms.add(stcores.coords._scaled_size(t, sum(prefix), g))
+                    weights.add(multinomial(s, y))
+                    if sum(j * v for j, v in enumerate(y)) % t == 0:
+                        cores.append(r)
+                assert len(forms) == len(weights) == 1, (s, t, z)
+                assert cores == [canonical_cyclic_rep(z)], (s, t, z)
+                seen += 1
+    assert seen == 11634
+
+
+def test_a_sum_over_compositions_not_divisible_by_t_raises(monkeypatch):
+    general = stcores.stats._general_sums
+    assert general(2, 3, 0, False) == ([[6]], 3)  # 3 rotations of each of the 2 cores
+
+    def one_more(s, t, e, weighted):
+        sums, orbit = general(s, t, e, weighted)
+        sums[0][0] += 1
+        return sums, orbit
+
+    monkeypatch.setattr(stcores.stats, "_general_sums", one_more)
+    with pytest.raises(InvariantError, match="7, is not a multiple of 3"):
+        moment_sum(2, 3, 0)
+
+
+def test_unweighted_variance_is_the_ekhad_zeilberger_closed_form():
+    # Var |core| = st(s-1)(t-1)(s+t)(s+t+1)/1440 over the (s,t)-cores
+    # (Ekhad and Zeilberger, arXiv:1508.07637), from one DP run to e = 2.
+    pairs = [(s, t) for s in range(1, 24) for t in range(1, 25 - s) if math.gcd(s, t) == 1]
+    for s, t in pairs:
+        m0, m1, m2 = stcores.stats._scaled_moments(s, t, 2, False, False)
+        variance = (Fraction(m2, m0) - Fraction(m1, m0) ** 2) / (24 * t) ** 2
+        assert variance == Fraction(s * t * (s - 1) * (t - 1) * (s + t) * (s + t + 1), 1440), (s, t)
+    assert len(pairs) == 179
 
 
 def test_bad_arguments_raise_before_the_dp(monkeypatch):

@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(func=cmd_enum)
 
     avg_help = (
-        "exact average size or moment sum, by a prefix-sum DP over all compositions, divided by t:"
+        "exact average size or moment sum, by one prefix-sum DP for all or for self-conjugate cores:"
         " O(s^2 t e^2) operations for moment E (e = 1 for the average)"
     )
     p_avg = sub.add_parser("avg", help=avg_help, description=avg_help)

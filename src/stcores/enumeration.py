@@ -209,7 +209,7 @@ def _iter_z(total: int, t: int, values: range, no_zero_pair: bool = False) -> It
     needs = [0] * t
     free = completions(False)
     wrap = completions(True) if no_zero_pair else free
-    for first in range(max(vmin, total - rhi[1]), min(vmax, total - rlo[1]) + 1):
+    for first in range(total - rhi[1], total - rlo[1] + 1):
         reach = wrap if first == 0 else free
         if not reach[1][first == 0][total - first] & 1:
             continue

@@ -140,12 +140,7 @@ class Partition:
 
     def find_hook_cell(self, t: int) -> tuple[int, int] | None:
         """First cell (row-major) whose hook length is exactly t, if any."""
-        hooks = self._hooks()
-        for r, p in enumerate(self._parts, start=1):
-            for c in range(1, p + 1):
-                if next(hooks) == t:
-                    return r, c
-        return None
+        return next((cell for cell, h in zip(self.cells(), self._hooks()) if h == t), None)
 
     def t_core_by_diagram(self, t: int) -> "Partition":
         """t-core by repeated rim t-hook removal on the diagram.

@@ -9,9 +9,9 @@ Averages and moment sums visit no core.  One dynamic program over the
 prefix sums P_l sums every weak composition z of s, core or not, and
 divides by t: the t rotations of z share its size, a quadratic form in P_l,
 and its weight D/stab, a product of binomials, and one of them is a core.
-That is O(s^2 t e^2) integer operations for the moments up to e <= s
-(O(s^3 t e) for self-conjugate cores).  The sum over every enumerated core
-is kept in :mod:`stcores.oracle` as the reference it is checked against.
+That is O(s^2 t e^2) integer operations for the moments up to e, for
+self-conjugate cores too.  The sum over every enumerated core is kept in
+:mod:`stcores.oracle` as the reference it is checked against.
 """
 
 from __future__ import annotations
@@ -103,21 +103,20 @@ def _moved(sums: list[list[int]], g: int, d: int) -> list[list[int]]:
     return sums
 
 
-def _path_sums(
-    n: int, start: int, init: list[list[int]], levels: Iterable[int], step: Callable, add: Callable, last: Callable
-) -> list[list[int]]:
+def _path_sums(init: list, levels: Iterable[int], step: Callable, add: Callable, last: Callable) -> list[list[int]]:
     """sums[a][b] = sum of w * G^a * S^b over the lattice paths
-    start = q_0 <= q_1 <= ... <= n, for the (a, b) of ``init``, the sums at
-    the start.  At each level l the step q -> r multiplies w by step(q, r),
-    then add(l, r) = (g, d) adds g to G and d to S; the end q of a path
-    multiplies w by last(q).  The shift keeps the cells closed."""
-    table: list = [None] * (n + 1)
-    table[start] = init
+    q_0 <= q_1 <= ... < len(init) that start from the cells init[q_0]
+    (None: no path starts at q_0).  At each level l the step q -> r
+    multiplies w by step(q, r), then add(l, r) = (g, d) adds g to G and d to
+    S; the end q of a path multiplies w by last(q).  The shift keeps the
+    cells closed."""
+    n = len(init)
+    table = init
     for l in levels:
-        new: list = [None] * (n + 1)
+        new: list = [None] * n
         for q, sums in enumerate(table):
             if sums is not None:
-                for r in range(q, n + 1):
+                for r in range(q, n):
                     new[r] = _axpy(new[r], step(q, r), sums)
         table = [None if sums is None else _moved(sums, *add(l, r)) for r, sums in enumerate(new)]
     out = None
@@ -135,40 +134,37 @@ def _general_sums(s: int, t: int, e: int, weighted: bool) -> tuple[list[list[int
     step = (lambda q, r: math.comb(r, r - q)) if weighted else (lambda q, r: 1)
     # the cells 2a + b <= 2e that the moments up to e read, at G = x_0^2, S = 0
     init = [[_x(s, t, 0, 0) ** (2 * a)] + [0] * (2 * (e - a)) for a in range(e + 1)]
-    sums = _path_sums(s, 0, init, range(1, t), step, lambda l, r: (_x(s, t, l, r) ** 2, r), lambda q: step(q, s))
+    sums = _path_sums([init] + [None] * s, range(1, t), step, lambda l, r: (_x(s, t, l, r) ** 2, r), lambda q: step(q, s))
     return sums, t
 
 
 def _sc_sums(s: int, t: int, e: int, weighted: bool) -> tuple[list[list[int]], int]:
-    """Symmetric z (z_i = z_{-i}) with z_0 = s (mod 2), one DP over
-    z_1..z_h per z_0 = 2 u_0 + s mod 2.
+    """Symmetric z (z_i = z_{-i}) with z_0 = 2 u_0 + s mod 2, in one DP over
+    z_1..z_h whose state u_0 + Q_i, Q_i = z_1 + ... + z_i, starts at u_0.
 
-    With Q_i = z_1 + ... + z_i, the prefix sums come in pairs
-    P_{i+1} = z_0 + Q_i and P_{t-i} = s - Q_i, whose S-part z_0 + s is fixed;
-    P_0 = 0, P_1 = z_0 and, for odd t, the middle P_{(t+1)/2} = z_0 + m with
-    m = (s - z_0)/2 are fixed too, so the DP carries G alone.  The state is
-    u_0 + Q_i <= s' = floor(s/2), and
-    w = D/stab_sc = s'!/(u_0! prod_i u_i!) * 2^{Q_h} is built from the
-    steps z_i, each weighing C(u_0 + Q_i, z_i) 2^{z_i}, and a last factor:
-    for odd t the step to Q_h = m, for even t the choice of the (even)
-    middle entry z_{t/2} = 2(s' - u_0 - Q_h), weighing C(s', s' - u_0 - Q_h).
+    The prefix sums pair up as P_{i+1} = z_0 + Q_i and P_{t-i} = s - Q_i; the
+    rest (0, z_0 and the odd-t middle z_0 + s' - u_0, s' = floor(s/2)) and S
+    are fixed per u_0.  At a state, u_0 moves both x of a pair by -2t u_0
+    from u_0 = 0, where they add up to -2((t-2)s + t (s mod 2)), so u_0 adds
+    8t u_0 (t u_0 + t (s mod 2) + (t-2)s) to each pair's G: init[u_0] holds
+    it with the fixed levels and S.  w = D/stab_sc = s'! 2^{Q_h}/(u_0! prod u_i!)
+    is the product of steps C(u_0 + Q_i, z_i) 2^{z_i} and a last factor: for
+    odd t the step to Q_h = s' - u_0, for even t C(s', s' - u_0 - Q_h) for
+    the middle z_{t/2} = 2(s' - u_0 - Q_h).
     """
-    sp, pairs = s // 2, max(t - 2, 0) // 2
+    sp, pairs, odd = s // 2, max(t - 2, 0) // 2, s % 2
     step = (lambda q, r: math.comb(r, r - q) << (r - q)) if weighted else (lambda q, r: 1)
-    out = None
+    init: list = [None] * (sp + 1)
     for u0 in range(sp + 1) if t > 1 else [sp]:
-        z0 = 2 * u0 + s % 2
-        fixed = [(0, 0), (1, z0)][:t]
-        if t % 2 and t > 1:
-            fixed.append(((t + 1) // 2, z0 + sp - u0))
-        last = (lambda q: step(q, sp)) if t % 2 else (lambda q: math.comb(sp, sp - q)) if weighted else (lambda q: 1)
-        g0 = sum(_x(s, t, l, p) ** 2 for l, p in fixed)
-        rows = _path_sums(sp, u0, [[g0**a] for a in range(e + 1)], range(1, pairs + 1), step,
-                          lambda i, r: (_x(s, t, i + 1, z0 + r - u0) ** 2 + _x(s, t, t - i, s - r + u0) ** 2, 0), last)
+        z0 = 2 * u0 + odd
+        fixed = [(0, 0), (1, z0), ((t + 1) // 2, z0 + sp - u0)][: t if t % 2 else 2]
+        G = sum(_x(s, t, l, p) ** 2 for l, p in fixed) + 8 * t * u0 * pairs * (t * (u0 + odd) + (t - 2) * s)
         S = sum(p for _, p in fixed) + pairs * (z0 + s)
         # the cells of _general_sums
-        out = _axpy(out, 1, [[v * S**b for b in range(2 * (e - a) + 1)] for a, (v,) in enumerate(rows)])
-    return out, 1
+        init[u0] = [[G**a * S**b for b in range(2 * (e - a) + 1)] for a in range(e + 1)]
+    last = (lambda q: step(q, sp)) if t % 2 else (lambda q: math.comb(sp, sp - q)) if weighted else (lambda q: 1)
+    return _path_sums(init, range(1, pairs + 1), step,
+                      lambda i, r: (_x(s, t, i + 1, odd + r) ** 2 + _x(s, t, t - i, s - r) ** 2, 0), last), 1
 
 
 def _scaled_moments(s: int, t: int, e: int, weighted: bool, self_conjugate: bool) -> list[int]:

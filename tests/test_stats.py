@@ -151,6 +151,17 @@ def test_zeroth_moment_is_the_count_beyond_enumeration():
         assert moment_sum(s, t, 0, self_conjugate=True) == count_sc(s, t)
 
 
+def test_weighted_masses_are_closed_forms_beyond_enumeration():
+    # sum of 1/stab: t^(s-1)/s! over the (s,t)-cores, t^s'/(s'! 2^s') with
+    # s' = floor(s/2) over the self-conjugate ones
+    pairs = [(s, t) for s in range(1, 40) for t in range(1, 41 - s) if math.gcd(s, t) == 1]
+    for s, t in pairs:
+        sp = s // 2
+        assert moment_sum(s, t, 0, weighted=True) == Fraction(t ** (s - 1), math.factorial(s)), (s, t)
+        assert moment_sum(s, t, 0, True, True) == Fraction(t**sp, math.factorial(sp) << sp), (s, t)
+    assert len(pairs) == 489
+
+
 def test_rotations_share_size_form_and_weight_and_hold_one_core():
     # The cyclic-orbit lemma behind the DP, which sums every composition and
     # divides by t: on each weak composition z, not only on cores, the size
@@ -214,6 +225,17 @@ def test_bad_arguments_raise_before_the_dp(monkeypatch):
             average_size(4, 6, self_conjugate=sc)
         with pytest.raises(ValueError, match="exponent must be >= 0"):
             moment_sum(2, 3, -1, self_conjugate=sc)
+
+
+def test_a_self_conjugate_moment_is_one_walk(monkeypatch):
+    # every u_0 = 0..floor(s/2) starts in the same walk
+    walk = stcores.stats._path_sums
+    calls = []
+    monkeypatch.setattr(stcores.stats, "_path_sums", lambda *args: calls.append(args) or walk(*args))
+    for s, t, weighted in [(9, 10, True), (10, 9, False), (15, 16, True), (7, 1, True), (1, 2, False)]:
+        calls.clear()
+        moment_sum(s, t, 2, weighted, self_conjugate=True)
+        assert len(calls) == 1, (s, t)
 
 
 def test_expected_average_parity_split():

@@ -6,7 +6,11 @@ finite encoding: ``members`` = B restricted to the nonnegatives, ``gaps`` =
 the negatives missing from B.  The empty partition has both empty, and a
 pair encodes a partition exactly when |members| = |gaps| (total charge 0).
 Unequal sizes encode a general "good" set, which several operations here
-(charge, pushes) accept as well.
+(charge, pushes, hook counts, s-sets) accept as well.
+
+Bead positions are read one way, through ``_beads``: below lo = min(gaps)
+(0 without gaps) every position is a bead, and a finite set holds the beads
+at or above lo.  The a-coordinates of an s-core come from its charge.
 
 Residue classes are always taken with the nonnegative convention, i.e.
 ``x % s`` lies in 0..s-1 even for negative x, matching Python's ``%``.
@@ -69,6 +73,13 @@ class BetaSet:
 
     def to_json_dict(self) -> dict:
         return {"members": list(self._members), "gaps": list(self._gaps)}
+
+
+def _beads(b: BetaSet) -> tuple[int, set[int]]:
+    """(lo, beads): lo = min(gaps), or 0 with no gaps; every position below
+    lo is a bead, and ``beads`` holds the beads at or above lo."""
+    lo = b.gaps[0] if b.gaps else 0
+    return lo, set(range(lo, 0)).difference(b.gaps).union(b.members)
 
 
 @dataclass(frozen=True)
@@ -166,24 +177,16 @@ def beta_from_partition(p: Partition) -> BetaSet:
 
 
 def partition_from_beta(b: BetaSet) -> Partition:
-    """Inverse of :func:`beta_from_partition`.
+    """Inverse of :func:`beta_from_partition`: the beads x_1 > x_2 > ...
+    of :func:`_beads` give the parts x_i + i.
 
     Raises NonzeroChargeError when the encoding does not have charge zero
     (such encodings belong to shifted good sets, not partitions).
     """
     if b.total_charge != 0:
         raise NonzeroChargeError(f"total charge is {-b.total_charge}, expected 0")
-    if not b.gaps and not b.members:
-        return Partition()
-    # All beta-values down to min(gaps) listed descending; below that the set
-    # is saturated and contributes only zero parts.
-    floor = min(b.gaps) if b.gaps else -1
-    gapset = set(b.gaps)
-    window = sorted(b.members, reverse=True) + [
-        x for x in range(-1, floor - 1, -1) if x not in gapset
-    ]
-    parts = [x + i for i, x in enumerate(window, start=1)]
-    return Partition(parts)
+    _, beads = _beads(b)
+    return Partition(x + i for i, x in enumerate(sorted(beads, reverse=True), start=1))
 
 
 def charge(b: BetaSet, s: int) -> CTuple:
@@ -203,21 +206,12 @@ def charge(b: BetaSet, s: int) -> CTuple:
 
 
 def hook_count(b: BetaSet, s: int) -> int:
-    """Number of rim s-hooks, via |B \\ (B + s)| on the finite encoding."""
+    """Number of rim s-hooks, |B \\ (B + s)| = |s_set(b, s)| - s: the beads
+    x whose position x - s is empty, which needs x - s >= lo."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    members, gaps = set(b.members), set(b.gaps)
-    count = 0
-    for m in b.members:
-        x = m - s
-        if (x >= 0 and x not in members) or (x < 0 and x in gaps):
-            count += 1
-    for g in b.gaps:
-        # negative beta-value g + s (if present) whose downward push lands on g
-        x = g + s
-        if x < 0 and x not in gaps:
-            count += 1
-    return count
+    lo, beads = _beads(b)
+    return len([x for x in beads if x - s >= lo and x - s not in beads])
 
 
 def is_s_core(b: BetaSet, s: int) -> bool:
@@ -266,7 +260,8 @@ def t_core(p: Partition, t: int) -> Partition:
 
 
 def a_coords(p: Partition, s: int) -> ATuple:
-    """a-coordinates of an s-core: a_i = s + max(B in class i mod s).
+    """a-coordinates of an s-core: a_i = s + max(B in class i mod s), which
+    the charge gives as a_i = i - s * c_{(-1-i) mod s} (:func:`a_from_charge`).
 
     The resulting set {a_i} equals (B + s) \\ B.  Raises NotACoreError when p
     still has rim s-hooks.
@@ -274,20 +269,7 @@ def a_coords(p: Partition, s: int) -> ATuple:
     b = beta_from_partition(p)
     if not is_s_core(b, s):
         raise NotACoreError(f"{p!r} is not a {s}-core")
-    gapset = set(b.gaps)
-    by_class: list[list[int]] = [[] for _ in range(s)]
-    for m in b.members:
-        by_class[m % s].append(m)
-    a = []
-    for rho in range(s):
-        if by_class[rho]:
-            mx = max(by_class[rho])
-        else:
-            mx = rho - s
-            while mx in gapset:
-                mx -= s
-        a.append(s + mx)
-    return ATuple(s, tuple(a))
+    return a_from_charge(charge(b, s))
 
 
 def partition_from_a(a: ATuple) -> Partition:
@@ -317,24 +299,16 @@ def partition_from_a(a: ATuple) -> Partition:
 
 
 def s_set(b: BetaSet, s: int) -> frozenset[int]:
-    """(B + s) \\ B computed on the finite encoding.
+    """(B + s) \\ B = ((beads + s) | [lo, lo + s)) - beads.
 
     For an s-core this is the s-set {a_i}, with exactly one element per
     residue class mod s.  In general the set has s + hook_count(b, s)
     elements (the upward shift adds one net element per class).
     """
-    members, gaps = set(b.members), set(b.gaps)
-    out = set()
-    for m in b.members:
-        if m + s not in members:
-            out.add(m + s)
-    for x in range(-s, 0):
-        if x not in gaps and x + s not in members:
-            out.add(x + s)
-    for g in b.gaps:
-        if g - s not in gaps:
-            out.add(g)
-    return frozenset(out)
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    lo, beads = _beads(b)
+    return frozenset({x + s for x in beads}.union(range(lo, lo + s)).difference(beads))
 
 
 def conjugate_beta(b: BetaSet) -> BetaSet:
@@ -351,15 +325,20 @@ def conjugate_beta(b: BetaSet) -> BetaSet:
 
 def random_s_core(s: int, rng: random.Random, bound: int = 5) -> Partition:
     """Random s-core: charge coordinates uniform on [-bound, bound]^s
-    conditioned on zero sum (rejection sampling), then converted.
+    conditioned on zero sum, then converted.
 
-    Charge tuples parameterize s-cores uniquely, so this covers every s-core
-    in the box.
+    Draws s - 1 entries and sets the last to minus their sum, redrawing
+    when it falls outside [-bound, bound]; each zero-sum point of the box
+    comes from exactly one draw.  Charge tuples parameterize s-cores
+    uniquely, so this covers every s-core in the box.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
     while True:
-        c = [rng.randint(-bound, bound) for _ in range(s)]
-        if sum(c) == 0:
+        c = [rng.randint(-bound, bound) for _ in range(s - 1)]
+        last = -sum(c)
+        if -bound <= last <= bound:
             break
-    return partition_from_a(a_from_charge(CTuple(s, tuple(c))))
+    return partition_from_a(a_from_charge(CTuple(s, (*c, last))))

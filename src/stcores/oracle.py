@@ -234,10 +234,10 @@ def _push_witness(p: Partition, s: int, b: betaset.BetaSet) -> str | None:
 
 
 def _charge_a_witness(s: int, p: Partition) -> str | None:
+    # a_coords reads the charge; each a_i - s must be its class's top bead.
     b = betaset.beta_from_partition(p)
     a = betaset.a_coords(p, s)
-    c = betaset.charge(b, s)
-    if any(a.a[i] != i - s * c.c[(-1 - i) % s] for i in range(s)):
+    if any(v - s not in b or v in b for v in a.a):
         return f"p={p.parts}, s={s}"
     if a.as_set() != betaset.s_set(b, s):
         return f"p={p.parts}, s={s}: a-set != (B+s)\\B"

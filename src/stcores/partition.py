@@ -98,10 +98,6 @@ class Partition:
             heights += [i] * (self._parts[i - 1] - len(heights))
         return heights
 
-    def column_height(self, c: int) -> int:
-        """Number of rows reaching column c (= c-th conjugate part)."""
-        return sum(1 for p in self._parts if p >= c)
-
     def hook_length(self, r: int, c: int) -> int:
         """1 + arm + leg of the cell (r, c), read off :meth:`hook_lengths`."""
         if not self.contains(r, c):
@@ -131,7 +127,7 @@ class Partition:
         """
         if not self.contains(r, c):
             raise OutOfDiagramError(f"cell ({r}, {c}) is outside {self!r}")
-        last = self.column_height(c)  # deepest row meeting column c
+        last = self._column_heights()[c - 1]  # deepest row meeting column c
         new = list(self._parts)
         for i in range(r, last):
             new[i - 1] = self._parts[i] - 1

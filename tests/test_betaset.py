@@ -59,6 +59,37 @@ def test_beta_from_partition_examples():
     assert b.members == (3, 4) and b.gaps == (-2, -1)
 
 
+def _random_good_sets(seed, count, charge_zero=False):
+    """Seeded encodings with entries in [-16, 16); of any charge unless
+    ``charge_zero``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(0, 8)
+        members = rng.sample(range(16), k)
+        gaps = rng.sample(range(-16, 0), k if charge_zero else rng.randint(0, 8))
+        yield BetaSet(members, gaps)
+
+
+def test_s_set_and_hook_count_on_good_sets_of_any_charge():
+    for b in _random_good_sets(17, 400):
+        for s in range(1, 9):
+            window = {y for y in range(-16, 16 + s) if y - s in b and y not in b}
+            assert s_set(b, s) == window, (b, s)
+            assert hook_count(b, s) == len(window) - s, (b, s)
+
+
+def test_beta_from_partition_inverts_partition_from_beta():
+    for b in _random_good_sets(19, 400, charge_zero=True):
+        assert beta_from_partition(partition_from_beta(b)) == b
+
+
+def test_s_set_rejects_s_below_1():
+    b = beta_from_partition(Partition([2]))
+    for s in (0, -1):
+        with pytest.raises(ValueError, match="s must be >= 1"):
+            s_set(b, s)
+
+
 def test_partition_from_beta_examples():
     assert partition_from_beta(BetaSet()) == Partition()
     assert partition_from_beta(BetaSet([0, 2], [-2, -3])).parts == (3, 2, 2)
@@ -207,7 +238,7 @@ def test_partition_from_a_matches_class_maxima_path():
 
 
 def test_atuple_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"a\[2\] = 1 is not congruent to 2 mod 3"):
         ATuple(3, (0, 1, 1))  # wrong congruence
     with pytest.raises(ValueError):
         ATuple(3, (3, 1, 2))  # wrong sum
@@ -281,3 +312,36 @@ def test_same_t_core_iff_same_s_set_residues():
             assert same_residues == (t_core(p, t) == t_core(q, t))
             # a core and its own t-core always match
             assert _s_set_residues(p, s, t) == _s_set_residues(t_core(p, t), s, t)
+
+
+class _CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.randint_calls = 0
+
+    def randint(self, a, b):
+        self.randint_calls += 1
+        return super().randint(a, b)
+
+
+def test_random_s_core_draws_all_but_one_entry():
+    rng = _CountingRandom(3)
+    for _ in range(1000):
+        random_s_core(6, rng)
+    assert rng.randint_calls < 20_000, rng.randint_calls
+
+
+def test_random_s_core_is_uniform_on_zero_sum_charges():
+    from collections import Counter
+
+    rng = random.Random(29)
+    seen = Counter(charge(beta_from_partition(random_s_core(3, rng, bound=1)), 3).c for _ in range(7000))
+    assert len(seen) == 7 and all(sum(c) == 0 for c in seen)
+    assert all(800 <= n <= 1200 for n in seen.values()), seen
+
+
+def test_random_s_core_takes_bound_0_and_rejects_a_negative_bound():
+    for s in (1, 3):
+        assert random_s_core(s, random.Random(0), bound=0) == Partition()
+        with pytest.raises(ValueError, match="bound"):
+            random_s_core(s, random.Random(0), bound=-1)

@@ -261,6 +261,14 @@ def _negate_charge(orig):
     return charge
 
 
+def _drop_negative_beads(orig):
+    def beads(b):
+        lo, got = orig(b)
+        return lo, {x for x in got if x >= 0}
+
+    return beads
+
+
 # (module, attribute, make the faulty replacement from the original,
 #  check that must fail, start of its witness).  A fault whose witness
 #  starts with an exception name makes a library call raise; the runner
@@ -294,6 +302,14 @@ FAULTS = {
         "p=",
     ),
     "charge-negated": (stcores.betaset, "charge", _negate_charge, "charge-to-a-translation", "p="),
+    # The shared reading of the encoding loses the beads in [lo, 0).
+    "beads-negative-dropped": (
+        stcores.betaset,
+        "_beads",
+        _drop_negative_beads,
+        "hook-count-matches-beta-difference",
+        "p=",
+    ),
     "shift_constant-plus-1": (
         stcores.coords,
         "shift_constant",

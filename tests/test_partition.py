@@ -16,9 +16,13 @@ def test_constructor_strips_trailing_zeros():
 
 
 def test_constructor_rejects_increasing():
-    with pytest.raises(NonMonotoneError):
+    with pytest.raises(NonMonotoneError, match="parts increase at index 1: 2 < 3"):
         Partition([2, 3])
-    with pytest.raises(NonMonotoneError):
+    with pytest.raises(NonMonotoneError, match="parts increase at index 1: 1 < 2"):
+        Partition([1, 2])
+    with pytest.raises(NonMonotoneError, match="parts increase at index 2: 2 < 3"):
+        Partition([2, 2, 3])
+    with pytest.raises(NonMonotoneError, match="part 2 is 0, expected"):
         Partition([3, 0, 2])
     with pytest.raises(NonMonotoneError):
         Partition([3, -1])
@@ -99,5 +103,5 @@ def test_serialization():
 
 def test_ordering_and_hash():
     a, b = Partition([2, 1]), Partition([2, 1])
-    assert a == b and hash(a) == hash(b)
+    assert a == b and hash(a) == hash(b) and not a < b
     assert Partition([1]) < Partition([2]) < Partition([2, 1])

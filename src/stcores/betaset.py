@@ -8,9 +8,10 @@ pair encodes a partition exactly when |members| = |gaps| (total charge 0).
 Unequal sizes encode a general "good" set, which several operations here
 (charge, pushes, hook counts, s-sets) accept as well.
 
-Bead positions are read one way, through ``_beads``: below lo = min(gaps)
-(0 without gaps) every position is a bead, and a finite set holds the beads
-at or above lo.  The a-coordinates of an s-core come from its charge.
+``BetaSet.__contains__`` tests one position.  ``_beads`` lists every bead for
+set operations: below lo = min(gaps) (0 without gaps) every position is a
+bead, and a finite set holds the beads at or above lo.  The a-coordinates of
+an s-core come from its charge.
 
 Residue classes are always taken with the nonnegative convention, i.e.
 ``x % s`` lies in 0..s-1 even for negative x, matching Python's ``%``.

@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 tools/mutants.py src/stcores/betaset.py [--sample N] [--seed S]
+    python3 tools/mutants.py src/stcores/betaset.py
 
 Each mutant swaps one operator of the module: + and -, < and <=, > and >=,
 == and !=.  Mutants are written one at a time into a temporary copy of the
@@ -10,10 +10,10 @@ checkout that holds the module (its ``src``, ``tests`` and
 ``pyproject.toml``).  A mutant is killed when ``cores verify`` exits or
 prints otherwise than with the unmutated module, else when the module's own
 tests (``tests/test_<module>.py``) fail, or when either run exceeds
-``--timeout`` seconds.  The survivors are printed with their lines, then
-the score.  ``--sample N`` runs N mutants drawn with ``--seed``; the default
-runs every one.  Standard library only, and not part of the test suite: a
-mutant takes about 4 s.
+``TIMEOUT_S`` seconds (a mutant may loop forever).  Every mutant is run, in
+a fixed order; the survivors are printed with their lines, then the score.
+Standard library only, and not part of the test suite: a mutant takes about
+4 s.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ from __future__ import annotations
 import argparse
 import ast
 import os
-import random
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+TIMEOUT_S = 60.0
 
 SWAPS = {
     ast.Add: ast.Sub, ast.Sub: ast.Add,
@@ -61,10 +62,10 @@ def mutate(source: str, k: int) -> tuple[str, int, str]:
     return ast.unparse(tree), node.lineno, f"{type(old).__name__} -> {type(new).__name__}"
 
 
-def run(argv: list[str], cwd: Path, timeout: float) -> tuple[int, str]:
+def run(argv: list[str], cwd: Path) -> tuple[int, str]:
     env = dict(os.environ, PYTHONPATH=str(cwd / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
-        res = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout)
+        res = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return -1, "timeout"
     return res.returncode, res.stdout
@@ -73,18 +74,13 @@ def run(argv: list[str], cwd: Path, timeout: float) -> tuple[int, str]:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("module", type=Path, help="path to src/stcores/<module>.py in a checkout")
-    ap.add_argument("--sample", type=int, default=0, help="run this many mutants (default: all)")
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--timeout", type=float, default=60.0, help="seconds per run")
     args = ap.parse_args()
 
     module = args.module.resolve()
     root = module.parents[2]
     source = module.read_text()
     lines = source.splitlines()
-    ks = list(range(len(sites(ast.parse(source)))))
-    if 0 < args.sample < len(ks):
-        ks = sorted(random.Random(args.seed).sample(ks, args.sample))
+    ks = range(len(sites(ast.parse(source))))
 
     verify = [sys.executable, "-m", "stcores.cli", "verify"]
     tests = Path("tests") / f"test_{module.stem}.py"
@@ -105,8 +101,8 @@ def main() -> int:
         target = work / module.relative_to(root)
         has_tests = (work / tests).exists()
 
-        want = run(verify, work, args.timeout)
-        if want[0] != 0 or (has_tests and run(pytest, work, args.timeout)[0] != 0):
+        want = run(verify, work)
+        if want[0] != 0 or (has_tests and run(pytest, work)[0] != 0):
             print("the unmutated module fails verify or its tests", file=sys.stderr)
             return 1
 
@@ -114,8 +110,8 @@ def main() -> int:
         for k in ks:
             mutant, line, swap = mutate(source, k)
             target.write_text(mutant)
-            killed = run(verify, work, args.timeout) != want or (
-                has_tests and run(pytest, work, args.timeout)[0] != 0
+            killed = run(verify, work) != want or (
+                has_tests and run(pytest, work)[0] != 0
             )
             if not killed:
                 survivors.append(f"{module.name}:{line}: {swap}: {lines[line - 1].strip()}")

@@ -4,115 +4,56 @@ Partitions, beta-sets (the abacus), charge/a/z/u coordinate systems,
 exhaustive enumeration of (s,t)-cores and their self-conjugate and
 arithmetic-progression variants, and exact weighted size statistics,
 all backed by independent brute-force cross-checks.
+
+``import stcores`` loads no submodule: each public name is imported from its
+home module on first use, so that a command loads only the modules it runs
+(``cores count`` and ``cores avg`` start without the coordinate classes).
 """
 
-from .betaset import (
-    ATuple,
-    BetaSet,
-    CTuple,
-    a_coords,
-    beta_from_partition,
-    charge,
-    conjugate_beta,
-    hook_count,
-    is_s_core,
-    partition_from_a,
-    partition_from_beta,
-    random_s_core,
-    s_push,
-    s_set,
-    size_from_a,
-    t_core,
-)
-from .coords import (
-    UTuple,
-    ZTuple,
-    a_to_z,
-    is_self_conjugate_a,
-    is_st_core_a,
-    shift_constant,
-    u_to_z,
-    z_to_a,
-    z_to_u,
-)
-from .enumeration import (
-    CoreRecord,
-    canonical_cyclic_rep,
-    count_sc,
-    count_st,
-    count_triple,
-    enum_sc_st_cores,
-    enum_st_cores,
-    enum_triple_asym,
-    enum_triple_sym,
-    iter_sc_st_cores,
-    iter_st_cores,
-    iter_triple_asym,
-    iter_triple_sym,
-    iter_weak_compositions,
-)
-from .errors import (
-    CapExceededError,
-    CoreError,
-    InvalidSSetError,
-    InvalidZError,
-    InvariantError,
-    NegativeEntryError,
-    NonMonotoneError,
-    NonzeroChargeError,
-    NotACoreError,
-    NotCoprimeError,
-    NotSymmetricError,
-    OutOfDiagramError,
-    ParityError,
-    TooLargeError,
-)
-from .partition import Partition
+from importlib import import_module
 
-# ``stats`` (with ``fractions``) and the oracle, the largest module, are
-# imported on first use of one of their names, so that work which needs
-# neither (``cores enum``, ``count``, ``convert``, ``tcore``) does not load
-# them at each start.
-_LAZY = {
-    "stats": (
-        "IdentityReport",
-        "attach_stabilizers",
-        "average_size",
-        "check_average",
-        "expected_average",
-        "moment_sum",
-        "size_from_c",
-        "stab_size",
-        "stab_size_sc",
-        "verify_cyclic_sum_identities",
-    ),
-    "oracle": (
-        "VerifyReport",
-        "brute_st_cores",
-        "brute_stab_count",
-        "enum_partitions_up_to",
-        "motzkin_number",
-        "run_verify_suite",
-        "s_set_of",
-    ),
+# Every public name and the module that defines it, in the order of
+# ``__all__``.  A name that is its own home is that submodule.
+_HOME = {
+    "ATuple": "betaset", "BetaSet": "betaset", "CTuple": "betaset", "CapExceededError": "errors",
+    "CoreError": "errors", "CoreRecord": "enumeration", "IdentityReport": "oracle",
+    "InvalidSSetError": "errors", "InvalidZError": "errors", "InvariantError": "errors",
+    "NegativeEntryError": "errors", "NonMonotoneError": "errors", "NonzeroChargeError": "errors",
+    "NotACoreError": "errors", "NotCoprimeError": "errors", "NotSymmetricError": "errors",
+    "OutOfDiagramError": "errors", "ParityError": "errors", "Partition": "partition",
+    "TooLargeError": "errors", "UTuple": "coords", "ZTuple": "coords", "a_coords": "betaset",
+    "a_to_z": "coords", "attach_stabilizers": "enumeration", "average_size": "stats",
+    "beta_from_partition": "betaset", "betaset": "betaset", "canonical_cyclic_rep": "enumeration",
+    "charge": "betaset", "check_average": "oracle", "conjugate_beta": "betaset", "coords": "coords",
+    "count_sc": "formulas", "count_st": "formulas", "count_triple": "formulas",
+    "enum_sc_st_cores": "enumeration", "enum_st_cores": "enumeration",
+    "enum_triple_asym": "enumeration", "enum_triple_sym": "enumeration",
+    "enumeration": "enumeration", "errors": "errors", "expected_average": "stats",
+    "hook_count": "betaset", "is_s_core": "betaset", "is_self_conjugate_a": "coords",
+    "is_st_core_a": "coords", "iter_sc_st_cores": "enumeration", "iter_st_cores": "enumeration",
+    "iter_triple_asym": "enumeration", "iter_triple_sym": "enumeration",
+    "iter_weak_compositions": "enumeration", "moment_sum": "stats", "partition": "partition",
+    "partition_from_a": "betaset", "partition_from_beta": "betaset", "random_s_core": "betaset",
+    "s_push": "betaset", "s_set": "betaset", "shift_constant": "coords", "size_from_a": "betaset",
+    "size_from_c": "stats", "stab_size": "coords", "stab_size_sc": "coords", "stats": "stats",
+    "t_core": "betaset", "u_to_z": "coords", "verify_cyclic_sum_identities": "oracle",
+    "z_to_a": "coords", "z_to_u": "coords", "VerifyReport": "oracle", "brute_st_cores": "oracle",
+    "brute_stab_count": "oracle", "enum_partitions_up_to": "oracle", "motzkin_number": "oracle",
+    "run_verify_suite": "oracle", "s_set_of": "oracle",
 }
-_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 
 def __getattr__(name: str):
-    from importlib import import_module
-
-    if name == "stats":
-        return import_module(".stats", __name__)
-    module = _HOME.get(name)
-    if module is None:
+    home = _HOME.get(name)
+    if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{module}", __name__), name)
+    module = import_module(f".{home}", __name__)
+    return module if home == name else getattr(module, name)
 
 
-# The same list as with eager imports: the loaded names, the stats submodule
-# and its names in sorted order, then the oracle names.
-__all__ = sorted(
-    [name for name in dir() if not name.startswith("_")] + ["stats", *_LAZY["stats"]]
-) + list(_LAZY["oracle"])
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})
+
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"

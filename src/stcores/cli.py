@@ -14,7 +14,6 @@ import argparse
 import os
 import sys
 
-from . import betaset, enumeration
 from .errors import UsageError
 
 
@@ -58,21 +57,25 @@ def _emit_records(records, fmt: str, out) -> None:
 
 
 def cmd_count(args) -> int:
+    from . import formulas
+
     params = args.params
     if params and params[0] == "triple":
         if len(params) != 3 or args.self_conjugate:
             raise UsageError("usage: cores count triple <m> <d>")
         m, d = _as_int(params[1], "m"), _as_int(params[2], "d")
-        print(enumeration.count_triple(m, d))
+        print(formulas.count_triple(m, d))
         return 0
     if len(params) != 2:
         raise UsageError("usage: cores count <s> <t> [--self-conjugate]")
     s, t = _as_int(params[0], "s"), _as_int(params[1], "t")
-    print((enumeration.count_sc if args.self_conjugate else enumeration.count_st)(s, t))
+    print((formulas.count_sc if args.self_conjugate else formulas.count_st)(s, t))
     return 0
 
 
 def cmd_enum(args) -> int:
+    from . import enumeration
+
     if args.triple is not None:
         if args.params or args.self_conjugate:
             raise UsageError("--triple takes no positional s t and no --self-conjugate")
@@ -88,9 +91,7 @@ def cmd_enum(args) -> int:
         s, t = _as_int(args.params[0], "s"), _as_int(args.params[1], "t")
         records = (enumeration.iter_sc_st_cores if args.self_conjugate else enumeration.iter_st_cores)(s, t)
         if args.with_stab:
-            from . import stats
-
-            records = stats.attach_stabilizers(records, self_conjugate=args.self_conjugate)
+            records = enumeration.attach_stabilizers(records, self_conjugate=args.self_conjugate)
     _emit_records(records, args.format, sys.stdout)
     return 0
 
@@ -112,6 +113,7 @@ def cmd_avg(args) -> int:
 
 
 def cmd_tcore(args) -> int:
+    from . import betaset
     from .convert import parse_partition
 
     print(_compact_json(betaset.t_core(parse_partition(args.partition), args.t).to_json()))

@@ -12,13 +12,16 @@ with every z_j >= 0.  All divisions are exact by construction; a remainder
 means corrupted invariants and raises InvariantError.
 
 The inverse map reads a off the prefix sums P_l = z_0 + ... + z_{l-1}
-(:func:`_x`, :func:`_a_from_prefix`).  The enumerated records and the
-dynamic program of :mod:`stcores.stats` use the same identities, and
-:func:`a_to_z`, which reads differences of a, is the independent check on
-them.
+(:func:`~stcores.formulas._x`, :func:`_a_from_prefix`).  The enumerated
+records and the dynamic program of :mod:`stcores.stats` use the same
+identities, and :func:`a_to_z`, which reads differences of a, is the
+independent check on them.
 
 u-coordinates fold the symmetric z-tuples (z_i = z_{-i}) of self-conjugate
 cores down to floor(t/2) + 1 entries summing to floor(s/2).
+
+The stabilizer orders behind the weighted averages are products of
+factorials of these coordinates (:func:`stab_size`, :func:`stab_size_sc`).
 """
 
 from __future__ import annotations
@@ -33,17 +36,13 @@ from .betaset import ATuple
 from .errors import (
     InvalidZError,
     InvariantError,
+    NegativeEntryError,
     NotCoprimeError,
     NotSymmetricError,
     ParityError,
 )
-
-
-def _require_coprime(s: int, t: int) -> None:
-    if s < 1 or t < 1:
-        raise ValueError(f"moduli must be >= 1, got {s} and {t}")
-    if math.gcd(s, t) != 1:
-        raise NotCoprimeError(f"{s} and {t} must be coprime")
+# The size form of the prefix sums, shared with the records and the DP.
+from .formulas import _require_coprime, _x
 
 
 def shift_constant(s: int, t: int) -> int:
@@ -129,24 +128,6 @@ def a_to_z(a: ATuple, s: int) -> ZTuple:
     return ZTuple(t, s, tuple(z))
 
 
-def _x(s: int, t: int, l: int, p: int) -> int:
-    """x_l = (2l - t + 1)s - 2t P_l, for the prefix sum P_l = z_0 + ... + z_{l-1}.
-
-    With S = P_0 + ... + P_{t-1}, the a-coordinates are
-    2a_{(k + ls) mod t} = x_l + 2S + t - 1, so that
-
-        24t |core| = 3 sum_l x_l^2 - 12t S^2 - t(t^2 - 1)
-
-    (:func:`_scaled_size`).
-    """
-    return (2 * l - t + 1) * s - 2 * t * p
-
-
-def _scaled_size(t: int, S: int, g: int) -> int:
-    """24t |core| of the t-core with g = sum_l x_l^2 and S = sum_l P_l."""
-    return 3 * g - 12 * t * S * S - t * (t * t - 1)
-
-
 def _a_layout(s: int, t: int, k: int) -> list[tuple[int, int]]:
     """The per-(s,t) index layout of :func:`_a_from_prefix`: for each
     a-index i, the level l with (k + ls) mod t = i and x_l at P_l = 0."""
@@ -159,8 +140,9 @@ def _a_layout(s: int, t: int, k: int) -> list[tuple[int, int]]:
 def _a_from_prefix(layout: list[tuple[int, int]], prefix: list[int], S: int) -> tuple[list[int], tuple[int, ...]]:
     """The x_l and the a-coordinates of the t-core whose z has the prefix
     sums ``prefix`` (P_0..P_t) and S = P_0 + ... + P_{t-1}, both listed by
-    a-index: 2a_{(k + ls) mod t} = x_l + 2S + t - 1 (:func:`_x`).  The sum
-    is even whenever k = (s+1)(t-1)/2 is an integer."""
+    a-index: 2a_{(k + ls) mod t} = x_l + 2S + t - 1
+    (:func:`~stcores.formulas._x`).  The sum is even whenever
+    k = (s+1)(t-1)/2 is an integer."""
     t = len(layout)
     tt = 2 * t
     x = [x0 - tt * prefix[l] for x0, l in layout]
@@ -227,3 +209,20 @@ def _unfold(t: int, s: int, u: Sequence[int]) -> tuple[int, ...]:
 def u_to_z(u: UTuple) -> ZTuple:
     """Unfold u-coordinates; exact inverse of :func:`z_to_u`."""
     return ZTuple(u.t, u.s, _unfold(u.t, u.s, u.u))
+
+
+def stab_size(z: ZTuple) -> int:
+    """Stabilizer order of an s-core under the residue-preserving action:
+    the product of the factorials of its z-coordinates."""
+    if not z.is_nonnegative():
+        raise NegativeEntryError("stabilizer formula needs z >= 0 (an (s,t)-core)")
+    return math.prod(map(math.factorial, z.z))
+
+
+def stab_size_sc(u: UTuple) -> int:
+    """Self-conjugate stabilizer order: 2^{u_0} * prod u_i! for odd t,
+    2^{u_0 + u_{t'}} * prod u_i! for even t."""
+    if not u.is_nonnegative():
+        raise NegativeEntryError("stabilizer formula needs u >= 0")
+    twos = u.u[0] if u.t % 2 == 1 else u.u[0] + u.u[-1]
+    return math.prod(map(math.factorial, u.u)) << twos

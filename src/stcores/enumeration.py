@@ -1,4 +1,4 @@
-"""Exhaustive generation of (s,t)-cores and friends, plus closed-form counts.
+"""Exhaustive generation of (s,t)-cores and friends, with their stabilizers.
 
 For coprime s, t the (s,t)-cores correspond to the nonnegative integer
 tuples z of length t with sum s and sum(j * z_j) = 0 mod t.  The
@@ -13,22 +13,24 @@ Each record is built from the prefix sums P_l = z_0 + ... + z_{l-1}
 (:func:`_records`) by the one z -> a step of :mod:`stcores.coords`, which
 :func:`~stcores.coords.z_to_a` takes too: the a-coordinates are affine in
 P_l and the size is a quadratic form in P_l
-(:func:`~stcores.coords._x`), the same form the dynamic program of
+(:func:`~stcores.formulas._x`), the same form the dynamic program of
 :mod:`stcores.stats` sums.  The records are tested against the forward
 map :func:`~stcores.coords.a_to_z`, which reads differences of a, and
 against :func:`~stcores.betaset.size_from_a`.
 
 Each cyclic rotation orbit of a weak composition holds exactly one tuple
 with the congruence (:func:`canonical_cyclic_rep`): hence the counting
-formulas, and the division by t in :mod:`stcores.stats`.
+formulas of :mod:`stcores.formulas`, and the division by t in
+:mod:`stcores.stats`.
 
 The ``iter_*`` functions stream records lazily, in lexicographic order of
 z; the ``enum_*`` wrappers collect them into lists.
+:func:`attach_stabilizers` fills in each record's stabilizer order from
+:func:`~stcores.coords.stab_size` or :func:`~stcores.coords.stab_size_sc`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import accumulate, combinations_with_replacement
@@ -37,8 +39,9 @@ from typing import Iterable, Iterator, Sequence
 
 from . import coords
 from .betaset import ATuple, partition_from_a
-from .coords import ZTuple, _require_coprime, _scaled_size, _unfold, shift_constant
-from .errors import CoreError, InvariantError
+from .coords import ZTuple, _unfold, shift_constant
+from .errors import InvariantError
+from .formulas import _require_coprime, _scaled_size
 from .partition import Partition
 
 
@@ -78,11 +81,23 @@ class CoreRecord:
         return d
 
 
+def _stab(rec: CoreRecord, self_conjugate: bool) -> int:
+    """The stabilizer order of a record, by the formula of its family."""
+    return coords.stab_size_sc(coords.z_to_u(rec.z)) if self_conjugate else coords.stab_size(rec.z)
+
+
+def attach_stabilizers(records: Iterable[CoreRecord], self_conjugate: bool = False) -> Iterator[CoreRecord]:
+    """Lazily fill the ``stab`` field of each record (self-conjugate records
+    get the symmetric-action stabilizer computed from their u-coordinates)."""
+    for r in records:
+        yield r.with_stab(_stab(r, self_conjugate))
+
+
 def _records(s: int, t: int, zs: Iterable[tuple[int, ...]]) -> Iterator[CoreRecord]:
     """The record of each t-core z in ``zs`` (raw tuples with sum s): its
     a-coordinates read off the prefix sums by
     :func:`~stcores.coords._a_from_prefix` and its size by
-    :func:`~stcores.coords._scaled_size`, in O(t) operations.
+    :func:`~stcores.formulas._scaled_size`, in O(t) operations.
 
     Each record is validated once, here, on values the leaf already holds,
     and any failure raises InvariantError.  The z checks of ZTuple: t + 1
@@ -287,41 +302,3 @@ def iter_triple_asym(m: int, d: int) -> Iterator[CoreRecord]:
 
 def enum_triple_asym(m: int, d: int) -> list[CoreRecord]:
     return list(iter_triple_asym(m, d))
-
-
-def count_st(s: int, t: int) -> int:
-    """Number of (s,t)-cores: C(s+t, t) / (s+t)."""
-    _require_coprime(s, t)
-    num = math.comb(s + t, t)
-    if num % (s + t):
-        raise CoreError(f"C({s + t}, {t}) is not divisible by {s + t}")
-    return num // (s + t)
-
-
-def count_sc(s: int, t: int) -> int:
-    """Number of self-conjugate (s,t)-cores: C(floor(s/2)+floor(t/2), floor(t/2))."""
-    _require_coprime(s, t)
-    return math.comb(s // 2 + t // 2, t // 2)
-
-
-def multinomial(n: int, ks: Sequence[int]) -> int:
-    """n! / prod(k_i!) for a weak composition of n."""
-    out = 1
-    rem = n
-    for v in ks:
-        out *= math.comb(rem, v)
-        rem -= v
-    if rem:
-        raise CoreError(f"parts {tuple(ks)} do not sum to {n}")
-    return out
-
-
-def count_triple(m: int, d: int) -> int:
-    """Number of (m, m+d, m+2d)-cores:
-    (1/(m+d)) * sum_i multinom(m+d; i, i+d, m-2i)."""
-    _require_coprime(m, d)
-    t = m + d
-    total = sum(multinomial(t, (i, i + d, m - 2 * i)) for i in range(m // 2 + 1))
-    if total % t:
-        raise CoreError(f"multinomial sum {total} is not divisible by {t}")
-    return total // t

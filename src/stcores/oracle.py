@@ -7,6 +7,8 @@ never on the abacus or coordinate internals, so agreement with the library
 paths is meaningful evidence.  :func:`enumerated_moment_sums` visits every
 enumerated core and is the reference for the dynamic program behind
 :func:`stcores.stats.moment_sum` and :func:`stcores.stats.average_size`.
+:func:`check_average` and :func:`verify_cyclic_sum_identities` put each
+side of a closed form into an :class:`IdentityReport`.
 
 :func:`run_verify_suite` executes every structural invariant of the package
 at a requested scale and returns one report per check.  A check is a row
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from . import betaset, coords, enumeration, errors, stats
+from . import betaset, coords, enumeration, errors, formulas, stats
 from .partition import Partition
 
 PARTITION_CAP = 40
@@ -149,7 +151,7 @@ def motzkin_number(n: int) -> int:
 
 def _scaled_inverse_stab(rec: enumeration.CoreRecord, scale: int, self_conjugate: bool) -> int:
     """D / stab(rec), exactly (InvariantError if stab does not divide D)."""
-    w, rem = divmod(scale, stats._stab(rec, self_conjugate))
+    w, rem = divmod(scale, enumeration._stab(rec, self_conjugate))
     if rem:
         raise errors.InvariantError(f"stabilizer of z={rec.z.z} does not divide {scale}")
     return w
@@ -169,6 +171,74 @@ def enumerated_moment_sums(
         for r in range(e + 1):
             sums[r] += w * rec.size**r
     return [Fraction(v, scale) for v in sums]
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    """Both sides of one checked identity, plus enough context to rerun it."""
+
+    name: str
+    params: dict
+    lhs: Fraction
+    rhs: Fraction
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs == self.rhs
+
+
+def check_average(s: int, t: int, weighted: bool = False, self_conjugate: bool = False) -> IdentityReport:
+    name = ("weighted-" if weighted else "") + ("sc-" if self_conjugate else "") + "average-size"
+    return IdentityReport(
+        name=name,
+        params={"s": s, "t": t},
+        lhs=stats.average_size(s, t, weighted, self_conjugate),
+        rhs=stats.expected_average(s, t, weighted, self_conjugate),
+    )
+
+
+def verify_cyclic_sum_identities(s: int, t: int) -> list[IdentityReport]:
+    """Evaluate the seven special cyclic sums over the (s,t)-core z-tuples
+    by enumeration and compare with the closed forms, exactly.
+
+    Exponential family (f carries the multinomial weight s!/prod(z_j!)):
+      constant  -> t^s / t
+      linear    -> s t^(s-1) / t        for f = multinom * (1/t) sum z_i
+      quadratic -> s(s-1) t^(s-2) / t   for (1/t) sum z_i(z_i-1), and equally
+                                        for (1/t) sum z_i z_{i+r}, r != 0
+
+    Ordinary family (no weight):
+      constant       -> C(s+t-1, t-1) / t
+      linear         -> C(s+t-1, t)   / t
+      square quad    -> 2 C(s+t-1, t+1) / t
+      mixed quad     -> C(s+t-1, t+1) / t   for each r != 0 mod t
+    """
+    formulas._require_coprime(s, t)
+    zs = [rec.z.z for rec in enumeration.iter_st_cores(s, t)]
+
+    def rot_products(r: int):
+        return lambda z: sum(a * b for a, b in zip(z, z[r:] + z[:r]))
+
+    quad = s * (s - 1) * t ** max(s - 2, 0)  # s(s-1) vanishes for s = 1
+    mixed = math.comb(s + t - 1, t + 1)
+    # (name, extra params, integer statistic of z, t * exponential rhs, t * ordinary rhs)
+    rows = [
+        ("constant", {}, lambda z: t, t**s, math.comb(s + t - 1, t - 1)),
+        ("linear", {}, sum, s * t ** (s - 1), math.comb(s + t - 1, t)),
+        ("quadratic-square", {}, lambda z: sum(v * (v - 1) for v in z), quad, 2 * mixed),
+        *(("quadratic-mixed", {"r": r}, rot_products(r), quad, mixed) for r in range(1, t)),
+    ]
+    families = (("exp", [formulas.multinomial(s, z) for z in zs]), ("ord", [1] * len(zs)))
+    return [
+        IdentityReport(
+            f"{family}-{name}",
+            {"s": s, "t": t, **extra},
+            Fraction(sum(w * stat(z) for w, z in zip(weights, zs)), t),
+            Fraction(rhs[k], t),
+        )
+        for k, (family, weights) in enumerate(families)
+        for name, extra, stat, *rhs in rows
+    ]
 
 
 def _residue_multiset(values: Iterable[int], t: int) -> tuple[tuple[int, int], ...]:
@@ -319,9 +389,9 @@ def _sc_transfer_witness(s: int, t: int, p: Partition) -> str | None:
 
 
 def _count_witness(s: int, t: int) -> str | None:
-    if len(enumeration.enum_st_cores(s, t)) != enumeration.count_st(s, t):
+    if len(enumeration.enum_st_cores(s, t)) != formulas.count_st(s, t):
         return f"(s,t)=({s},{t}) general count"
-    if len(enumeration.enum_sc_st_cores(s, t)) != enumeration.count_sc(s, t):
+    if len(enumeration.enum_sc_st_cores(s, t)) != formulas.count_sc(s, t):
         return f"(s,t)=({s},{t}) self-conjugate count"
     return None
 
@@ -347,7 +417,7 @@ def _triple_witness(m: int, d: int) -> str | None:
     # This check sets the peak memory of a default verify run, so it keeps
     # one set of parts tuples: each sym partition is checked for divisible
     # hooks as it arrives, and each asym one is discarded from the set.
-    want = enumeration.count_triple(m, d)
+    want = formulas.count_triple(m, d)
     moduli = (m, m + d, m + 2 * d)
     sym_parts: set[tuple[int, ...]] = set()
     n_sym = 0
@@ -370,7 +440,7 @@ def _triple_witness(m: int, d: int) -> str | None:
 def _average_witness(weighted: bool, self_conjugate: bool, s: int, t: int) -> str | None:
     # The average alone would miss a DP that sums each cyclic orbit of
     # compositions instead of its one core: that scales both moments by t.
-    rep = stats.check_average(s, t, weighted, self_conjugate)
+    rep = check_average(s, t, weighted, self_conjugate)
     mass = stats.moment_sum(s, t, 0, weighted, self_conjugate)
     ref_mass, ref_first = enumerated_moment_sums(s, t, 1, weighted, self_conjugate)
     if rep.passed and (mass, rep.lhs) == (ref_mass, ref_first / ref_mass):
@@ -389,7 +459,7 @@ def _asymmetry_witness() -> str | None:
 
 def _stab_witness(s: int, t: int, self_conjugate: bool, rec: enumeration.CoreRecord) -> str | None:
     sset = s_set_of(rec.partition, s)
-    if stats._stab(rec, self_conjugate) != brute_stab_count(sset, t, s, self_conjugate=self_conjugate):
+    if enumeration._stab(rec, self_conjugate) != brute_stab_count(sset, t, s, self_conjugate=self_conjugate):
         return f"(s,t)=({s},{t}), p={rec.partition.parts}" + (" (sc)" if self_conjugate else "")
     return None
 
@@ -559,7 +629,7 @@ def run_verify_suite(
          ((m, d) for m in range(1, sum12) for d in range(1, sum12 - m + 1) if math.gcd(m, d) == 1),
          _triple_witness),
         ("motzkin-column", {"m_max": sum12}, ((m,) for m in range(1, sum12 + 1)),
-         lambda m: f"m={m}" if enumeration.count_triple(m, 1) != motzkin_number(m) else None),
+         lambda m: f"m={m}" if formulas.count_triple(m, 1) != motzkin_number(m) else None),
         # --- stats module -----------------------------------------------
         *(
             (f"average-size-{'weighted' if weighted else 'unweighted'}-{'sc' if self_conjugate else 'general'}",
@@ -578,7 +648,7 @@ def run_verify_suite(
          _size_witness),
         ("oracle-enumeration-equivalence", {"pairs_run": len(oracle_pairs)}, oracle_pairs, _oracle_witness),
         ("cyclic-sum-identities", {"sum_max": sum14},
-         ((s, t, rep) for s, t in coprime_pairs(sum14) for rep in stats.verify_cyclic_sum_identities(s, t)),
+         ((s, t, rep) for s, t in coprime_pairs(sum14) for rep in verify_cyclic_sum_identities(s, t)),
          lambda s, t, rep: None if rep.passed else f"{rep.name} at (s,t)=({s},{t}): {rep.lhs} != {rep.rhs}"),
     ]
     return [_run_check(*row) for row in rows]

@@ -1,35 +1,37 @@
-"""Exact sizes, stabilizer orders, weighted averages, and identity checks.
+"""Exact average sizes and moment sums of the (s,t)-cores, by one dynamic
+program, with their closed forms.
 
 All statistics are exact: sizes are integers, averages are
 ``fractions.Fraction`` values (arbitrary precision, always reduced), and
 every comparison against a closed form is an equality test, never a
-tolerance.
+tolerance.  The module imports only :mod:`math`, :mod:`fractions`, the
+errors and the integer forms of :mod:`stcores.formulas`, so ``cores avg``
+builds no coordinate object.
 
 Averages and moment sums visit no core.  One dynamic program over the
 prefix sums P_l sums every weak composition z of s, core or not, and
 divides by t: the t rotations of z share its size, a quadratic form in P_l,
 and its weight D/stab, a product of binomials, and one of them is a core.
 That is O(s^2 t e^2) integer operations for the moments up to e, for
-self-conjugate cores too.  The sum over every enumerated core is kept in
-:mod:`stcores.oracle` as the reference it is checked against.
+self-conjugate cores too.  The sum over every enumerated core, weighted
+by the stabilizer orders of :mod:`stcores.coords`, is kept in
+:mod:`stcores.oracle` as the reference it is checked against, with the
+identity reports of :func:`~stcores.oracle.check_average`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
 
-from .betaset import CTuple
+from .errors import InvariantError, NonzeroChargeError
 # The size identity of the prefix sums, shared with z_to_a and the records.
-from .coords import UTuple, ZTuple, _require_coprime, _x, z_to_u
-from .enumeration import CoreRecord, iter_st_cores, multinomial
-from .errors import InvariantError, NegativeEntryError, NonzeroChargeError
+from .formulas import _require_coprime, _x
 
 
-def size_from_c(c: CTuple) -> int:
-    """Size of the t-core with these charge coordinates:
+def size_from_c(c) -> int:
+    """Size of the t-core with the charge coordinates c, a
+    :class:`~stcores.betaset.CTuple`:
 
         |core| = sum_i ( (t/2) c_i^2 - ((t-1)/2 - i) c_i ),
 
@@ -47,38 +49,10 @@ def size_from_c(c: CTuple) -> int:
     return int(total)
 
 
-def stab_size(z: ZTuple) -> int:
-    """Stabilizer order of an s-core under the residue-preserving action:
-    the product of the factorials of its z-coordinates."""
-    if not z.is_nonnegative():
-        raise NegativeEntryError("stabilizer formula needs z >= 0 (an (s,t)-core)")
-    return math.prod(map(math.factorial, z.z))
-
-
-def stab_size_sc(u: UTuple) -> int:
-    """Self-conjugate stabilizer order: 2^{u_0} * prod u_i! for odd t,
-    2^{u_0 + u_{t'}} * prod u_i! for even t."""
-    if not u.is_nonnegative():
-        raise NegativeEntryError("stabilizer formula needs u >= 0")
-    twos = u.u[0] if u.t % 2 == 1 else u.u[0] + u.u[-1]
-    return math.prod(map(math.factorial, u.u)) << twos
-
-
-def _stab(rec: CoreRecord, self_conjugate: bool) -> int:
-    return stab_size_sc(z_to_u(rec.z)) if self_conjugate else stab_size(rec.z)
-
-
 def _weight_denominator(s: int, self_conjugate: bool) -> int:
     """D = s!, or s'! 2^{s'} with s' = floor(s/2) for self-conjugate cores:
     every stabilizer divides D, so 1/stab = (D/stab) / D."""
     return math.factorial(s // 2) << (s // 2) if self_conjugate else math.factorial(s)
-
-
-def attach_stabilizers(records: Iterable[CoreRecord], self_conjugate: bool = False) -> Iterator[CoreRecord]:
-    """Lazily fill the ``stab`` field of each record (self-conjugate records
-    get the symmetric-action stabilizer computed from their u-coordinates)."""
-    for r in records:
-        yield r.with_stab(_stab(r, self_conjugate))
 
 
 def _axpy(acc: list[list[int]] | None, w: int, sums: list[list[int]]) -> list[list[int]]:
@@ -103,7 +77,7 @@ def _moved(sums: list[list[int]], g: int, d: int) -> list[list[int]]:
     return sums
 
 
-def _path_sums(init: list, levels: Iterable[int], step: Callable, add: Callable, last: Callable) -> list[list[int]]:
+def _path_sums(init: list, levels: range, step, add, last) -> list[list[int]]:
     """sums[a][b] = sum of w * G^a * S^b over the lattice paths
     q_0 <= q_1 <= ... < len(init) that start from the cells init[q_0]
     (None: no path starts at q_0).  At each level l the step q -> r
@@ -171,7 +145,7 @@ def _scaled_moments(s: int, t: int, e: int, weighted: bool, self_conjugate: bool
     """sum of w * (24t |core|)^r for r = 0..e, with w = D/stab or w = 1."""
     _require_coprime(s, t)
     sums, orbit = (_sc_sums if self_conjugate else _general_sums)(s, t, e, weighted)
-    # 24t |core| = 3G - 12t S^2 - t(t^2 - 1) (coords._scaled_size), so its
+    # 24t |core| = 3G - 12t S^2 - t(t^2 - 1) (formulas._scaled_size), so its
     # r-th power is a trinomial sum over the sums of w * G^i * S^(2j)
     cg, cs, c = 3, -12 * t, -t * (t * t - 1)
     out = []
@@ -216,71 +190,3 @@ def moment_sum(s: int, t: int, e: int, weighted: bool = False, self_conjugate: b
     num = _scaled_moments(s, t, e, weighted, self_conjugate)[e]
     scale = _weight_denominator(s, self_conjugate) if weighted else 1
     return Fraction(num, scale * (24 * t) ** e)
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Both sides of one checked identity, plus enough context to rerun it."""
-
-    name: str
-    params: dict
-    lhs: Fraction
-    rhs: Fraction
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def check_average(s: int, t: int, weighted: bool = False, self_conjugate: bool = False) -> IdentityReport:
-    name = ("weighted-" if weighted else "") + ("sc-" if self_conjugate else "") + "average-size"
-    return IdentityReport(
-        name=name,
-        params={"s": s, "t": t},
-        lhs=average_size(s, t, weighted, self_conjugate),
-        rhs=expected_average(s, t, weighted, self_conjugate),
-    )
-
-
-def verify_cyclic_sum_identities(s: int, t: int) -> list[IdentityReport]:
-    """Evaluate the seven special cyclic sums over the (s,t)-core z-tuples
-    by enumeration and compare with the closed forms, exactly.
-
-    Exponential family (f carries the multinomial weight s!/prod(z_j!)):
-      constant  -> t^s / t
-      linear    -> s t^(s-1) / t        for f = multinom * (1/t) sum z_i
-      quadratic -> s(s-1) t^(s-2) / t   for (1/t) sum z_i(z_i-1), and equally
-                                        for (1/t) sum z_i z_{i+r}, r != 0
-
-    Ordinary family (no weight):
-      constant       -> C(s+t-1, t-1) / t
-      linear         -> C(s+t-1, t)   / t
-      square quad    -> 2 C(s+t-1, t+1) / t
-      mixed quad     -> C(s+t-1, t+1) / t   for each r != 0 mod t
-    """
-    _require_coprime(s, t)
-    zs = [rec.z.z for rec in iter_st_cores(s, t)]
-
-    def rot_products(r: int):
-        return lambda z: sum(a * b for a, b in zip(z, z[r:] + z[:r]))
-
-    quad = s * (s - 1) * t ** max(s - 2, 0)  # s(s-1) vanishes for s = 1
-    mixed = math.comb(s + t - 1, t + 1)
-    # (name, extra params, integer statistic of z, t * exponential rhs, t * ordinary rhs)
-    rows = [
-        ("constant", {}, lambda z: t, t**s, math.comb(s + t - 1, t - 1)),
-        ("linear", {}, sum, s * t ** (s - 1), math.comb(s + t - 1, t)),
-        ("quadratic-square", {}, lambda z: sum(v * (v - 1) for v in z), quad, 2 * mixed),
-        *(("quadratic-mixed", {"r": r}, rot_products(r), quad, mixed) for r in range(1, t)),
-    ]
-    families = (("exp", [multinomial(s, z) for z in zs]), ("ord", [1] * len(zs)))
-    return [
-        IdentityReport(
-            f"{family}-{name}",
-            {"s": s, "t": t, **extra},
-            Fraction(sum(w * stat(z) for w, z in zip(weights, zs)), t),
-            Fraction(rhs[k], t),
-        )
-        for k, (family, weights) in enumerate(families)
-        for name, extra, stat, *rhs in rows
-    ]

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import stcores.betaset
-import stcores.stats
-from stcores import enumeration, stats
+import stcores.coords
+from stcores import enumeration
 from stcores.cli import main
 
 
@@ -159,11 +159,11 @@ def test_enum_output_matches_the_recorded_digests(capsys):
 
 @pytest.mark.parametrize("argv, records", [
     pytest.param(["4", "5"], lambda: enumeration.iter_st_cores(4, 5), id="general"),
-    pytest.param(["4", "5", "--with-stab"], lambda: stats.attach_stabilizers(enumeration.iter_st_cores(4, 5)),
+    pytest.param(["4", "5", "--with-stab"], lambda: enumeration.attach_stabilizers(enumeration.iter_st_cores(4, 5)),
                  id="general-stab"),
     pytest.param(["5", "7", "--self-conjugate"], lambda: enumeration.iter_sc_st_cores(5, 7), id="sc"),
     pytest.param(["5", "7", "--self-conjugate", "--with-stab"],
-                 lambda: stats.attach_stabilizers(enumeration.iter_sc_st_cores(5, 7), self_conjugate=True),
+                 lambda: enumeration.attach_stabilizers(enumeration.iter_sc_st_cores(5, 7), self_conjugate=True),
                  id="sc-stab"),
     pytest.param(["--triple", "3", "2"], lambda: enumeration.iter_triple_sym(3, 2), id="triple-sym"),
     pytest.param(["--triple", "3", "2", "--method", "asym"], lambda: enumeration.iter_triple_asym(3, 2),
@@ -388,7 +388,7 @@ def test_verify_jsonl(capsys):
 
 
 def test_verify_detects_injected_fault(capsys, monkeypatch):
-    monkeypatch.setattr(stcores.stats, "stab_size", lambda z: 1)
+    monkeypatch.setattr(stcores.coords, "stab_size", lambda z: 1)
     code, out, _ = run(capsys, "verify", "--smax", "2", "--tmax", "3", "--nmax", "6")
     assert code == 1
     assert any(line.startswith("FAIL") and "witness=" in line for line in out.splitlines())

@@ -5,14 +5,11 @@ import pytest
 
 from stcores import (
     ATuple,
-    CoreError,
     InvariantError,
     NotCoprimeError,
     Partition,
     ZTuple,
     canonical_cyclic_rep,
-    count_sc,
-    count_st,
     count_triple,
     enum_sc_st_cores,
     enum_st_cores,
@@ -28,7 +25,7 @@ from stcores import (
 )
 from stcores.betaset import size_from_a
 from stcores.coords import a_to_z
-from stcores.enumeration import _iter_z, _records, multinomial
+from stcores.enumeration import _iter_z, _records
 
 
 def test_weak_compositions_lex_and_complete():
@@ -198,36 +195,6 @@ def test_triple_rejects_non_coprime():
         enum_triple_asym(3, 6)
     with pytest.raises(NotCoprimeError):
         count_triple(2, 2)
-
-
-def test_counts_examples():
-    assert count_st(2, 3) == 2
-    assert count_st(4, 5) == 14
-    assert count_st(3, 4) == 5
-    assert count_sc(3, 4) == 3
-    assert count_triple(2, 1) == 2
-    assert count_triple(3, 1) == 4
-    assert count_triple(3, 2) == 6
-    with pytest.raises(NotCoprimeError):
-        count_st(6, 4)
-    with pytest.raises(NotCoprimeError):
-        count_sc(6, 4)
-
-
-def test_count_matches_both_closed_forms():
-    for s in range(1, 8):
-        for t in range(1, 8):
-            if math.gcd(s, t) != 1:
-                continue
-            n = count_st(s, t)
-            assert n == math.comb(s + t, t) // (s + t)
-            assert n == math.comb(s + t - 1, t - 1) // t
-
-
-def test_multinomial_rejects_parts_with_wrong_sum():
-    assert multinomial(4, (1, 1, 2)) == 12
-    with pytest.raises(CoreError):
-        multinomial(4, (1, 1))
 
 
 def test_motzkin_column():

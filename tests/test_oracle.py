@@ -276,15 +276,15 @@ def _drop_negative_beads(orig):
 FAULTS = {
     "conjugate_beta-gap-sign": (stcores.betaset, "conjugate_beta", _flip_gap_sign, "conjugate-charge-negation", "p="),
     "z_to_u-reversed": (stcores.coords, "z_to_u", _reverse_u, "z-u-round-trip", "u="),
-    "stab_size-constant": (stcores.stats, "stab_size", lambda orig: lambda z: 1, "stabilizer-formula-vs-brute", "(s,t)="),
+    "stab_size-constant": (stcores.coords, "stab_size", lambda orig: lambda z: 1, "stabilizer-formula-vs-brute", "(s,t)="),
     "stab_size-constant-weights": (
-        stcores.stats,
+        stcores.coords,
         "stab_size",
         lambda orig: lambda z: 1,
         "average-size-weighted-general",
         "(s,t)=",
     ),
-    "stab_size_sc-constant": (stcores.stats, "stab_size_sc", lambda orig: lambda u: 1, "average-size-weighted-sc", "(s,t)="),
+    "stab_size_sc-constant": (stcores.coords, "stab_size_sc", lambda orig: lambda u: 1, "average-size-weighted-sc", "(s,t)="),
     # The records' size, 24t |core| from the prefix sums, one core too large.
     "record-size-plus-1": (
         stcores.enumeration,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-import stcores.coords
+import stcores.formulas
 import stcores.stats
 from stcores import (
     ATuple,
@@ -38,7 +38,7 @@ from stcores import (
     verify_cyclic_sum_identities,
     z_to_u,
 )
-from stcores.enumeration import multinomial
+from stcores.formulas import multinomial
 
 
 def test_size_from_a_examples():
@@ -177,8 +177,8 @@ def test_rotations_share_size_form_and_weight_and_hold_one_core():
                 forms, weights, cores = set(), set(), []
                 for r, y in enumerate(rotations):
                     prefix = list(itertools.accumulate(y, initial=0))[:t]
-                    g = sum(stcores.coords._x(s, t, l, p) ** 2 for l, p in enumerate(prefix))
-                    forms.add(stcores.coords._scaled_size(t, sum(prefix), g))
+                    g = sum(stcores.formulas._x(s, t, l, p) ** 2 for l, p in enumerate(prefix))
+                    forms.add(stcores.formulas._scaled_size(t, sum(prefix), g))
                     weights.add(multinomial(s, y))
                     if sum(j * v for j, v in enumerate(y)) % t == 0:
                         cores.append(r)

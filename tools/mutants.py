@@ -91,13 +91,6 @@ def main() -> int:
         for name in ("src", "tests"):
             shutil.copytree(root / name, work / name, ignore=ignore)
         shutil.copy(root / "pyproject.toml", work)
-        # A Hypothesis deadline fails a slow but correct run, at random on a
-        # loaded host; a mutant is judged on its results alone.
-        (work / "conftest.py").write_text(
-            "from hypothesis import settings\n"
-            "settings.register_profile('mutants', deadline=None)\n"
-            "settings.load_profile('mutants')\n"
-        )
         target = work / module.relative_to(root)
         has_tests = (work / tests).exists()
 

@@ -21,7 +21,7 @@ def test_library_has_no_assert_statements():
 def test_coordinate_stats_and_enumeration_tests_pass_under_O():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    files = [f"tests/{name}" for name in ("test_coords.py", "test_stats.py", "test_enumeration.py")]
+    files = [f"tests/{name}" for name in ("test_coords.py", "test_stats.py", "test_enumeration.py", "test_formulas.py")]
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *files],
         cwd=ROOT,

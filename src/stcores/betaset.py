@@ -8,10 +8,9 @@ pair encodes a partition exactly when |members| = |gaps| (total charge 0).
 Unequal sizes encode a general "good" set, which several operations here
 (charge, pushes, hook counts, s-sets) accept as well.
 
-``BetaSet.__contains__`` tests one position.  ``_beads`` lists every bead for
-set operations: below lo = min(gaps) (0 without gaps) every position is a
-bead, and a finite set holds the beads at or above lo.  The a-coordinates of
-an s-core come from its charge.
+``BetaSet.__contains__`` tests one position, and :func:`s_set` reads the
+encoding for set operations by membership tests, with no window of
+positions.  The a-coordinates of an s-core come from its charge.
 
 Residue classes are always taken with the nonnegative convention, i.e.
 ``x % s`` lies in 0..s-1 even for negative x, matching Python's ``%``.
@@ -74,13 +73,6 @@ class BetaSet:
 
     def to_json_dict(self) -> dict:
         return {"members": list(self._members), "gaps": list(self._gaps)}
-
-
-def _beads(b: BetaSet) -> tuple[int, set[int]]:
-    """(lo, beads): lo = min(gaps), or 0 with no gaps; every position below
-    lo is a bead, and ``beads`` holds the beads at or above lo."""
-    lo = b.gaps[0] if b.gaps else 0
-    return lo, set(range(lo, 0)).difference(b.gaps).union(b.members)
 
 
 @dataclass(frozen=True)
@@ -178,16 +170,19 @@ def beta_from_partition(p: Partition) -> BetaSet:
 
 
 def partition_from_beta(b: BetaSet) -> Partition:
-    """Inverse of :func:`beta_from_partition`: the beads x_1 > x_2 > ...
-    of :func:`_beads` give the parts x_i + i.
+    """Inverse of :func:`beta_from_partition`: the beads x_1 > x_2 > ...,
+    the members and then the negatives in [min(gaps), -1] that are not
+    gaps, give the parts x_i + i.
 
     Raises NonzeroChargeError when the encoding does not have charge zero
     (such encodings belong to shifted good sets, not partitions).
     """
     if b.total_charge != 0:
         raise NonzeroChargeError(f"total charge is {-b.total_charge}, expected 0")
-    _, beads = _beads(b)
-    return Partition(x + i for i, x in enumerate(sorted(beads, reverse=True), start=1))
+    gaps = set(b.gaps)
+    lo = b.gaps[0] if b.gaps else 0
+    beads = [*reversed(b.members), *(x for x in range(-1, lo - 1, -1) if x not in gaps)]
+    return Partition(x + i for i, x in enumerate(beads, start=1))
 
 
 def charge(b: BetaSet, s: int) -> CTuple:
@@ -207,12 +202,9 @@ def charge(b: BetaSet, s: int) -> CTuple:
 
 
 def hook_count(b: BetaSet, s: int) -> int:
-    """Number of rim s-hooks, |B \\ (B + s)| = |s_set(b, s)| - s: the beads
-    x whose position x - s is empty, which needs x - s >= lo."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    lo, beads = _beads(b)
-    return len([x for x in beads if x - s >= lo and x - s not in beads])
+    """Number of rim s-hooks, |B \\ (B + s)|: the shift by s adds s
+    positions net, so this is |s_set(b, s)| - s."""
+    return len(s_set(b, s)) - s
 
 
 def is_s_core(b: BetaSet, s: int) -> bool:
@@ -300,7 +292,9 @@ def partition_from_a(a: ATuple) -> Partition:
 
 
 def s_set(b: BetaSet, s: int) -> frozenset[int]:
-    """(B + s) \\ B = ((beads + s) | [lo, lo + s)) - beads.
+    """(B + s) \\ B by membership tests on the encoding: m + s for each
+    member m with m + s not a member, each x in [0, s) that is not a member
+    and whose x - s is not a gap, and each gap g whose g - s is not a gap.
 
     For an s-core this is the s-set {a_i}, with exactly one element per
     residue class mod s.  In general the set has s + hook_count(b, s)
@@ -308,8 +302,15 @@ def s_set(b: BetaSet, s: int) -> frozenset[int]:
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    lo, beads = _beads(b)
-    return frozenset({x + s for x in beads}.union(range(lo, lo + s)).difference(beads))
+    members, gaps = set(b.members), set(b.gaps)
+    out = {m + s for m in members if m + s not in members}
+    for x in range(s):
+        if x not in members and x - s not in gaps:
+            out.add(x)
+    for g in gaps:
+        if g - s not in gaps:
+            out.add(g)
+    return frozenset(out)
 
 
 def conjugate_beta(b: BetaSet) -> BetaSet:

@@ -103,8 +103,6 @@ def cmd_avg(args) -> int:
     if args.moment is not None:
         if args.moment < 0:
             raise UsageError("--moment must be >= 0")
-        if args.moment > 8:
-            raise UsageError("--moment is capped at 8 in the CLI; call the library for more")
         value = stats.moment_sum(s, t, args.moment, args.weighted, args.self_conjugate)
     else:
         value = stats.average_size(s, t, args.weighted, args.self_conjugate)

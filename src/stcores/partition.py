@@ -30,8 +30,7 @@ class Partition:
         n = len(ps)
         while n and ps[n - 1] == 0:
             n -= 1
-        if n < len(ps):
-            ps = ps[:n]
+        ps = ps[:n]
         # Weakly decreasing down to a positive last part, checked at C speed;
         # the loop names the first offender (or raises what comparing it raises).
         try:

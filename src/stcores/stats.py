@@ -30,29 +30,31 @@ from .formulas import _require_coprime, _x
 
 
 def size_from_c(c) -> int:
-    """Size of the t-core with the charge coordinates c, a
-    :class:`~stcores.betaset.CTuple`:
+    """Size of the t-core with the zero-sum charge coordinates c, a
+    :class:`~stcores.betaset.CTuple` (NonzeroChargeError otherwise):
 
-        |core| = sum_i ( (t/2) c_i^2 - ((t-1)/2 - i) c_i ),
+        |core| = sum_i ( (t/2) c_i^2 - ((t-1)/2 - i) c_i ) = t sum_i c_i^2 / 2 + sum_i i c_i
 
-    valid for zero-sum charge tuples (NonzeroChargeError otherwise).
+    in integers: the (t-1)/2 terms sum to 0, and sum_i c_i^2 = sum_i c_i (mod 2).
     """
     t = c.s
     if c.total != 0:
         raise NonzeroChargeError(f"size formula needs a zero-sum charge tuple, got total {c.total}")
-    total = sum(
-        Fraction(t, 2) * v * v - (Fraction(t - 1, 2) - i) * v
-        for i, v in enumerate(c.c)
-    )
-    if total.denominator != 1 or total < 0:
+    total = t * sum(v * v for v in c.c) // 2 + sum(i * v for i, v in enumerate(c.c))
+    if total < 0:
         raise InvariantError(f"size formula gives {total} for c={c.c}")
-    return int(total)
+    return total
 
 
 def _weight_denominator(s: int, self_conjugate: bool) -> int:
     """D = s!, or s'! 2^{s'} with s' = floor(s/2) for self-conjugate cores:
     every stabilizer divides D, so 1/stab = (D/stab) / D."""
     return math.factorial(s // 2) << (s // 2) if self_conjugate else math.factorial(s)
+
+
+def _cells(G: int, S: int, e: int) -> list[list[int]]:
+    """The start cells G^a * S^b, 2a + b <= 2e, that the moments up to e read."""
+    return [[G**a * S**b for b in range(2 * (e - a) + 1)] for a in range(e + 1)]
 
 
 def _axpy(acc: list[list[int]] | None, w: int, sums: list[list[int]]) -> list[list[int]]:
@@ -106,8 +108,7 @@ def _general_sums(s: int, t: int, e: int, weighted: bool) -> tuple[list[list[int
     C(P_{l+1}, z_l), so w = s!/prod z_j! = D/stab.  Returned with t, the
     size of each rotation orbit, which holds one core."""
     step = (lambda q, r: math.comb(r, r - q)) if weighted else (lambda q, r: 1)
-    # the cells 2a + b <= 2e that the moments up to e read, at G = x_0^2, S = 0
-    init = [[_x(s, t, 0, 0) ** (2 * a)] + [0] * (2 * (e - a)) for a in range(e + 1)]
+    init = _cells(_x(s, t, 0, 0) ** 2, 0, e)  # G = x_0^2, S = 0
     sums = _path_sums([init] + [None] * s, range(1, t), step, lambda l, r: (_x(s, t, l, r) ** 2, r), lambda q: step(q, s))
     return sums, t
 
@@ -134,8 +135,7 @@ def _sc_sums(s: int, t: int, e: int, weighted: bool) -> tuple[list[list[int]], i
         fixed = [(0, 0), (1, z0), ((t + 1) // 2, z0 + sp - u0)][: t if t % 2 else 2]
         G = sum(_x(s, t, l, p) ** 2 for l, p in fixed) + 8 * t * u0 * pairs * (t * (u0 + odd) + (t - 2) * s)
         S = sum(p for _, p in fixed) + pairs * (z0 + s)
-        # the cells of _general_sums
-        init[u0] = [[G**a * S**b for b in range(2 * (e - a) + 1)] for a in range(e + 1)]
+        init[u0] = _cells(G, S, e)
     last = (lambda q: step(q, sp)) if t % 2 else (lambda q: math.comb(sp, sp - q)) if weighted else (lambda q: 1)
     return _path_sums(init, range(1, pairs + 1), step,
                       lambda i, r: (_x(s, t, i + 1, odd + r) ** 2 + _x(s, t, t - i, s - r) ** 2, 0), last), 1

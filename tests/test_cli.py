@@ -10,7 +10,7 @@ import pytest
 
 import stcores.betaset
 import stcores.coords
-from stcores import enumeration
+from stcores import enumeration, oracle
 from stcores.cli import main
 
 
@@ -226,8 +226,10 @@ def test_avg_moment(capsys):
     assert run(capsys, "avg", "2", "3", "--moment", "2") == (0, "1\n", "")
     # the sum over all 742,900 cores, as enumeration computes it
     assert run(capsys, "avg", "13", "14", "--moment", "2") == (0, "35681338420\n", "")
-    code, _, err = run(capsys, "avg", "2", "3", "--moment", "9")
-    assert code == 2 and "capped" in err
+    # no cap on E: the cost O(s^2 t e^2) is stated in the help
+    assert run(capsys, "avg", "2", "3", "--moment", "9") == (0, "1\n", "")
+    assert oracle.enumerated_moment_sums(2, 3, 9)[9] == 1
+    assert run(capsys, "avg", "2", "3", "--moment", "-1") == (2, "", "error: --moment must be >= 0\n")
 
 
 def test_tcore(capsys):

@@ -94,7 +94,7 @@ def test_z_to_u_examples():
 
 
 def test_z_to_u_rejects_asymmetric():
-    with pytest.raises(NotSymmetricError):
+    with pytest.raises(NotSymmetricError, match=r"^z\[1\] != z\[2\]$"):
         z_to_u(ZTuple(3, 2, (-1, 0, 3)))
 
 
@@ -107,6 +107,8 @@ def test_u_to_z_examples():
 def test_utuple_validation():
     with pytest.raises(InvalidZError):
         UTuple(3, 2, (1, 1))  # sums to 2, expected floor(2/2) = 1
+    with pytest.raises(InvalidZError, match="^expected 2 entries, got 3$"):
+        UTuple(3, 2, (0, 1, 0))
     with pytest.raises(NotCoprimeError):
         UTuple(2, 4, (0, 2))
 

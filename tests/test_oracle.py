@@ -261,12 +261,11 @@ def _negate_charge(orig):
     return charge
 
 
-def _drop_negative_beads(orig):
-    def beads(b):
-        lo, got = orig(b)
-        return lo, {x for x in got if x >= 0}
+def _drop_negative_elements(orig):
+    def s_set(b, s):
+        return frozenset(x for x in orig(b, s) if x >= 0)
 
-    return beads
+    return s_set
 
 
 # (module, attribute, make the faulty replacement from the original,
@@ -302,11 +301,12 @@ FAULTS = {
         "p=",
     ),
     "charge-negated": (stcores.betaset, "charge", _negate_charge, "charge-to-a-translation", "p="),
-    # The shared reading of the encoding loses the beads in [lo, 0).
-    "beads-negative-dropped": (
+    # The one reading of the encoding for set operations loses the gaps g
+    # of (B + s) \ B, and hook_count, which counts it, with them.
+    "s_set-negative-dropped": (
         stcores.betaset,
-        "_beads",
-        _drop_negative_beads,
+        "s_set",
+        _drop_negative_elements,
         "hook-count-matches-beta-difference",
         "p=",
     ),

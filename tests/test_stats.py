@@ -72,6 +72,15 @@ def test_size_from_c_rejects_nonzero_charge():
         size_from_c(CTuple(3, (1, 0, 0)))
 
 
+def test_size_from_c_is_size_from_a_on_every_small_zero_sum_charge():
+    from stcores.betaset import a_from_charge
+
+    for t in range(1, 5):
+        for c in itertools.product(range(-2, 3), repeat=t):
+            if sum(c) == 0:
+                assert size_from_c(CTuple(t, c)) == size_from_a(a_from_charge(CTuple(t, c))), c
+
+
 def test_size_formulas_triple_agree_on_random_cores():
     rng = random.Random(3)
     for t in range(1, 7):
@@ -186,6 +195,13 @@ def test_rotations_share_size_form_and_weight_and_hold_one_core():
                 assert cores == [canonical_cyclic_rep(z)], (s, t, z)
                 seen += 1
     assert seen == 11634
+
+
+def test_start_cells_hold_g_a_s_b_for_2a_plus_b_at_most_2e():
+    cells = stcores.stats._cells
+    assert [len(row) for row in cells(5, 7, 3)] == [7, 5, 3, 1]
+    assert cells(2, 3, 1) == [[1, 3, 9], [2]]
+    assert cells(4, 0, 1) == [[1, 0, 0], [4]]  # S = 0 with 0**0 == 1, as _general_sums starts
 
 
 def test_a_sum_over_compositions_not_divisible_by_t_raises(monkeypatch):

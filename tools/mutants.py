@@ -6,14 +6,14 @@ Usage, from the repository root::
 
 Each mutant swaps one operator of the module: + and -, < and <=, > and >=,
 == and !=.  Mutants are written one at a time into a temporary copy of the
-checkout that holds the module (its ``src``, ``tests`` and
-``pyproject.toml``).  A mutant is killed when ``cores verify`` exits or
-prints otherwise than with the unmutated module, else when the module's own
-tests (``tests/test_<module>.py``) fail, or when either run exceeds
-``TIMEOUT_S`` seconds (a mutant may loop forever).  Every mutant is run, in
-a fixed order; the survivors are printed with their lines, then the score.
-Standard library only, and not part of the test suite: a mutant takes about
-4 s.
+checkout that holds the module (its ``src``, ``tests``, ``pyproject.toml``
+and ``perfbench/digests.json``, which ``tests/test_cli.py`` reads).  A
+mutant is killed when ``cores verify`` exits or prints otherwise than with
+the unmutated module, else when the module's own tests
+(``tests/test_<module>.py``) fail, or when either run exceeds ``TIMEOUT_S``
+seconds (a mutant may loop forever).  Every mutant is run, in a fixed order;
+the survivors are printed with their lines, then the score.  Standard
+library only, and not part of the test suite: a mutant takes about 4 s.
 """
 
 from __future__ import annotations
@@ -91,6 +91,8 @@ def main() -> int:
         for name in ("src", "tests"):
             shutil.copytree(root / name, work / name, ignore=ignore)
         shutil.copy(root / "pyproject.toml", work)
+        (work / "perfbench").mkdir()
+        shutil.copy(root / "perfbench" / "digests.json", work / "perfbench")
         target = work / module.relative_to(root)
         has_tests = (work / tests).exists()
 

@@ -19,7 +19,7 @@ Residue classes are always taken with the nonnegative convention, i.e.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import InvariantError, NonzeroChargeError, NotACoreError
@@ -75,30 +75,78 @@ class BetaSet:
         return {"members": list(self._members), "gaps": list(self._gaps)}
 
 
-@dataclass(frozen=True)
-class CTuple:
+# Builders set the fields of a _Frozen instance through this.
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the immutable value classes: ``CTuple`` and ``ATuple`` here,
+    ``ZTuple`` and ``UTuple`` in :mod:`stcores.coords`, ``CoreRecord`` in
+    :mod:`stcores.enumeration`.
+
+    A subclass names its fields in ``__slots__``; equality (same class),
+    hashing, repr, copying and pickling read them in that order, and
+    assigning or deleting an attribute raises AttributeError.  Constructors
+    set the fields through ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __getstate__(self) -> tuple:
+        return self._values(self)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            _set(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CTuple(_Frozen):
     """Signed charge measure: s integers indexed by Z/sZ.
 
     The entries sum to the total charge of the underlying good set; zero sum
     characterizes beta-sets of partitions.
     """
 
+    __slots__ = ("s", "c")
     s: int
     c: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.s < 1:
+    def __init__(self, s: int, c: tuple[int, ...]):
+        if s < 1:
             raise ValueError("modulus must be >= 1")
-        if len(self.c) != self.s:
-            raise ValueError(f"expected {self.s} entries, got {len(self.c)}")
+        if len(c) != s:
+            raise ValueError(f"expected {s} entries, got {len(c)}")
+        _set(self, "s", s)
+        _set(self, "c", c)
 
     @property
     def total(self) -> int:
         return sum(self.c)
 
 
-@dataclass(frozen=True, slots=True)
-class ATuple:
+class ATuple(_Frozen):
     """An s-set in coordinate form: t integers a_0..a_{t-1} with a_i = i
     (mod t) summing to t(t-1)/2.
 
@@ -106,35 +154,38 @@ class ATuple:
     one representative per residue class mod t.
     """
 
+    __slots__ = ("t", "a")
     t: int
     a: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.t < 1:
+    def __init__(self, t: int, a: tuple[int, ...]):
+        if t < 1:
             raise ValueError("modulus must be >= 1")
-        if len(self.a) != self.t:
-            raise ValueError(f"expected {self.t} entries, got {len(self.a)}")
+        if len(a) != t:
+            raise ValueError(f"expected {t} entries, got {len(a)}")
         # One list comparison; the loop names the first offender (or raises
         # what reducing it raises).
         try:
-            valid = [v % self.t for v in self.a] == list(range(self.t))
+            valid = [v % t for v in a] == list(range(t))
         except TypeError:
             valid = False
         if not valid:
-            for i, v in enumerate(self.a):
-                if v % self.t != i % self.t:
-                    raise ValueError(f"a[{i}] = {v} is not congruent to {i} mod {self.t}")
-        want = self.t * (self.t - 1) // 2
-        if sum(self.a) != want:
-            raise ValueError(f"entries sum to {sum(self.a)}, expected {want}")
+            for i, v in enumerate(a):
+                if v % t != i % t:
+                    raise ValueError(f"a[{i}] = {v} is not congruent to {i} mod {t}")
+        want = t * (t - 1) // 2
+        if sum(a) != want:
+            raise ValueError(f"entries sum to {sum(a)}, expected {want}")
+        _set(self, "t", t)
+        _set(self, "a", a)
 
     @classmethod
     def _unchecked(cls, t: int, a: tuple[int, ...]) -> "ATuple":
         """The ATuple of an ``a`` whose invariants the caller has checked,
-        built without :meth:`__post_init__`."""
+        built without the checks of :meth:`__init__`."""
         self = object.__new__(cls)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "a", a)
+        _set(self, "t", t)
+        _set(self, "a", a)
         return self
 
     def as_set(self) -> frozenset[int]:
@@ -174,6 +225,12 @@ def partition_from_beta(b: BetaSet) -> Partition:
     the members and then the negatives in [min(gaps), -1] that are not
     gaps, give the parts x_i + i.
 
+    The beads strictly descend, so the parts decrease weakly, and charge
+    zero keeps the last one positive: with n = -min(gaps) beads, the last
+    is a member or a non-gap above min(gaps), so it is at least 1 - n.
+    The parts need none of the checks of the Partition constructor, as in
+    :func:`partition_from_a`.
+
     Raises NonzeroChargeError when the encoding does not have charge zero
     (such encodings belong to shifted good sets, not partitions).
     """
@@ -182,7 +239,7 @@ def partition_from_beta(b: BetaSet) -> Partition:
     gaps = set(b.gaps)
     lo = b.gaps[0] if b.gaps else 0
     beads = [*reversed(b.members), *(x for x in range(-1, lo - 1, -1) if x not in gaps)]
-    return Partition(x + i for i, x in enumerate(beads, start=1))
+    return Partition._unchecked(tuple([x + i for i, x in enumerate(beads, start=1)]))
 
 
 def charge(b: BetaSet, s: int) -> CTuple:

@@ -1,11 +1,12 @@
 """Command-line front end: ``cores count | enum | avg | convert | tcore | verify``.
 
 Output is byte-stable across runs for identical arguments: enumerations come
-in lexicographic order of z and stream, one record written as soon as it is
-generated; rationals are rendered in canonical reduced form, and the verify
-suite seeds its randomness deterministically.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 141 (128 + SIGPIPE) when the reader
-closes stdout early, as ``cores enum 8 11 | head -1`` does.
+in lexicographic order of z and stream, the first record written as soon as
+it is generated and the rest in blocks of lines; rationals are rendered in
+canonical reduced form, and the verify suite seeds its randomness
+deterministically.  Exit codes: 0 success, 1 verification failure, 2 usage
+error, 141 (128 + SIGPIPE) when the reader closes stdout early, as
+``cores enum 8 11 | head -1`` does.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice
 
 from .errors import UsageError
 
@@ -35,24 +37,34 @@ _LINES = {
 FORMATS = tuple(_LINES)
 
 
+# Lines per write after the first line: on an unbuffered stdout every write
+# is a system call.
+_BLOCK = 256
+
+
 def _emit_records(records, fmt: str, out) -> None:
-    """Write each record as it arrives, filled in from its ``to_json_dict()``.
-    A ``jsonl`` line is ``_compact_json`` of that dict, and ``json`` frames
-    those lines as one array, byte-identical to dumping the collected list."""
+    """Write one line per record, filled in from its ``to_json_dict()``: the
+    first as soon as it is formatted, the rest joined in blocks of at most
+    ``_BLOCK`` lines.  A ``jsonl`` line is ``_compact_json`` of that dict,
+    and ``json`` frames those lines as one array, byte-identical to dumping
+    the collected list."""
     join_parts, line, stab_field, (opening, between, closing) = _LINES[fmt]
-    out.write(opening)
-    lead = ""
-    for rec in records:
+
+    def text(rec) -> str:
         d = rec.to_json_dict()
         stab = d.get("stab")
-        out.write(lead + line.format(
+        return line.format(
             z=",".join(map(str, d["z"])),
             a=",".join(map(str, d["a"])),
             parts=join_parts.join(map(str, d["parts"])),
             size=d["size"],
             stab="" if stab is None else stab_field.format(stab),
-        ))
-        lead = between
+        )
+
+    lines = map(text, records)
+    out.write(opening + next(lines, ""))
+    while block := list(islice(lines, _BLOCK)):
+        out.write(between + between.join(block))
     out.write(closing)
 
 

@@ -27,12 +27,11 @@ factorials of these coordinates (:func:`stab_size`, :func:`stab_size_sc`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
-from .betaset import ATuple
+from .betaset import ATuple, _Frozen, _set
 from .errors import (
     InvalidZError,
     InvariantError,
@@ -53,35 +52,38 @@ def shift_constant(s: int, t: int) -> int:
     return num // 2
 
 
-@dataclass(frozen=True, slots=True)
-class ZTuple:
+class ZTuple(_Frozen):
     """t integers summing to s with sum(j * z_j) = 0 mod t.
 
     Entries may be negative (general t-cores); the (s,t)-core subset is the
     componentwise nonnegative one.
     """
 
+    __slots__ = ("t", "s", "z")
     t: int
     s: int
     z: tuple[int, ...]
 
-    def __post_init__(self):
-        _require_coprime(self.s, self.t)
-        if len(self.z) != self.t:
-            raise InvalidZError(f"expected {self.t} entries, got {len(self.z)}")
-        if sum(self.z) != self.s:
-            raise InvalidZError(f"entries sum to {sum(self.z)}, expected {self.s}")
-        if sum(map(mul, range(self.t), self.z)) % self.t != 0:
+    def __init__(self, t: int, s: int, z: tuple[int, ...]):
+        _require_coprime(s, t)
+        if len(z) != t:
+            raise InvalidZError(f"expected {t} entries, got {len(z)}")
+        if sum(z) != s:
+            raise InvalidZError(f"entries sum to {sum(z)}, expected {s}")
+        if sum(map(mul, range(t), z)) % t != 0:
             raise InvalidZError("sum(j * z_j) is not 0 mod t")
+        _set(self, "t", t)
+        _set(self, "s", s)
+        _set(self, "z", z)
 
     @classmethod
     def _unchecked(cls, t: int, s: int, z: tuple[int, ...]) -> "ZTuple":
         """The ZTuple of a z whose invariants the caller has checked, built
-        without :meth:`__post_init__`."""
+        without the checks of :meth:`__init__`."""
         self = object.__new__(cls)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "z", z)
+        _set(self, "t", t)
+        _set(self, "s", s)
+        _set(self, "z", z)
         return self
 
     def is_nonnegative(self) -> bool:
@@ -91,21 +93,24 @@ class ZTuple:
         return {"t": self.t, "s": self.s, "z": list(self.z)}
 
 
-@dataclass(frozen=True)
-class UTuple:
+class UTuple(_Frozen):
     """Folded coordinates for self-conjugate t-cores: floor(t/2) + 1 integers
     summing to floor(s/2)."""
 
+    __slots__ = ("t", "s", "u")
     t: int
     s: int
     u: tuple[int, ...]
 
-    def __post_init__(self):
-        _require_coprime(self.s, self.t)
-        if len(self.u) != self.t // 2 + 1:
-            raise InvalidZError(f"expected {self.t // 2 + 1} entries, got {len(self.u)}")
-        if sum(self.u) != self.s // 2:
-            raise InvalidZError(f"entries sum to {sum(self.u)}, expected {self.s // 2}")
+    def __init__(self, t: int, s: int, u: tuple[int, ...]):
+        _require_coprime(s, t)
+        if len(u) != t // 2 + 1:
+            raise InvalidZError(f"expected {t // 2 + 1} entries, got {len(u)}")
+        if sum(u) != s // 2:
+            raise InvalidZError(f"entries sum to {sum(u)}, expected {s // 2}")
+        _set(self, "t", t)
+        _set(self, "s", s)
+        _set(self, "u", u)
 
     def is_nonnegative(self) -> bool:
         return min(self.u) >= 0

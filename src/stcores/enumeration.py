@@ -31,22 +31,20 @@ z; the ``enum_*`` wrappers collect them into lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import partial
 from itertools import accumulate, combinations_with_replacement
 from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from . import coords
-from .betaset import ATuple, partition_from_a
+from .betaset import ATuple, _Frozen, _set, partition_from_a
 from .coords import ZTuple, _unfold, shift_constant
 from .errors import InvariantError
 from .formulas import _require_coprime, _scaled_size
 from .partition import Partition
 
 
-@dataclass(frozen=True, slots=True)
-class CoreRecord:
+class CoreRecord(_Frozen):
     """One core as its z- and a-coordinates and its size.  ``stab`` stays
     None until a stabilizer is attached.
 
@@ -57,17 +55,25 @@ class CoreRecord:
     determines the partition.
     """
 
+    __slots__ = ("z", "a", "size", "stab")
     z: ZTuple
     a: ATuple
     size: int
-    stab: int | None = None
+    stab: int | None
+
+    def __init__(self, z: ZTuple, a: ATuple, size: int, stab: int | None = None):
+        _set(self, "z", z)
+        _set(self, "a", a)
+        _set(self, "size", size)
+        _set(self, "stab", stab)
 
     @property
     def partition(self) -> Partition:
         return partition_from_a(self.a)
 
     def with_stab(self, stab: int) -> "CoreRecord":
-        return replace(self, stab=stab)
+        """A new record with this ``stab``; this one is left unchanged."""
+        return CoreRecord(self.z, self.a, self.size, stab)
 
     def to_json_dict(self) -> dict:
         d = {

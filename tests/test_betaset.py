@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -7,9 +9,13 @@ import stcores.betaset
 from stcores import (
     ATuple,
     BetaSet,
+    CTuple,
+    CoreRecord,
     NonzeroChargeError,
     NotACoreError,
     Partition,
+    UTuple,
+    ZTuple,
     a_coords,
     beta_from_partition,
     charge,
@@ -242,6 +248,41 @@ def test_atuple_validation():
         ATuple(3, (0, 1, 1))  # wrong congruence
     with pytest.raises(ValueError):
         ATuple(3, (3, 1, 2))  # wrong sum
+
+
+_Z, _A = (3, 2, (0, 1, 1)), (3, (0, 1, 2))
+
+
+@pytest.mark.parametrize("make, different, fields, text", [
+    (lambda: CTuple(3, (1, 0, -1)), CTuple(3, (0, 1, -1)), ("s", "c"), "CTuple(s=3, c=(1, 0, -1))"),
+    (lambda: ATuple(3, (3, 1, -1)), ATuple(3, (0, 1, 2)), ("t", "a"), "ATuple(t=3, a=(3, 1, -1))"),
+    (lambda: ZTuple(*_Z), ZTuple(3, 2, (2, 0, 0)), ("t", "s", "z"), "ZTuple(t=3, s=2, z=(0, 1, 1))"),
+    (lambda: UTuple(3, 2, (0, 1)), UTuple(3, 2, (1, 0)), ("t", "s", "u"), "UTuple(t=3, s=2, u=(0, 1))"),
+    # differs only in stab, the field with a default
+    (lambda: CoreRecord(ZTuple(*_Z), ATuple(*_A), 0), CoreRecord(ZTuple(*_Z), ATuple(*_A), 0, 1),
+     ("z", "a", "size", "stab"),
+     "CoreRecord(z=ZTuple(t=3, s=2, z=(0, 1, 1)), a=ATuple(t=3, a=(0, 1, 2)), size=0, stab=None)"),
+], ids=["CTuple", "ATuple", "ZTuple", "UTuple", "CoreRecord"])
+def test_value_classes_compare_hash_and_show_their_fields_and_refuse_assignment(make, different, fields, text):
+    x, y = make(), make()
+    assert x is not y and x == y and hash(x) == hash(y) and not x != y
+    assert x != different and not x == different
+    assert repr(x) == text
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(x, name, getattr(different, name))
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x == y and repr(x) == text
+    assert copy.copy(x) == x and copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x
+
+
+def test_value_classes_differ_across_classes_and_unchecked_builds_the_same_value():
+    # equal fields but different classes
+    assert CTuple(3, (0, 1, 2)) != ATuple(3, (0, 1, 2))
+    assert ATuple._unchecked(*_A) == ATuple(*_A)
+    assert ZTuple._unchecked(*_Z) == ZTuple(*_Z)
+    assert CoreRecord(ZTuple(*_Z), ATuple(*_A), 0) == CoreRecord(ZTuple(*_Z), ATuple(*_A), 0, None)
 
 
 def test_conjugate_beta_examples():

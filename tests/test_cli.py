@@ -168,6 +168,8 @@ def test_enum_output_matches_the_recorded_digests(capsys):
     pytest.param(["--triple", "3", "2"], lambda: enumeration.iter_triple_sym(3, 2), id="triple-sym"),
     pytest.param(["--triple", "3", "2", "--method", "asym"], lambda: enumeration.iter_triple_asym(3, 2),
                  id="triple-asym"),
+    # 429 records: more than one block of lines
+    pytest.param(["7", "8"], lambda: enumeration.iter_st_cores(7, 8), id="blocks"),
 ])
 def test_jsonl_lines_are_compact_json_of_the_record(capsys, argv, records):
     from stcores.cli import _compact_json
@@ -177,6 +179,32 @@ def test_jsonl_lines_are_compact_json_of_the_record(capsys, argv, records):
     assert (code, err) == (0, "") and len(expected) > 1
     assert out.splitlines() == expected
     assert run(capsys, "enum", *argv, "--format", "json") == (0, "[" + ",".join(expected) + "]\n", "")
+
+
+class _Recording:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "jsonl", "csv", "plain"])
+@pytest.mark.parametrize("s, t", [(2, 3), (7, 8), (7, 9)])
+def test_emit_records_writes_the_first_line_alone_then_blocks(capsys, fmt, s, t):
+    from stcores.cli import _BLOCK, _compact_json, _emit_records
+
+    records = list(enumeration.iter_st_cores(s, t))
+    out = _Recording()
+    _emit_records(records, fmt, out)
+    code, text, err = run(capsys, "enum", str(s), str(t), "--format", fmt)
+    assert (code, err, "".join(out.writes)) == (0, "", text)
+    if fmt == "json":
+        assert out.writes[0] == "[" + _compact_json(records[0].to_json_dict())
+    else:
+        assert out.writes[0] == text.splitlines(keepends=True)[0]
+    # 2, 429 and 715 records: none, one and two full blocks after the first line
+    assert len(out.writes) <= 2 + math.ceil(len(records) / _BLOCK)
 
 
 def test_enum_of_a_closed_pipe_exits_141_quietly():

@@ -177,7 +177,7 @@ def test_shift_constant_rejects_two_even_moduli():
 
 
 def _unchecked(cls, **fields):
-    """An instance that skips ``__post_init__`` validation."""
+    """An instance that skips the validation of ``__init__``."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)

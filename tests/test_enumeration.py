@@ -295,3 +295,11 @@ def test_partition_from_a_rejects_a_nonpositive_last_part():
     object.__setattr__(a, "a", (-2, 1))
     with pytest.raises(InvariantError, match="last is not positive"):
         partition_from_a(a)
+
+
+def test_with_stab_returns_a_new_record_and_leaves_the_original():
+    rec = next(iter_st_cores(2, 3))
+    stabbed = rec.with_stab(2)
+    assert rec.stab is None and stabbed.stab == 2 and stabbed != rec
+    assert (stabbed.z, stabbed.a, stabbed.size) == (rec.z, rec.a, rec.size)
+    assert rec == next(iter_st_cores(2, 3))

@@ -73,7 +73,7 @@ def _loaded(code: str, *argv: str) -> tuple[str, set[str]]:
     (["count", "9", "10"], "4862\n", {"stcores.formulas"}, LEAN),
     (["avg", "9", "10", "--weighted"], "33\n", {"stcores.stats", "fractions"}, LEAN),
     (["enum", "4", "5", "--with-stab"], None, {"stcores.enumeration", "stcores.coords"},
-     {"stcores.stats", "fractions"}),
+     {"stcores.stats", "fractions", "dataclasses"}),
 ], ids=["count", "avg", "enum-with-stab"])
 def test_each_command_loads_only_the_modules_it_runs(argv, out, loads, skips):
     stdout, loaded = _loaded(CHILD, *argv)

@@ -140,19 +140,23 @@ def cmd_convert(args) -> int:
 def cmd_verify(args) -> int:
     from . import oracle
 
-    reports = oracle.run_verify_suite(args.smax, args.tmax, args.nmax)
-    if args.format == "jsonl":
+    reports = iter(oracle.run_verify_suite(args.smax, args.tmax, args.nmax))
+    passed = total = 0
+    try:
         for rep in reports:
-            print(_compact_json(rep.to_json_dict()))
-    else:
-        for rep in reports:
-            line = f"{'PASS' if rep.passed else 'FAIL'} {rep.check} {_compact_json(rep.params)}"
-            if not rep.passed:
-                line += f" witness={rep.witness}"
-            print(line)
-    failures = sum(1 for rep in reports if not rep.passed)
-    print(f"{len(reports) - failures}/{len(reports)} checks passed")
-    return 1 if failures else 0
+            if args.format == "jsonl":
+                line = _compact_json(rep.to_json_dict())
+            else:
+                line = f"{'PASS' if rep.passed else 'FAIL'} {rep.check} {_compact_json(rep.params)}"
+                if not rep.passed:
+                    line += f" witness={rep.witness}"
+            print(line, flush=True)
+            passed += rep.passed
+            total += 1
+    finally:
+        reports.close()
+    print(f"{passed}/{total} checks passed")
+    return 0 if passed == total else 1
 
 
 def _as_int(text: str, what: str) -> int:
@@ -210,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--s", type=int)
     p_conv.set_defaults(func=cmd_convert)
 
-    p_verify = sub.add_parser("verify", help="run the structural cross-check suite")
+    p_verify = sub.add_parser("verify", help="run the structural cross-check suite",
+                              description="Runs the checks on up to two processes and prints one line per check as it ends.")
     p_verify.add_argument("--smax", type=int, default=5)
     p_verify.add_argument("--tmax", type=int, default=6)
     p_verify.add_argument("--nmax", type=int, default=20)

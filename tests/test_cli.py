@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -432,6 +433,53 @@ def test_verify_reports_a_raising_check_as_fail(capsys, monkeypatch):
     assert any(line.startswith("FAIL") and "witness=NotACoreError: " in line for line in lines)
     passed = sum(1 for line in lines if line.startswith("PASS"))
     assert 0 < passed < 34 and lines[-1] == f"{passed}/34 checks passed"
+
+
+class _FlushRecorder(io.StringIO):
+    """A stdout that keeps what had been written at each flush."""
+
+    def __init__(self):
+        super().__init__()
+        self.flushed = []
+
+    def flush(self):
+        self.flushed.append(self.getvalue())
+
+
+def test_verify_writes_and_flushes_each_line_as_its_check_ends(monkeypatch):
+    out = _FlushRecorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["verify", "--smax", "0"]) == 2
+    assert out.getvalue() == "" and out.flushed in ([], [""])
+    seen = []
+    last_own_row = oracle._sc_transfer_witness
+
+    def record_then_check(*case):
+        if not seen:
+            seen.append(out.flushed[-1])
+        return last_own_row(*case)
+
+    # self-conjugacy-transfer is the last check the parent process runs
+    monkeypatch.setattr(oracle, "_sc_transfer_witness", record_then_check)
+    assert main(["verify", "--smax", "2", "--tmax", "3", "--nmax", "6"]) == 0
+    lines = out.getvalue().splitlines(keepends=True)
+    assert lines[19].startswith("PASS self-conjugacy-transfer ") and lines[-1] == "34/34 checks passed\n"
+    assert seen == ["".join(lines[:19])]
+
+
+def test_verify_kills_its_child_when_writing_a_line_raises(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    class Interrupted(io.StringIO):
+        def flush(self):
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(sys, "stdout", Interrupted())
+    with pytest.raises(KeyboardInterrupt) as info:
+        main(["verify", "--smax", "2", "--tmax", "3", "--nmax", "6"])
+    # info keeps the frames of main and cmd_verify, and so the report stream, alive
+    assert "cmd_verify" in [entry.name for entry in info.traceback]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_output_byte_stability(capsys):

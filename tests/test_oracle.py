@@ -3,12 +3,20 @@ import functools
 import gc
 import math
 import operator
+import os
+import select
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 import stcores.betaset
 import stcores.coords
 import stcores.enumeration
+import stcores.formulas
+import stcores.oracle
 import stcores.stats
 from stcores import (
     BetaSet,
@@ -21,6 +29,8 @@ from stcores import (
     VerifyReport,
     brute_st_cores,
     brute_stab_count,
+    count_sc,
+    count_st,
     enum_partitions_up_to,
     enum_st_cores,
     enum_triple_sym,
@@ -29,7 +39,15 @@ from stcores import (
     run_verify_suite,
     s_set_of,
 )
-from stcores.oracle import _removal_witness, enumerated_moment_sums
+from stcores.oracle import PARTITION_CAP, _removal_witness, enumerated_moment_sums
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(autouse=True)
+def two_cpus(monkeypatch):
+    """Every test sees two usable CPUs, so verify forks on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 def test_enum_partitions_counts():
@@ -38,6 +56,7 @@ def test_enum_partitions_counts():
     assert sum(1 for _ in enum_partitions_up_to(10)) == 139
     with pytest.raises(CapExceededError):
         enum_partitions_up_to(41)
+    enum_partitions_up_to(PARTITION_CAP)  # the cap itself is allowed
 
 
 def test_partition_cap_and_verify_seed_are_constants():
@@ -148,7 +167,7 @@ def test_rim_removal_memo_leaves_no_cyclic_garbage():
 
 
 def test_run_verify_suite_trivial_scale():
-    reports = run_verify_suite(1, 1, 4)
+    reports = list(run_verify_suite(1, 1, 4))
     assert reports and all(r.passed for r in reports)
     assert all(r.witness is None for r in reports)
 
@@ -193,7 +212,7 @@ SUITE_SHAPE = [
 
 
 def test_run_verify_suite_small_scale():
-    reports = run_verify_suite(3, 3, 8, trials=10)
+    reports = list(run_verify_suite(3, 3, 8, trials=10))
     assert reports and all(r.passed for r in reports), [
         (r.check, r.witness) for r in reports if not r.passed
     ]
@@ -206,6 +225,18 @@ def test_asymmetry_check_has_no_case_outside_its_range(bounds, checked):
     assert rep.passed and rep.counts["checked"] == checked
 
 
+@pytest.mark.parametrize("s_max, t_max", [(2, 3), (5, 6)])
+def test_pair_ranged_checks_run_every_pair_their_caps_allow(s_max, t_max):
+    reports = {r.check: r for r in run_verify_suite(s_max, t_max, 4, trials=4)}
+    pairs = [(s, t) for s in range(1, s_max + 1) for t in range(1, t_max + 1) if math.gcd(s, t) == 1]
+    # every core of both families, over the pairs with s + t <= 9
+    cores = sum(count_st(s, t) + count_sc(s, t) for s, t in pairs if s + t <= 9)
+    assert reports["stabilizer-formula-vs-brute"].counts == {"checked": cores}
+    reference = [pair for pair in [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)] if pair in pairs]
+    rep = reports["oracle-enumeration-equivalence"]
+    assert rep.params == {"pairs_run": len(reference)} and rep.counts == {"checked": len(reference)}
+
+
 @pytest.mark.parametrize(
     "bounds, name",
     [((0, 3, 8), "s_max"), ((-1, 3, 8), "s_max"), ((0, 0, 0), "s_max"), ((3, 0, 8), "t_max")],
@@ -214,6 +245,168 @@ def test_asymmetry_check_has_no_case_outside_its_range(bounds, checked):
 def test_run_verify_suite_rejects_bounds_below_1(bounds, name):
     with pytest.raises(ValueError, match=name):
         run_verify_suite(*bounds)
+
+
+def _fields(reports):
+    return [(r.check, r.params, r.witness, r.counts) for r in reports]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_suite_without_fork_runs_every_row_here_with_the_same_reports(monkeypatch):
+    forked = _fields(run_verify_suite(4, 5, 12, trials=10))
+    monkeypatch.delattr(os, "fork")
+    assert _fields(run_verify_suite(4, 5, 12, trials=10)) == forked
+    assert [name for name, *_ in forked] == [shape[0] for shape in SUITE_SHAPE]
+
+
+def _no_fork():
+    raise AssertionError("os.fork was called")
+
+
+def test_suite_on_one_cpu_forks_nothing_and_gives_the_same_reports(monkeypatch):
+    forked = _fields(run_verify_suite(4, 5, 12, trials=10))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert _fields(run_verify_suite(4, 5, 12, trials=10)) == forked
+
+
+def test_a_failed_fork_closes_its_pipe_and_runs_every_row_here(monkeypatch):
+    forked = _fields(run_verify_suite(4, 5, 12, trials=10))
+    pipes = []
+    pipe = os.pipe
+
+    def recorded_pipe():
+        pipes.extend(pipe())
+        return pipes[-2:]
+
+    def failed_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "fork", failed_fork)
+    assert _fields(run_verify_suite(4, 5, 12, trials=10)) == forked
+    assert len(pipes) == 2
+    for fd in pipes:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+def _exit_3(*args):
+    os._exit(3)
+
+
+def test_rows_a_dead_child_never_reported_fail_with_its_exit_status(monkeypatch):
+    # count_triple runs only in the child's rows, from triple-enumerations-agree on
+    monkeypatch.setattr(stcores.formulas, "count_triple", _exit_3)
+    reports = list(run_verify_suite(4, 5, 12, trials=10))
+    first = [shape[0] for shape in SUITE_SHAPE].index("triple-enumerations-agree")
+    assert all(r.passed for r in reports[:first])
+    witness = "the child process running this check ended with status 3"
+    assert [(r.check, r.witness, r.counts) for r in reports[first:]] == [
+        (name, witness, {"checked": 0}) for name, _ in SUITE_SHAPE[first:]
+    ]
+    _no_child_left()
+
+
+def test_a_line_cut_short_by_the_child_counts_as_unreported(monkeypatch):
+    write = os.write
+
+    def write_half_and_exit(fd, data):
+        write(fd, data[: len(data) // 2])
+        os._exit(5)
+
+    # os.write is called only by the child, once per line
+    monkeypatch.setattr(os, "write", write_half_and_exit)
+    reports = list(run_verify_suite(2, 3, 6, trials=4))
+    first = [shape[0] for shape in SUITE_SHAPE].index("count-closed-forms")
+    assert all(r.passed for r in reports[:first])
+    assert {r.witness for r in reports[first:]} == {"the child process running this check ended with status 5"}
+    assert len(reports) == len(SUITE_SHAPE)
+    _no_child_left()
+
+
+def test_closing_the_stream_early_kills_and_reaps_the_child(monkeypatch, tmp_path):
+    finished = tmp_path / "finished"
+
+    def slow_first_case(*args):
+        if not finished.exists():
+            time.sleep(1)
+            finished.touch()
+
+    # count-closed-forms is the child's first check, so the child has
+    # written nothing yet; left to run, it would wait out the sleep and
+    # leave the file before its first write could fail
+    monkeypatch.setattr(stcores.oracle, "_count_witness", slow_first_case)
+    suite = run_verify_suite(4, 5, 12, trials=10)
+    reports = iter(suite)
+    assert next(reports).check == "conjugate-involution"
+    reports.close()
+    _no_child_left()
+    assert not finished.exists()
+    assert [r.check for r in suite] == ["conjugate-involution"]
+
+
+# Kills itself with SIGKILL while its forked child runs the first of its
+# checks; every later check would keep an orphan alive for minutes.
+ORPHANING = """
+import os, time
+import stcores.formulas, stcores.oracle
+stcores.formulas.count_triple = lambda m, d: time.sleep(60)
+stcores.oracle._count_witness = lambda s, t: time.sleep(0.1)
+os.sched_getaffinity = lambda pid: {0, 1}
+reports = iter(stcores.oracle.run_verify_suite(2, 3, 6, trials=4))
+next(reports)
+os.kill(os.getpid(), 9)
+"""
+
+
+def test_a_child_whose_parent_is_killed_exits_after_its_current_check():
+    read_fd, write_fd = os.pipe()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.Popen([sys.executable, "-c", ORPHANING], pass_fds=(write_fd,), env=env)
+        os.close(write_fd)
+        assert proc.wait(timeout=60) == -9
+        # the child holds write_fd too, so the pipe ends once the child has exited
+        assert select.select([read_fd], [], [], 10)[0] and os.read(read_fd, 1) == b""
+    finally:
+        os.close(read_fd)
+
+
+def test_the_child_writes_nothing_to_stdout_or_stderr(monkeypatch, capfd):
+    count_triple = stcores.formulas.count_triple
+
+    def noisy_count_triple(m, d):
+        os.write(1, b"out\n")
+        os.write(2, b"err\n")
+        return count_triple(m, d)
+
+    monkeypatch.setattr(stcores.formulas, "count_triple", noisy_count_triple)
+    assert all(r.passed for r in run_verify_suite(2, 3, 6, trials=4))
+    assert capfd.readouterr() == ("", "")
+
+
+def test_an_interrupt_in_a_check_kills_and_reaps_the_child(monkeypatch):
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(stcores.oracle, "_push_witness", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        list(run_verify_suite(4, 5, 12, trials=10))
+    _no_child_left()
+
+
+def test_a_second_pass_replays_the_reports_of_the_first():
+    reports = run_verify_suite(2, 3, 6, trials=4)
+    first = list(reports)
+    assert len(first) == len(SUITE_SHAPE)
+    second = list(reports)
+    assert second == first and all(a is b for a, b in zip(first, second))
+    _no_child_left()
 
 
 def _flip_gap_sign(orig):
@@ -374,7 +567,7 @@ def test_injected_fault_is_caught_with_witness(monkeypatch, fault):
 
 
 def test_report_json_shape():
-    rep = run_verify_suite(1, 1, 2)[0]
+    rep = next(iter(run_verify_suite(1, 1, 2)))
     assert set(rep.to_json_dict()) == {"check", "params", "pass", "witness"}
 
 

@@ -74,7 +74,9 @@ def _loaded(code: str, *argv: str) -> tuple[str, set[str]]:
     (["avg", "9", "10", "--weighted"], "33\n", {"stcores.stats", "fractions"}, LEAN),
     (["enum", "4", "5", "--with-stab"], None, {"stcores.enumeration", "stcores.coords"},
      {"stcores.stats", "fractions", "dataclasses"}),
-], ids=["count", "avg", "enum-with-stab"])
+    (["verify", "--smax", "2", "--tmax", "3", "--nmax", "6"], None, {"stcores.oracle"},
+     {"multiprocessing", "concurrent.futures", "subprocess", "pickle"}),
+], ids=["count", "avg", "enum-with-stab", "verify"])
 def test_each_command_loads_only_the_modules_it_runs(argv, out, loads, skips):
     stdout, loaded = _loaded(CHILD, *argv)
     assert out is None or stdout == out

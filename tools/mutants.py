@@ -22,6 +22,7 @@ import argparse
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -64,11 +65,17 @@ def mutate(source: str, k: int) -> tuple[str, int, str]:
 
 def run(argv: list[str], cwd: Path) -> tuple[int, str]:
     env = dict(os.environ, PYTHONPATH=str(cwd / "src"), PYTHONDONTWRITEBYTECODE="1")
-    try:
-        res = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return -1, "timeout"
-    return res.returncode, res.stdout
+    # A session of its own, so that a timeout also kills the child process
+    # that ``verify`` forks, which a mutant may keep running forever.
+    with subprocess.Popen(argv, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as proc:
+        try:
+            out, _ = proc.communicate(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            return -1, "timeout"
+    return proc.returncode, out
 
 
 def main() -> int:

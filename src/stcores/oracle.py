@@ -11,58 +11,42 @@ enumerated core and is the reference for the dynamic program behind
 side of a closed form into an :class:`IdentityReport`.
 
 :func:`run_verify_suite` executes every structural invariant of the package
-at a requested scale and streams one report per check, in row order, each
-as its check ends.  A check is a row (name, params, cases, witness_of):
-``cases`` is a lazy iterable of argument tuples and ``witness_of(*case)``
-returns None or a witness string naming a counterexample.  One runner
-counts the cases, stops a check at its first witness and builds the report.
-Failures come back as reports with witnesses, not exceptions: an exception
-raised while a check generates or checks its cases becomes that check's
-failure, and the remaining checks still run.  The enumeration and stats
-checks run in a child process made by ``os.fork``, alongside the checks
-that draw random cases, and send their results back over a pipe.
+at a requested scale and streams one report per check, in row order.  A
+check is a row (name, params, cases, witness_of): ``cases`` is a lazy
+iterable of argument tuples and ``witness_of(*case)`` returns None or a
+witness string naming a counterexample.  Failures come back as reports with
+witnesses, not exceptions, and the remaining checks still run.  The rows
+run through :mod:`stcores.runner`: the rows that draw random cases stay in
+this process, in row order, and the others are shared with a child process
+made by ``os.fork``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
-import os
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator
 
-from . import betaset, coords, enumeration, errors, formulas, stats
+from . import betaset, coords, enumeration, errors, formulas, runner, stats
 from .partition import Partition
+from .runner import VerifyReport
 
 PARTITION_CAP = 40
 # The seed of the randomized checks of run_verify_suite.
 SEED = 2718
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    check: str
-    params: dict
-    witness: str | None = None
-    counts: dict | None = None
-
-    @property
-    def passed(self) -> bool:
-        """A check passes when it found no witness against it."""
-        return self.witness is None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "params": self.params,
-            "pass": self.passed,
-            "witness": self.witness,
-        }
+# The checks of run_verify_suite whose cases draw from the seeded generator.
+# They run in this process, in row order, so that it draws exactly the cases
+# that one process running every row in order would draw.
+_DRAWS_FROM_RNG = frozenset({
+    "charge-to-a-translation", "conjugate-s-set-reflection", "t-core-preserves-s-core",
+    "s-set-t-set-interaction", "faithful-invariant", "a-z-round-trip", "z-u-round-trip",
+    "st-core-iff-z-nonnegative", "z-counts-s-set-residues", "self-conjugacy-transfer",
+})
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
@@ -249,142 +233,6 @@ def _residue_multiset(values: Iterable[int], t: int) -> tuple[tuple[int, int], .
     return tuple(sorted(Counter(v % t for v in values).items()))
 
 
-def _run_check(name: str, params: dict, cases: Iterable[tuple], witness_of: Callable[..., str | None]) -> VerifyReport:
-    """Call ``witness_of(*case)`` on each case until one returns a witness.
-
-    An exception raised while generating or checking a case is the check's
-    failure, with the witness ``"<ExceptionType>: <message>"``.
-    """
-    checked = 0
-    witness = None
-    try:
-        for case in cases:
-            checked += 1
-            witness = witness_of(*case)
-            if witness is not None:
-                break
-    except Exception as exc:
-        witness = f"{type(exc).__name__}: {exc}"
-    return VerifyReport(name, params, witness, {"checked": checked})
-
-
-# POSIX fixes the number of SIGKILL; the signal module would be one more import.
-_SIGKILL = 9
-
-
-def _stream_reports(own: list[tuple], forked: list[tuple]) -> Iterator[VerifyReport]:
-    """The reports of the rows ``own`` and then ``forked``, each as its check ends.
-
-    On the first ``next``, a child process (see :func:`_start_child`) starts
-    on the rows of ``forked`` while this process runs ``own``.  The child
-    sends one JSON line ``[witness, checked]`` per row through a pipe.  A row
-    that it never reports fails, with a witness naming its exit status.
-    However the iteration ends, even by ``close`` or an exception, the child
-    is killed if it still runs and reaped.  Where no child starts, every row
-    runs here, in the same order.
-    """
-    child = _start_child(forked)
-    if child is None:
-        for row in own + forked:
-            yield _run_check(*row)
-        return
-    pid, read_fd = child
-    lines = open(read_fd, "rb")
-    reported = 0
-    try:
-        for row in own:
-            yield _run_check(*row)
-        for line in lines:
-            if not line.endswith(b"\n"):
-                break  # the child died while writing this line
-            witness, checked = json.loads(line)
-            name, params = forked[reported][:2]
-            reported += 1
-            yield VerifyReport(name, params, witness, {"checked": checked})
-    finally:
-        lines.close()
-        # The child has ended, has nothing left to report, or is no longer
-        # wanted.  A child already exiting keeps its exit status.
-        os.kill(pid, _SIGKILL)
-        status = os.waitpid(pid, 0)[1]
-    witness = f"the child process running this check ended with status {os.waitstatus_to_exitcode(status)}"
-    for name, params, *_ in forked[reported:]:
-        yield VerifyReport(name, params, witness, {"checked": 0})
-
-
-def _start_child(rows: list[tuple]) -> tuple[int, int] | None:
-    """Fork a child that runs ``rows`` (see :func:`_report_to_pipe`), and
-    return its pid and the read end of its pipe.
-
-    Returns None, starting nothing, where ``os.fork`` does not exist, where
-    this process may run on fewer than two CPUs (there the split adds a
-    process and no speed), or where the fork fails.
-    """
-    if not hasattr(os, "fork") or _usable_cpus() < 2:
-        return None
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if not pid:
-        os.close(read_fd)
-        _report_to_pipe(rows, write_fd)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _report_to_pipe(rows: list[tuple], write_fd: int) -> NoReturn:
-    """The forked child: run ``rows`` and write one line per report.
-
-    It leaves only through ``os._exit``, so no ``atexit`` hook runs and no
-    buffer inherited from the parent is flushed; its stdout and stderr
-    point at the null device.  If the parent dies without killing it, the
-    write after the current check fails on the pipe nobody reads, and the
-    child exits.
-    """
-    status = 1
-    try:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, 1)
-        os.dup2(devnull, 2)
-        for row in rows:
-            rep = _run_check(*row)
-            os.write(write_fd, json.dumps([rep.witness, rep.counts["checked"]]).encode() + b"\n")
-        status = 0
-    finally:
-        os._exit(status)
-
-
-class _Reports:
-    """The reports of one suite run, in row order.  The first pass streams
-    them as the checks end; a later pass replays the reports already made
-    and runs no check twice.  Closing a pass early stops the
-    run (``perfbench/traced.py`` reads the reports twice before the CLI
-    prints them)."""
-
-    def __init__(self, source: Iterator[VerifyReport]):
-        self._source = source
-        self._made: list[VerifyReport] = []
-
-    def __iter__(self) -> Iterator[VerifyReport]:
-        try:
-            yield from self._made
-            for rep in self._source:
-                self._made.append(rep)
-                yield rep
-        finally:
-            self._source.close()
-
-
 # Witnesses of the checks that take more than one expression.  Each returns
 # None when the case satisfies the invariant, else a string naming the case.
 
@@ -535,8 +383,8 @@ def _sc_subset_witness(s: int, t: int) -> str | None:
 
 
 def _triple_witness(m: int, d: int) -> str | None:
-    # This check sets the peak memory of the forked child of a default
-    # verify run, so it keeps one set of parts tuples: each sym partition is
+    # This check sets the peak memory of the process that runs it in a
+    # default verify run, so it keeps one set of parts tuples: each sym partition is
     # checked for divisible hooks as it arrives, and each asym one is
     # discarded from the set.
     want = formulas.count_triple(m, d)
@@ -628,7 +476,8 @@ def run_verify_suite(
     rather than extend them.  Randomized checks draw from a generator
     seeded with SEED, so output is reproducible byte for byte.  Raises
     ValueError, at the call, when s_max or t_max is below 1.  The checks
-    run on two processes when iteration starts (see :func:`_stream_reports`).
+    run on up to two processes when iteration starts (see
+    :func:`stcores.runner._stream_reports`).
     """
     if s_max < 1:
         raise ValueError(f"s_max must be >= 1, got {s_max}")
@@ -682,9 +531,7 @@ def run_verify_suite(
     # Every row is (name, params, cases, witness_of).  The cases are lazy, so a
     # randomized check draws from rng only while it runs, and per-partition
     # work (beta-set, hooks, conjugate, rim-removal memo) rides along in them.
-    # Only these first rows draw from rng; the enumeration and stats rows
-    # below run in the forked child, so this process draws exactly the cases
-    # that one process running every row in order would draw.
+    # The rows named in _DRAWS_FROM_RNG are the only ones that touch rng.
     rows = [
         # --- partition module -------------------------------------------
         ("conjugate-involution", {"n_max": n20}, ((p,) for p in parts_upto(n20)),
@@ -746,8 +593,6 @@ def run_verify_suite(
         ("self-conjugacy-transfer", {"pairs": len(pairs)},
          ((s, t, random_sc_t_core(t, s) if rng.random() < 0.5 else random_core(t)) for s, t in pairs for _ in range(half)),
          _sc_transfer_witness),
-    ]
-    forked = [
         # --- enumeration module -----------------------------------------
         ("count-closed-forms", {"pairs": len(pairs)}, pairs, _count_witness),
         ("cyclic-orbit-unique-representative", {"sum_max": sum14},
@@ -780,4 +625,4 @@ def run_verify_suite(
          ((s, t, rep) for s, t in coprime_pairs(sum14) for rep in verify_cyclic_sum_identities(s, t)),
          lambda s, t, rep: None if rep.passed else f"{rep.name} at (s,t)=({s},{t}): {rep.lhs} != {rep.rhs}"),
     ]
-    return _Reports(_stream_reports(rows, forked))
+    return runner._Reports(runner._stream_reports(rows, _DRAWS_FROM_RNG))

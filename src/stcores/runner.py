@@ -1,0 +1,284 @@
+"""The runner of the verify suite: each check as a report, on up to two processes.
+
+A check is a row (name, params, cases, witness_of): ``cases`` is a lazy
+iterable of argument tuples and ``witness_of(*case)`` returns None or a
+witness string naming a counterexample.  :func:`_run_check` counts the
+cases, stops a check at its first witness and builds the report; an
+exception raised while a check generates or checks its cases becomes that
+check's failure.
+
+:func:`_stream_reports` yields one report per row, in row order, each as
+soon as it and every row before it have ended.  The pinned rows run in this
+process, in row order.  The other rows are free: a child made by
+``os.fork`` shares them with this process through a two-ended queue, a pipe
+that holds one token of two bytes ``(lo, hi)``: the free rows at positions
+``lo`` to ``hi - 1`` of the free list are unclaimed.  Reading the token
+takes it, and the one write that puts it back releases it.  This process claims free rows from the
+front, in row order; the child claims them from the back and writes one
+JSON line ``[row, witness, checked]`` per row it runs.  If the child dies,
+each row it claimed but never reported fails with a witness naming its exit
+status, and each row it never claimed runs here.  Where no child starts,
+every row runs here, in row order.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import select
+from dataclasses import dataclass
+from typing import Callable, Collection, Iterable, Iterator, NoReturn
+
+
+@dataclass(frozen=True)
+class VerifyReport:
+    check: str
+    params: dict
+    witness: str | None = None
+    counts: dict | None = None
+
+    @property
+    def passed(self) -> bool:
+        """A check passes when it found no witness against it."""
+        return self.witness is None
+
+    def to_json_dict(self) -> dict:
+        return {
+            "check": self.check,
+            "params": self.params,
+            "pass": self.passed,
+            "witness": self.witness,
+        }
+
+
+def _run_check(name: str, params: dict, cases: Iterable[tuple], witness_of: Callable[..., str | None]) -> VerifyReport:
+    """Call ``witness_of(*case)`` on each case until one returns a witness.
+
+    An exception raised while generating or checking a case is the check's
+    failure, with the witness ``"<ExceptionType>: <message>"``.
+    """
+    checked = 0
+    witness = None
+    try:
+        for case in cases:
+            checked += 1
+            witness = witness_of(*case)
+            if witness is not None:
+                break
+    except Exception as exc:
+        witness = f"{type(exc).__name__}: {exc}"
+    return VerifyReport(name, params, witness, {"checked": checked})
+
+
+# POSIX fixes the number of SIGKILL; the signal module would be one more import.
+_SIGKILL = 9
+
+
+def _stream_reports(rows: list[tuple], pinned: Collection[str]) -> Iterator[VerifyReport]:
+    """The reports of ``rows``, in row order, each as soon as it can be given.
+
+    The rows named in ``pinned`` run here, in row order.  On the first
+    ``next``, a child process (see :func:`_start_child`) starts on the free
+    rows from the back while this process claims them from the front.  Once
+    a claim finds that the child holds the next free row, this process runs
+    the pinned rows it has left and then reads the child's reports.
+    However the iteration ends, even by ``close`` or an exception, the child
+    is killed if it still runs and reaped.
+    """
+    free = [i for i, row in enumerate(rows) if row[0] not in pinned]
+    child = _start_child(rows, free)
+    if child is None:
+        for row in rows:
+            yield _run_check(*row)
+        return
+    queue = _Queue(rows, free, *child)
+    try:
+        for i, row in enumerate(rows):
+            if row[0] in pinned or queue.claim():
+                yield _run_check(*row)
+                continue
+            # The child holds row i and every free row after it.
+            ahead = {j: _run_check(*rows[j]) for j in range(i + 1, len(rows)) if rows[j][0] in pinned}
+            for j in range(i, len(rows)):
+                yield ahead[j] if j in ahead else queue.report_of(j)
+            return
+    finally:
+        queue.close()
+
+
+class _Queue:
+    """This process's end of the two-ended queue of free rows.
+
+    It has claimed ``free[:lo]``; the child has claimed ``free[hi:]`` as far
+    as this process has seen.  ``status`` is the child's exit code once it
+    has been reaped.
+    """
+
+    def __init__(self, rows: list[tuple], free: list[int], pid: int, token: tuple[int, int], report_fd: int):
+        self.rows, self.free = rows, free
+        self.pid, (self.token_r, self.token_w), self.report_fd = pid, token, report_fd
+        self.lo, self.hi = 0, len(free)
+        self.reports: dict[int, VerifyReport] = {}
+        self.reported = 0
+        self.partial = b""
+        self.status: int | None = None
+
+    def claim(self) -> bool:
+        """Take the next free row from the front; False if the child holds it.
+
+        While waiting for the token, this reads the child's reports, so it
+        sees the child end, and once the child has ended it no longer waits.
+        """
+        held = False
+        while self.status is None and not held:
+            ready = select.select([self.token_r, self.report_fd], [], [])[0]
+            if self.report_fd in ready:
+                self._read_reports()
+            held = self.token_r in ready and self.status is None and self._take_token()
+        got = self.lo < self.hi
+        self.lo += got
+        if held:
+            os.write(self.token_w, bytes([self.lo, self.hi]))
+        return got
+
+    def _take_token(self) -> bool:
+        # The token pipe does not block: the child may have taken the token
+        # since select saw it, and it may die before it puts it back.
+        try:
+            self.hi = os.read(self.token_r, 2)[1]
+        except BlockingIOError:
+            return False
+        return True
+
+    def report_of(self, row: int) -> VerifyReport:
+        """The child's report of ``row``, which it claimed."""
+        while row not in self.reports and self.status is None:
+            self._read_reports()
+        if row in self.reports:
+            return self.reports.pop(row)
+        name, params = self.rows[row][:2]
+        witness = f"the child process running this check ended with status {self.status}"
+        return VerifyReport(name, params, witness, {"checked": 0})
+
+    def _read_reports(self) -> None:
+        data = os.read(self.report_fd, 1 << 16)
+        if not data:
+            self._child_ended()
+            return
+        *lines, self.partial = (self.partial + data).split(b"\n")
+        for line in lines:
+            row, witness, checked = json.loads(line)
+            name, params = self.rows[row][:2]
+            self.reports[row] = VerifyReport(name, params, witness, {"checked": checked})
+            self.reported += 1
+
+    def _child_ended(self) -> None:
+        # A line the child did not finish is dropped.  The child puts the
+        # token back before it runs the row it claimed, so a token that is
+        # lost with the child covers no unreported row.
+        self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        if not self._take_token():
+            self.hi = len(self.free) - self.reported
+
+    def close(self) -> None:
+        for fd in (self.token_r, self.token_w, self.report_fd):
+            os.close(fd)
+        if self.status is None:
+            # The child has ended, has nothing left to report, or is no
+            # longer wanted.  A child already exiting keeps its exit status.
+            os.kill(self.pid, _SIGKILL)
+            os.waitpid(self.pid, 0)
+
+
+def _start_child(rows: list[tuple], free: list[int]) -> tuple[int, tuple[int, int], int] | None:
+    """Fork a child that runs free rows from the back (see
+    :func:`_report_to_pipe`), and return its pid, both ends of the token
+    pipe and the read end of its report pipe.
+
+    Returns None, starting nothing, where ``os.fork`` does not exist, where
+    this process may run on fewer than two CPUs (there the split adds a
+    process and no speed), or where the fork fails.
+    """
+    if not hasattr(os, "fork") or _usable_cpus() < 2:
+        return None
+    # Both processes read the token from one pipe and write it back to it.
+    # One byte per end of the queue: at most 255 free rows.
+    token = os.pipe()
+    os.set_blocking(token[0], False)
+    read_fd, write_fd = os.pipe()
+    os.write(token[1], bytes([0, len(free)]))
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (*token, read_fd, write_fd):
+            os.close(fd)
+        return None
+    if not pid:
+        os.close(read_fd)
+        _report_to_pipe(rows, free, token, write_fd)
+    os.close(write_fd)
+    return pid, token, read_fd
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _report_to_pipe(rows: list[tuple], free: list[int], token: tuple[int, int], write_fd: int) -> NoReturn:
+    """The forked child: claim free rows from the back until none is left,
+    and write one line per report.
+
+    It leaves only through ``os._exit``, so no ``atexit`` hook runs and no
+    buffer inherited from the parent is flushed; its stdout and stderr
+    point at the null device.  If the parent dies without killing it, the
+    child exits at its next write of a report or while it waits for the
+    token, which the parent may have held when it died.
+    """
+    status = 1
+    try:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.dup2(devnull, 2)
+        waiting = select.poll()
+        waiting.register(token[0], select.POLLIN)
+        # The report pipe polls POLLERR once no process can read it, that is
+        # once the parent is gone.
+        waiting.register(write_fd, 0)
+        while all(fd != write_fd for fd, _ in waiting.poll()):
+            try:
+                lo, hi = os.read(token[0], 2)
+            except BlockingIOError:
+                continue  # the parent took the token first
+            got = lo < hi
+            hi -= got
+            os.write(token[1], bytes([lo, hi]))
+            if not got:
+                status = 0
+                break
+            rep = _run_check(*rows[free[hi]])
+            os.write(write_fd, json.dumps([free[hi], rep.witness, rep.counts["checked"]]).encode() + b"\n")
+    finally:
+        os._exit(status)
+
+
+class _Reports:
+    """The reports of one suite run, in row order.  The first pass streams
+    them as the checks end; a later pass replays the reports already made
+    and runs no check twice.  Closing a pass early stops the
+    run (``perfbench/traced.py`` reads the reports twice before the CLI
+    prints them)."""
+
+    def __init__(self, source: Iterator[VerifyReport]):
+        self._source = source
+        self._made: list[VerifyReport] = []
+
+    def __iter__(self) -> Iterator[VerifyReport]:
+        try:
+            yield from self._made
+            for rep in self._source:
+                self._made.append(rep)
+                yield rep
+        finally:
+            self._source.close()

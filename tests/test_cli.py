@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import select
 import subprocess
 import sys
 from pathlib import Path
@@ -452,16 +453,31 @@ def test_verify_writes_and_flushes_each_line_as_its_check_ends(monkeypatch):
     assert main(["verify", "--smax", "0"]) == 2
     assert out.getvalue() == "" and out.flushed in ([], [""])
     seen = []
-    last_own_row = oracle._sc_transfer_witness
+    parent = os.getpid()
+    gate_r, gate_w = os.pipe()
+    last_pinned_row, cyclic_sums = oracle._sc_transfer_witness, oracle.verify_cyclic_sum_identities
 
     def record_then_check(*case):
         if not seen:
             seen.append(out.flushed[-1])
-        return last_own_row(*case)
+            os.write(gate_w, b"x")
+        return last_pinned_row(*case)
 
-    # self-conjugacy-transfer is the last check the parent process runs
+    def wait_in_child(s, t):
+        if os.getpid() != parent:
+            select.select([gate_r], [], [], 60)
+        return cyclic_sums(s, t)
+
+    # self-conjugacy-transfer, row 19, runs in this process.  A forked child
+    # waits in its first check, the last row, until then, so this process
+    # claims every row before row 19 and prints each before it runs row 19.
     monkeypatch.setattr(oracle, "_sc_transfer_witness", record_then_check)
-    assert main(["verify", "--smax", "2", "--tmax", "3", "--nmax", "6"]) == 0
+    monkeypatch.setattr(oracle, "verify_cyclic_sum_identities", wait_in_child)
+    try:
+        assert main(["verify", "--smax", "2", "--tmax", "3", "--nmax", "6"]) == 0
+    finally:
+        os.close(gate_r)
+        os.close(gate_w)
     lines = out.getvalue().splitlines(keepends=True)
     assert lines[19].startswith("PASS self-conjugacy-transfer ") and lines[-1] == "34/34 checks passed\n"
     assert seen == ["".join(lines[:19])]

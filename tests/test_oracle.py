@@ -289,58 +289,83 @@ def test_a_failed_fork_closes_its_pipe_and_runs_every_row_here(monkeypatch):
     monkeypatch.setattr(os, "pipe", recorded_pipe)
     monkeypatch.setattr(os, "fork", failed_fork)
     assert _fields(run_verify_suite(4, 5, 12, trials=10)) == forked
-    assert len(pipes) == 2
+    assert len(pipes) == 4  # the token pipe and the report pipe
     for fd in pipes:
         with pytest.raises(OSError):
             os.fstat(fd)
 
 
-def _exit_3(*args):
-    os._exit(3)
-
-
 def test_rows_a_dead_child_never_reported_fail_with_its_exit_status(monkeypatch):
-    # count_triple runs only in the child's rows, from triple-enumerations-agree on
-    monkeypatch.setattr(stcores.formulas, "count_triple", _exit_3)
-    reports = list(run_verify_suite(4, 5, 12, trials=10))
-    first = [shape[0] for shape in SUITE_SHAPE].index("triple-enumerations-agree")
-    assert all(r.passed for r in reports[:first])
+    parent = os.getpid()
+    died_r, died_w = os.pipe()
+    count_triple, charge_a_witness = stcores.formulas.count_triple, stcores.oracle._charge_a_witness
+    waited = []
+
+    def exit_3_in_child(m, d):
+        if os.getpid() == parent:
+            return count_triple(m, d)
+        os.write(died_w, b"x")
+        os._exit(3)
+
+    def wait_for_the_child_to_die(*case):
+        # The parent's first pinned row waits, so the child claims every free
+        # row from the back down to motzkin-column, the first that calls
+        # count_triple, and dies there.
+        if not waited:
+            waited.append(select.select([died_r], [], [], 60)[0])
+        return charge_a_witness(*case)
+
+    monkeypatch.setattr(stcores.formulas, "count_triple", exit_3_in_child)
+    monkeypatch.setattr(stcores.oracle, "_charge_a_witness", wait_for_the_child_to_die)
+    try:
+        reports = list(run_verify_suite(4, 5, 12, trials=10))
+    finally:
+        os.close(died_r)
+        os.close(died_w)
+    assert waited == [[died_r]]
+    assert [r.check for r in reports] == [name for name, _ in SUITE_SHAPE]
+    # the rows it never claimed, triple-enumerations-agree among them, ran here
     witness = "the child process running this check ended with status 3"
-    assert [(r.check, r.witness, r.counts) for r in reports[first:]] == [
-        (name, witness, {"checked": 0}) for name, _ in SUITE_SHAPE[first:]
+    assert [(r.check, r.witness, r.counts) for r in reports if not r.passed] == [
+        ("motzkin-column", witness, {"checked": 0})
     ]
     _no_child_left()
 
 
 def test_a_line_cut_short_by_the_child_counts_as_unreported(monkeypatch):
+    parent = os.getpid()
     write = os.write
 
     def write_half_and_exit(fd, data):
+        if os.getpid() == parent or not data.endswith(b"\n"):
+            return write(fd, data)
         write(fd, data[: len(data) // 2])
         os._exit(5)
 
-    # os.write is called only by the child, once per line
+    # the child's first line, the report of cyclic-sum-identities, is cut short
     monkeypatch.setattr(os, "write", write_half_and_exit)
     reports = list(run_verify_suite(2, 3, 6, trials=4))
-    first = [shape[0] for shape in SUITE_SHAPE].index("count-closed-forms")
-    assert all(r.passed for r in reports[:first])
-    assert {r.witness for r in reports[first:]} == {"the child process running this check ended with status 5"}
-    assert len(reports) == len(SUITE_SHAPE)
+    assert [r.check for r in reports] == [name for name, _ in SUITE_SHAPE]
+    assert {r.check: r.witness for r in reports if not r.passed} == {
+        "cyclic-sum-identities": "the child process running this check ended with status 5"
+    }
     _no_child_left()
 
 
 def test_closing_the_stream_early_kills_and_reaps_the_child(monkeypatch, tmp_path):
+    parent = os.getpid()
     finished = tmp_path / "finished"
 
-    def slow_first_case(*args):
-        if not finished.exists():
+    def slow_in_child(s, t):
+        if os.getpid() != parent and not finished.exists():
             time.sleep(1)
             finished.touch()
+        return []
 
-    # count-closed-forms is the child's first check, so the child has
+    # cyclic-sum-identities is the child's first check, so the child has
     # written nothing yet; left to run, it would wait out the sleep and
     # leave the file before its first write could fail
-    monkeypatch.setattr(stcores.oracle, "_count_witness", slow_first_case)
+    monkeypatch.setattr(stcores.oracle, "verify_cyclic_sum_identities", slow_in_child)
     suite = run_verify_suite(4, 5, 12, trials=10)
     reports = iter(suite)
     assert next(reports).check == "conjugate-involution"
@@ -351,12 +376,13 @@ def test_closing_the_stream_early_kills_and_reaps_the_child(monkeypatch, tmp_pat
 
 
 # Kills itself with SIGKILL while its forked child runs the first of its
-# checks; every later check would keep an orphan alive for minutes.
+# checks, cyclic-sum-identities; the child's next check would keep an orphan
+# alive for a minute.
 ORPHANING = """
 import os, time
-import stcores.formulas, stcores.oracle
-stcores.formulas.count_triple = lambda m, d: time.sleep(60)
-stcores.oracle._count_witness = lambda s, t: time.sleep(0.1)
+import stcores.oracle
+stcores.oracle._oracle_witness = lambda s, t: time.sleep(60)
+stcores.oracle.verify_cyclic_sum_identities = lambda s, t: time.sleep(0.1) or []
 os.sched_getaffinity = lambda pid: {0, 1}
 reports = iter(stcores.oracle.run_verify_suite(2, 3, 6, trials=4))
 next(reports)
@@ -377,24 +403,38 @@ def test_a_child_whose_parent_is_killed_exits_after_its_current_check():
         os.close(read_fd)
 
 
-def test_the_child_writes_nothing_to_stdout_or_stderr(monkeypatch, capfd):
-    count_triple = stcores.formulas.count_triple
+def test_the_child_writes_nothing_to_stdout_or_stderr(monkeypatch, capfd, tmp_path):
+    parent = os.getpid()
+    noisy = tmp_path / "noisy"
+    cyclic_sums = stcores.oracle.verify_cyclic_sum_identities
 
-    def noisy_count_triple(m, d):
-        os.write(1, b"out\n")
-        os.write(2, b"err\n")
-        return count_triple(m, d)
+    def noisy_in_child(s, t):
+        if os.getpid() != parent:
+            os.write(1, b"out\n")
+            os.write(2, b"err\n")
+            fd = os.open(noisy, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            os.write(fd, b"x")
+            os.close(fd)
+        return cyclic_sums(s, t)
 
-    monkeypatch.setattr(stcores.formulas, "count_triple", noisy_count_triple)
+    # cyclic-sum-identities is the child's first check
+    monkeypatch.setattr(stcores.oracle, "verify_cyclic_sum_identities", noisy_in_child)
     assert all(r.passed for r in run_verify_suite(2, 3, 6, trials=4))
     assert capfd.readouterr() == ("", "")
+    assert noisy.read_bytes()
 
 
 def test_an_interrupt_in_a_check_kills_and_reaps_the_child(monkeypatch):
-    def interrupt(*args):
-        raise KeyboardInterrupt
+    parent = os.getpid()
+    charge_a_witness = stcores.oracle._charge_a_witness
 
-    monkeypatch.setattr(stcores.oracle, "_push_witness", interrupt)
+    def interrupt_in_parent(*case):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return charge_a_witness(*case)
+
+    # charge-to-a-translation draws from the generator, so only this process runs it
+    monkeypatch.setattr(stcores.oracle, "_charge_a_witness", interrupt_in_parent)
     with pytest.raises(KeyboardInterrupt):
         list(run_verify_suite(4, 5, 12, trials=10))
     _no_child_left()

@@ -56,7 +56,7 @@ sys.argv = ["cores", *sys.argv[1:]]
 runpy.run_module("stcores.cli", run_name="__main__", alter_sys=True)
 """
 LEAN = {"dataclasses", "stcores.betaset", "stcores.coords", "stcores.enumeration", "stcores.partition",
-        "stcores.oracle"}
+        "stcores.oracle", "stcores.runner"}
 
 
 def _loaded(code: str, *argv: str) -> tuple[str, set[str]]:
@@ -73,8 +73,8 @@ def _loaded(code: str, *argv: str) -> tuple[str, set[str]]:
     (["count", "9", "10"], "4862\n", {"stcores.formulas"}, LEAN),
     (["avg", "9", "10", "--weighted"], "33\n", {"stcores.stats", "fractions"}, LEAN),
     (["enum", "4", "5", "--with-stab"], None, {"stcores.enumeration", "stcores.coords"},
-     {"stcores.stats", "fractions", "dataclasses"}),
-    (["verify", "--smax", "2", "--tmax", "3", "--nmax", "6"], None, {"stcores.oracle"},
+     {"stcores.stats", "fractions", "dataclasses", "stcores.runner"}),
+    (["verify", "--smax", "2", "--tmax", "3", "--nmax", "6"], None, {"stcores.oracle", "stcores.runner"},
      {"multiprocessing", "concurrent.futures", "subprocess", "pickle"}),
 ], ids=["count", "avg", "enum-with-stab", "verify"])
 def test_each_command_loads_only_the_modules_it_runs(argv, out, loads, skips):

@@ -15,10 +15,10 @@ at a requested scale and streams one report per check, in row order.  A
 check is a row (name, params, cases, witness_of): ``cases`` is a lazy
 iterable of argument tuples and ``witness_of(*case)`` returns None or a
 witness string naming a counterexample.  Failures come back as reports with
-witnesses, not exceptions, and the remaining checks still run.  The rows
-run through :mod:`stcores.runner`: the rows that draw random cases stay in
-this process, in row order, and the others are shared with a child process
-made by ``os.fork``.
+witnesses, not exceptions, and the remaining checks still run.  Each
+randomized check draws from a generator of its own, so the rows run through
+:mod:`stcores.runner`, shared with a child process made by ``os.fork``, in
+any split.
 """
 
 from __future__ import annotations
@@ -28,25 +28,17 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import betaset, coords, enumeration, errors, formulas, runner, stats
+from .betaset import _Frozen, _set
 from .partition import Partition
 from .runner import VerifyReport
 
 PARTITION_CAP = 40
 # The seed of the randomized checks of run_verify_suite.
 SEED = 2718
-# The checks of run_verify_suite whose cases draw from the seeded generator.
-# They run in this process, in row order, so that it draws exactly the cases
-# that one process running every row in order would draw.
-_DRAWS_FROM_RNG = frozenset({
-    "charge-to-a-translation", "conjugate-s-set-reflection", "t-core-preserves-s-core",
-    "s-set-t-set-interaction", "faithful-invariant", "a-z-round-trip", "z-u-round-trip",
-    "st-core-iff-z-nonnegative", "z-counts-s-set-residues", "self-conjugacy-transfer",
-})
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
@@ -161,14 +153,20 @@ def enumerated_moment_sums(
     return [Fraction(v, scale) for v in sums]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Frozen):
     """Both sides of one checked identity, plus enough context to rerun it."""
 
+    __slots__ = ("name", "params", "lhs", "rhs")
     name: str
     params: dict
     lhs: Fraction
     rhs: Fraction
+
+    def __init__(self, name: str, params: dict, lhs: Fraction, rhs: Fraction):
+        _set(self, "name", name)
+        _set(self, "params", params)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
     @property
     def passed(self) -> bool:
@@ -450,15 +448,21 @@ def _size_witness(s: int, t: int, rec: enumeration.CoreRecord) -> str | None:
 
 
 def _oracle_witness(s: int, t: int) -> str | None:
+    # Olsson and Stanton: the largest (s,t)-core has size (s^2-1)(t^2-1)/24,
+    # and no other (s,t)-core has that size.
+    largest = (s * s - 1) * (t * t - 1) // 24
     enum_parts = {r.partition for r in enumeration.enum_st_cores(s, t)}
-    bound = max((p.size for p in enum_parts), default=0)
-    brute = brute_st_cores({s, t}, bound + s + t)
-    if {p for p in brute if p.size <= bound} != enum_parts:
-        return f"(s,t)=({s},{t}): set mismatch at size <= {bound}"
-    stray = [p for p in brute if p.size > bound]
-    if stray:
-        return f"(s,t)=({s},{t}): unexpected core {stray[0].parts}"
-    return None
+    if {p for p in enum_parts if p.size <= largest} != set(brute_st_cores({s, t}, largest)):
+        return f"(s,t)=({s},{t}): set mismatch at size <= {largest}"
+    top = sorted(p.size for p in enum_parts if p.size >= largest)
+    return None if top == [largest] else f"(s,t)=({s},{t}): enumerated sizes {top} at or above {largest}"
+
+
+def _randomized(name: str, params: dict, cases_of: Callable[[random.Random], Iterable[tuple]], witness_of) -> tuple:
+    """The row of a randomized check.  ``cases_of(rng)`` draws its cases from a
+    generator seeded from SEED and the check's name alone, made at the first
+    draw in whichever process runs the check, so no other row moves them."""
+    return name, params, (case for seed in [f"{SEED}/{name}"] for case in cases_of(random.Random(seed))), witness_of
 
 
 def run_verify_suite(
@@ -473,17 +477,16 @@ def run_verify_suite(
 
     Each sub-check keeps its own documented size cap (for instance, size <= 12
     for exhaustive hook multisets); the requested bounds clamp those caps
-    rather than extend them.  Randomized checks draw from a generator
-    seeded with SEED, so output is reproducible byte for byte.  Raises
-    ValueError, at the call, when s_max or t_max is below 1.  The checks
-    run on up to two processes when iteration starts (see
-    :func:`stcores.runner._stream_reports`).
+    rather than extend them.  Each randomized check draws from a generator
+    of its own, seeded from SEED and the check's name, so each check is
+    reproducible on its own, in either process.  Raises ValueError, at the
+    call, when s_max or t_max is below 1.  The checks run on up to two
+    processes when iteration starts (see :func:`stcores.runner._stream_reports`).
     """
     if s_max < 1:
         raise ValueError(f"s_max must be >= 1, got {s_max}")
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    rng = random.Random(SEED)
     mod_max = max(s_max, t_max)
     half, quarter = max(1, trials // 2), max(1, trials // 4)
     n12, n14, n15, n20 = (min(k, n_max) for k in (12, 14, 15, 20))
@@ -501,16 +504,13 @@ def run_verify_suite(
             if math.gcd(s, t) == 1 and s + t <= limit_sum
         ]
 
-    def random_core(s: int) -> Partition:
-        return betaset.random_s_core(s, rng)
-
-    def random_sc_t_core(t: int, s: int) -> Partition:
+    def random_sc_t_core(rng: random.Random, t: int, s: int) -> Partition:
         # symmetric by construction: random u, unfolded through z to a
         tail = [rng.randint(-3, 3) for _ in range(t // 2)]
         u = coords.UTuple(t, s, (s // 2 - sum(tail), *tail))
         return betaset.partition_from_a(coords.z_to_a(coords.u_to_z(u)))
 
-    def random_u(s: int, t: int) -> coords.UTuple:
+    def random_u(rng: random.Random, s: int, t: int) -> coords.UTuple:
         cuts = sorted(rng.randint(0, s // 2) for _ in range(t // 2))
         u_entries = [b - a for a, b in zip([0] + cuts, cuts + [s // 2])]
         if len(u_entries) > 1 and rng.random() < 0.5:
@@ -521,17 +521,19 @@ def run_verify_suite(
             u_entries[j] -= delta
         return coords.UTuple(t, s, tuple(u_entries))
 
-    def random_st_cases() -> Iterator[tuple[int, int, Partition]]:
+    def random_s_cases(rng: random.Random) -> Iterator[tuple[int, Partition]]:
+        return ((s, betaset.random_s_core(s, rng)) for s in range(1, mod_max + 1) for _ in range(trials))
+
+    def random_st_cases(rng: random.Random) -> Iterator[tuple[int, int, Partition]]:
         mods = range(1, mod_max + 1)
-        return ((s, t, random_core(s)) for s in mods for t in mods for _ in range(quarter))
+        return ((s, t, betaset.random_s_core(s, rng)) for s in mods for t in mods for _ in range(quarter))
 
     pairs = coprime_pairs()
     oracle_pairs = [(s, t) for s, t in [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)] if s <= s_max and t <= t_max]
 
     # Every row is (name, params, cases, witness_of).  The cases are lazy, so a
-    # randomized check draws from rng only while it runs, and per-partition
-    # work (beta-set, hooks, conjugate, rim-removal memo) rides along in them.
-    # The rows named in _DRAWS_FROM_RNG are the only ones that touch rng.
+    # randomized check draws only while it runs, and per-partition work
+    # (beta-set, hooks, conjugate, rim-removal memo) rides along in them.
     rows = [
         # --- partition module -------------------------------------------
         ("conjugate-involution", {"n_max": n20}, ((p,) for p in parts_upto(n20)),
@@ -557,9 +559,7 @@ def run_verify_suite(
         ("diagram-vs-abacus-core", {"n_max": n14, "t_max": min(6, mod_max)},
          ((p, t) for p in parts_upto(n14) for t in range(1, min(6, mod_max) + 1)),
          lambda p, t: f"p={p.parts}, t={t}" if betaset.t_core(p, t) != p.t_core_by_diagram(t) else None),
-        ("charge-to-a-translation", {"s_max": mod_max, "trials": trials},
-         ((s, random_core(s)) for s in range(1, mod_max + 1) for _ in range(trials)),
-         _charge_a_witness),
+        _randomized("charge-to-a-translation", {"s_max": mod_max, "trials": trials}, random_s_cases, _charge_a_witness),
         ("conjugate-charge-negation", {"n_max": n14, "s_max": mod_max},
          ((p, s, b, cb) for p in parts_upto(n14) for b in [betaset.beta_from_partition(p)]
           for cb in [betaset.conjugate_beta(b)] for s in range(1, mod_max + 1)),
@@ -567,32 +567,34 @@ def run_verify_suite(
         ("core-commutes-with-conjugation", {"n_max": n15, "s_max": min(5, mod_max)},
          ((p, s) for p in parts_upto(n15) for s in range(1, min(5, mod_max) + 1)),
          lambda p, s: f"p={p.parts}, s={s}" if betaset.t_core(p.conjugate(), s) != betaset.t_core(p, s).conjugate() else None),
-        ("conjugate-s-set-reflection", {"s_max": mod_max, "trials": trials},
-         ((s, random_core(s)) for s in range(1, mod_max + 1) for _ in range(trials)),
-         _conjugate_s_set_witness),
-        ("t-core-preserves-s-core", {"mod_max": mod_max}, random_st_cases(), _core_closure_witness),
-        ("s-set-t-set-interaction", {"mod_max": mod_max}, random_st_cases(), _s_set_t_set_witness),
-        ("faithful-invariant", {"mod_max": min(6, mod_max)},
-         ((s, t, p, rng.choice([random_core(s), betaset.t_core(p, t)]))
-          for s in range(1, min(6, mod_max) + 1) for t in range(1, min(6, mod_max) + 1) if math.gcd(s, t) == 1
-          for _ in range(quarter) for p in [random_core(s)]),
-         _faithful_witness),
+        _randomized("conjugate-s-set-reflection", {"s_max": mod_max, "trials": trials}, random_s_cases,
+                    _conjugate_s_set_witness),
+        _randomized("t-core-preserves-s-core", {"mod_max": mod_max}, random_st_cases, _core_closure_witness),
+        _randomized("s-set-t-set-interaction", {"mod_max": mod_max}, random_st_cases, _s_set_t_set_witness),
+        _randomized("faithful-invariant", {"mod_max": min(6, mod_max)},
+                    lambda rng: ((s, t, p, rng.choice([betaset.random_s_core(s, rng), betaset.t_core(p, t)]))
+                                 for s in range(1, min(6, mod_max) + 1) for t in range(1, min(6, mod_max) + 1)
+                                 if math.gcd(s, t) == 1 for _ in range(quarter) for p in [betaset.random_s_core(s, rng)]),
+                    _faithful_witness),
         # --- coords module ----------------------------------------------
-        ("a-z-round-trip", {"pairs": len(pairs), "trials": trials},
-         ((s, t, betaset.a_coords(random_core(t), t)) for s, t in pairs for _ in range(half)),
-         lambda s, t, a: f"a={a.a}, s={s}, t={t}" if coords.z_to_a(coords.a_to_z(a, s)) != a else None),
-        ("z-u-round-trip", {"pairs": len(pairs), "trials": trials},
-         ((s, t, random_u(s, t)) for s, t in pairs for _ in range(half)),
-         lambda s, t, u: f"u={u.u}, s={s}, t={t}" if coords.z_to_u(coords.u_to_z(u)) != u else None),
-        ("st-core-iff-z-nonnegative", {"pairs": len(pairs)},
-         ((s, t, random_core(t)) for s, t in pairs for _ in range(half)),
-         _st_core_witness),
-        ("z-counts-s-set-residues", {"pairs": len(pairs)},
-         ((s, t, k, random_core(s)) for s, t in pairs for k in [coords.shift_constant(s, t)] for _ in range(half)),
-         _z_residue_witness),
-        ("self-conjugacy-transfer", {"pairs": len(pairs)},
-         ((s, t, random_sc_t_core(t, s) if rng.random() < 0.5 else random_core(t)) for s, t in pairs for _ in range(half)),
-         _sc_transfer_witness),
+        _randomized("a-z-round-trip", {"pairs": len(pairs), "trials": trials},
+                    lambda rng: ((s, t, betaset.a_coords(betaset.random_s_core(t, rng), t))
+                                 for s, t in pairs for _ in range(half)),
+                    lambda s, t, a: f"a={a.a}, s={s}, t={t}" if coords.z_to_a(coords.a_to_z(a, s)) != a else None),
+        _randomized("z-u-round-trip", {"pairs": len(pairs), "trials": trials},
+                    lambda rng: ((s, t, random_u(rng, s, t)) for s, t in pairs for _ in range(half)),
+                    lambda s, t, u: f"u={u.u}, s={s}, t={t}" if coords.z_to_u(coords.u_to_z(u)) != u else None),
+        _randomized("st-core-iff-z-nonnegative", {"pairs": len(pairs)},
+                    lambda rng: ((s, t, betaset.random_s_core(t, rng)) for s, t in pairs for _ in range(half)),
+                    _st_core_witness),
+        _randomized("z-counts-s-set-residues", {"pairs": len(pairs)},
+                    lambda rng: ((s, t, k, betaset.random_s_core(s, rng)) for s, t in pairs
+                                 for k in [coords.shift_constant(s, t)] for _ in range(half)),
+                    _z_residue_witness),
+        _randomized("self-conjugacy-transfer", {"pairs": len(pairs)},
+                    lambda rng: ((s, t, random_sc_t_core(rng, t, s) if rng.random() < 0.5
+                                  else betaset.random_s_core(t, rng)) for s, t in pairs for _ in range(half)),
+                    _sc_transfer_witness),
         # --- enumeration module -----------------------------------------
         ("count-closed-forms", {"pairs": len(pairs)}, pairs, _count_witness),
         ("cyclic-orbit-unique-representative", {"sum_max": sum14},
@@ -625,4 +627,4 @@ def run_verify_suite(
          ((s, t, rep) for s, t in coprime_pairs(sum14) for rep in verify_cyclic_sum_identities(s, t)),
          lambda s, t, rep: None if rep.passed else f"{rep.name} at (s,t)=({s},{t}): {rep.lhs} != {rep.rhs}"),
     ]
-    return runner._Reports(runner._stream_reports(rows, _DRAWS_FROM_RNG))
+    return runner._Reports(runner._stream_reports(rows))

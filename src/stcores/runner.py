@@ -5,20 +5,20 @@ iterable of argument tuples and ``witness_of(*case)`` returns None or a
 witness string naming a counterexample.  :func:`_run_check` counts the
 cases, stops a check at its first witness and builds the report; an
 exception raised while a check generates or checks its cases becomes that
-check's failure.
+check's failure.  A row may run in either process, so its cases must not
+depend on the rows run before it.
 
 :func:`_stream_reports` yields one report per row, in row order, each as
-soon as it and every row before it have ended.  The pinned rows run in this
-process, in row order.  The other rows are free: a child made by
-``os.fork`` shares them with this process through a two-ended queue, a pipe
-that holds one token of two bytes ``(lo, hi)``: the free rows at positions
-``lo`` to ``hi - 1`` of the free list are unclaimed.  Reading the token
-takes it, and the one write that puts it back releases it.  This process claims free rows from the
-front, in row order; the child claims them from the back and writes one
-JSON line ``[row, witness, checked]`` per row it runs.  If the child dies,
-each row it claimed but never reported fails with a witness naming its exit
-status, and each row it never claimed runs here.  Where no child starts,
-every row runs here, in row order.
+soon as it and every row before it have ended.  A child made by
+``os.fork`` shares the rows with this process through a two-ended queue, a
+pipe that holds one token of two bytes ``(lo, hi)``: rows ``lo`` to
+``hi - 1`` are unclaimed.  Reading the token takes it, and the one write
+that puts it back releases it.  This process claims rows from the front,
+in row order; the child claims them from the back and writes one JSON line
+``[row, witness, checked]`` per row it runs.  If the child dies, each row
+it claimed but never reported fails with a witness naming its exit status,
+and each row it never claimed runs here.  Where no child starts, every row
+runs here, in row order.
 """
 
 from __future__ import annotations
@@ -26,16 +26,25 @@ from __future__ import annotations
 import json
 import os
 import select
-from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator, NoReturn
+
+from .betaset import _Frozen, _set
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(_Frozen):
+    """One check's name, params, first counterexample (None if it passed) and counts."""
+
+    __slots__ = ("check", "params", "witness", "counts")
     check: str
     params: dict
-    witness: str | None = None
-    counts: dict | None = None
+    witness: str | None
+    counts: dict | None
+
+    def __init__(self, check: str, params: dict, witness: str | None = None, counts: dict | None = None):
+        _set(self, "check", check)
+        _set(self, "params", params)
+        _set(self, "witness", witness)
+        _set(self, "counts", counts)
 
     @property
     def passed(self) -> bool:
@@ -43,12 +52,7 @@ class VerifyReport:
         return self.witness is None
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "params": self.params,
-            "pass": self.passed,
-            "witness": self.witness,
-        }
+        return {"check": self.check, "params": self.params, "pass": self.passed, "witness": self.witness}
 
 
 def _run_check(name: str, params: dict, cases: Iterable[tuple], witness_of: Callable[..., str | None]) -> VerifyReport:
@@ -74,57 +78,50 @@ def _run_check(name: str, params: dict, cases: Iterable[tuple], witness_of: Call
 _SIGKILL = 9
 
 
-def _stream_reports(rows: list[tuple], pinned: Collection[str]) -> Iterator[VerifyReport]:
+def _stream_reports(rows: list[tuple]) -> Iterator[VerifyReport]:
     """The reports of ``rows``, in row order, each as soon as it can be given.
 
-    The rows named in ``pinned`` run here, in row order.  On the first
-    ``next``, a child process (see :func:`_start_child`) starts on the free
-    rows from the back while this process claims them from the front.  Once
-    a claim finds that the child holds the next free row, this process runs
-    the pinned rows it has left and then reads the child's reports.
-    However the iteration ends, even by ``close`` or an exception, the child
-    is killed if it still runs and reaped.
+    On the first ``next``, a child process (see :func:`_start_child`)
+    starts on the rows from the back while this process claims them from
+    the front.  Once a claim finds that the child holds the next row, this
+    process reads the child's reports.  However the iteration ends, even
+    by ``close`` or an exception, the child is killed if it still runs and
+    reaped.
     """
-    free = [i for i, row in enumerate(rows) if row[0] not in pinned]
-    child = _start_child(rows, free)
+    child = _start_child(rows)
     if child is None:
-        for row in rows:
-            yield _run_check(*row)
+        yield from (_run_check(*row) for row in rows)
         return
-    queue = _Queue(rows, free, *child)
+    queue = _Queue(rows, *child)
     try:
         for i, row in enumerate(rows):
-            if row[0] in pinned or queue.claim():
-                yield _run_check(*row)
-                continue
-            # The child holds row i and every free row after it.
-            ahead = {j: _run_check(*rows[j]) for j in range(i + 1, len(rows)) if rows[j][0] in pinned}
-            for j in range(i, len(rows)):
-                yield ahead[j] if j in ahead else queue.report_of(j)
-            return
+            if not queue.claim():
+                # The child holds row i and every row after it.
+                yield from map(queue.report_of, range(i, len(rows)))
+                return
+            yield _run_check(*row)
     finally:
         queue.close()
 
 
 class _Queue:
-    """This process's end of the two-ended queue of free rows.
+    """This process's end of the two-ended queue of rows.
 
-    It has claimed ``free[:lo]``; the child has claimed ``free[hi:]`` as far
+    It has claimed ``rows[:lo]``; the child has claimed ``rows[hi:]`` as far
     as this process has seen.  ``status`` is the child's exit code once it
     has been reaped.
     """
 
-    def __init__(self, rows: list[tuple], free: list[int], pid: int, token: tuple[int, int], report_fd: int):
-        self.rows, self.free = rows, free
-        self.pid, (self.token_r, self.token_w), self.report_fd = pid, token, report_fd
-        self.lo, self.hi = 0, len(free)
+    def __init__(self, rows: list[tuple], pid: int, token: tuple[int, int], report_fd: int):
+        self.rows, self.pid, (self.token_r, self.token_w), self.report_fd = rows, pid, token, report_fd
+        self.lo, self.hi = 0, len(rows)
         self.reports: dict[int, VerifyReport] = {}
         self.reported = 0
         self.partial = b""
         self.status: int | None = None
 
     def claim(self) -> bool:
-        """Take the next free row from the front; False if the child holds it.
+        """Take the next row from the front; False if the child holds it.
 
         While waiting for the token, this reads the child's reports, so it
         sees the child end, and once the child has ended it no longer waits.
@@ -178,7 +175,7 @@ class _Queue:
         # lost with the child covers no unreported row.
         self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         if not self._take_token():
-            self.hi = len(self.free) - self.reported
+            self.hi = len(self.rows) - self.reported
 
     def close(self) -> None:
         for fd in (self.token_r, self.token_w, self.report_fd):
@@ -190,8 +187,8 @@ class _Queue:
             os.waitpid(self.pid, 0)
 
 
-def _start_child(rows: list[tuple], free: list[int]) -> tuple[int, tuple[int, int], int] | None:
-    """Fork a child that runs free rows from the back (see
+def _start_child(rows: list[tuple]) -> tuple[int, tuple[int, int], int] | None:
+    """Fork a child that runs rows from the back (see
     :func:`_report_to_pipe`), and return its pid, both ends of the token
     pipe and the read end of its report pipe.
 
@@ -202,11 +199,11 @@ def _start_child(rows: list[tuple], free: list[int]) -> tuple[int, tuple[int, in
     if not hasattr(os, "fork") or _usable_cpus() < 2:
         return None
     # Both processes read the token from one pipe and write it back to it.
-    # One byte per end of the queue: at most 255 free rows.
+    # One byte per end of the queue: at most 255 rows.
     token = os.pipe()
     os.set_blocking(token[0], False)
     read_fd, write_fd = os.pipe()
-    os.write(token[1], bytes([0, len(free)]))
+    os.write(token[1], bytes([0, len(rows)]))
     try:
         pid = os.fork()
     except OSError:
@@ -215,7 +212,7 @@ def _start_child(rows: list[tuple], free: list[int]) -> tuple[int, tuple[int, in
         return None
     if not pid:
         os.close(read_fd)
-        _report_to_pipe(rows, free, token, write_fd)
+        _report_to_pipe(rows, token, write_fd)
     os.close(write_fd)
     return pid, token, read_fd
 
@@ -226,8 +223,8 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _report_to_pipe(rows: list[tuple], free: list[int], token: tuple[int, int], write_fd: int) -> NoReturn:
-    """The forked child: claim free rows from the back until none is left,
+def _report_to_pipe(rows: list[tuple], token: tuple[int, int], write_fd: int) -> NoReturn:
+    """The forked child: claim rows from the back until none is left,
     and write one line per report.
 
     It leaves only through ``os._exit``, so no ``atexit`` hook runs and no
@@ -257,8 +254,8 @@ def _report_to_pipe(rows: list[tuple], free: list[int], token: tuple[int, int], 
             if not got:
                 status = 0
                 break
-            rep = _run_check(*rows[free[hi]])
-            os.write(write_fd, json.dumps([free[hi], rep.witness, rep.counts["checked"]]).encode() + b"\n")
+            rep = _run_check(*rows[hi])
+            os.write(write_fd, json.dumps([hi, rep.witness, rep.counts["checked"]]).encode() + b"\n")
     finally:
         os._exit(status)
 

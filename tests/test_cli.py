@@ -455,22 +455,22 @@ def test_verify_writes_and_flushes_each_line_as_its_check_ends(monkeypatch):
     seen = []
     parent = os.getpid()
     gate_r, gate_w = os.pipe()
-    last_pinned_row, cyclic_sums = oracle._sc_transfer_witness, oracle.verify_cyclic_sum_identities
+    sc_transfer_witness, cyclic_sums = oracle._sc_transfer_witness, oracle.verify_cyclic_sum_identities
 
     def record_then_check(*case):
         if not seen:
             seen.append(out.flushed[-1])
             os.write(gate_w, b"x")
-        return last_pinned_row(*case)
+        return sc_transfer_witness(*case)
 
     def wait_in_child(s, t):
         if os.getpid() != parent:
             select.select([gate_r], [], [], 60)
         return cyclic_sums(s, t)
 
-    # self-conjugacy-transfer, row 19, runs in this process.  A forked child
-    # waits in its first check, the last row, until then, so this process
-    # claims every row before row 19 and prints each before it runs row 19.
+    # A forked child waits in its first check, the last row, until this
+    # process runs self-conjugacy-transfer, row 19, so this process claims
+    # rows 0 to 19 and prints each row before row 19 before it runs row 19.
     monkeypatch.setattr(oracle, "_sc_transfer_witness", record_then_check)
     monkeypatch.setattr(oracle, "verify_cyclic_sum_identities", wait_in_child)
     try:

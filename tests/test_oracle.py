@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import gc
 import math
@@ -39,7 +38,7 @@ from stcores import (
     run_verify_suite,
     s_set_of,
 )
-from stcores.oracle import PARTITION_CAP, _removal_witness, enumerated_moment_sums
+from stcores.oracle import PARTITION_CAP, _oracle_witness, _removal_witness, enumerated_moment_sums
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -225,6 +224,13 @@ def test_asymmetry_check_has_no_case_outside_its_range(bounds, checked):
     assert rep.passed and rep.counts["checked"] == checked
 
 
+@pytest.mark.parametrize("s, t, largest", [(2, 3, 1), (2, 5, 3), (3, 4, 5), (3, 5, 8), (4, 5, 15)])
+def test_each_oracle_pair_has_one_largest_core_of_the_olsson_stanton_size(s, t, largest):
+    sizes = sorted(r.size for r in enum_st_cores(s, t))
+    assert sizes[-1] == largest == (s * s - 1) * (t * t - 1) // 24 and sizes.count(largest) == 1
+    assert _oracle_witness(s, t) is None
+
+
 @pytest.mark.parametrize("s_max, t_max", [(2, 3), (5, 6)])
 def test_pair_ranged_checks_run_every_pair_their_caps_allow(s_max, t_max):
     reports = {r.check: r for r in run_verify_suite(s_max, t_max, 4, trials=4)}
@@ -308,9 +314,9 @@ def test_rows_a_dead_child_never_reported_fail_with_its_exit_status(monkeypatch)
         os._exit(3)
 
     def wait_for_the_child_to_die(*case):
-        # The parent's first pinned row waits, so the child claims every free
-        # row from the back down to motzkin-column, the first that calls
-        # count_triple, and dies there.
+        # The parent waits in row 8, charge-to-a-translation, so the child
+        # claims every row from the back down to motzkin-column, the first
+        # that calls count_triple, and dies there.
         if not waited:
             waited.append(select.select([died_r], [], [], 60)[0])
         return charge_a_witness(*case)
@@ -426,15 +432,16 @@ def test_the_child_writes_nothing_to_stdout_or_stderr(monkeypatch, capfd, tmp_pa
 
 def test_an_interrupt_in_a_check_kills_and_reaps_the_child(monkeypatch):
     parent = os.getpid()
-    charge_a_witness = stcores.oracle._charge_a_witness
+    removal_witness = stcores.oracle._removal_witness
 
     def interrupt_in_parent(*case):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        return charge_a_witness(*case)
+        return removal_witness(*case)
 
-    # charge-to-a-translation draws from the generator, so only this process runs it
-    monkeypatch.setattr(stcores.oracle, "_charge_a_witness", interrupt_in_parent)
+    # rim-removal-order-independence is row 3: this process claims it long
+    # before the child, claiming from the back, could reach it
+    monkeypatch.setattr(stcores.oracle, "_removal_witness", interrupt_in_parent)
     with pytest.raises(KeyboardInterrupt):
         list(run_verify_suite(4, 5, 12, trials=10))
     _no_child_left()
@@ -499,6 +506,15 @@ def _drop_negative_elements(orig):
         return frozenset(x for x in orig(b, s) if x >= 0)
 
     return s_set
+
+
+def _drop_largest_core(orig):
+    def enum_st_cores(s, t):
+        records = orig(s, t)
+        largest = max(r.size for r in records)
+        return [r for r in records if r.size < largest]
+
+    return enum_st_cores
 
 
 # (module, attribute, make the faulty replacement from the original,
@@ -585,6 +601,15 @@ FAULTS = {
         "size-formulas-triple-agreement",
         "(s,t)=",
     ),
+    # The brute force up to the Olsson-Stanton size (s^2-1)(t^2-1)/24 finds
+    # the core the enumeration lost.
+    "enum_st_cores-largest-dropped": (
+        stcores.enumeration,
+        "enum_st_cores",
+        _drop_largest_core,
+        "oracle-enumeration-equivalence",
+        "(s,t)=",
+    ),
     "t_core-identity": (
         stcores.betaset,
         "t_core",
@@ -612,7 +637,7 @@ def test_report_json_shape():
 
 
 def test_report_passes_exactly_without_a_witness():
-    assert [f.name for f in dataclasses.fields(VerifyReport)] == ["check", "params", "witness", "counts"]
+    assert VerifyReport.__slots__ == ("check", "params", "witness", "counts")
     ok, bad = VerifyReport("c", {}, None, {"checked": 3}), VerifyReport("c", {}, "w", {"checked": 1})
     assert (ok.passed, bad.passed) == (True, False)
     assert ok.to_json_dict() == {"check": "c", "params": {}, "pass": True, "witness": None}

@@ -16,15 +16,9 @@ from stcores import run_verify_suite
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# The checks whose cases draw from the seeded generator, in row order.
-PINNED = [
-    "charge-to-a-translation", "conjugate-s-set-reflection", "t-core-preserves-s-core",
-    "s-set-t-set-interaction", "faithful-invariant", "a-z-round-trip", "z-u-round-trip",
-    "st-core-iff-z-nonnegative", "z-counts-s-set-residues", "self-conjugacy-transfer",
-]
 NAMES = [r.check for r in run_verify_suite(1, 1, 2)]
-FREE = [name for name in NAMES if name not in PINNED]
 CHILD_DIED = "the child process running this check ended with status {}"
+SC_TRANSFER_WITNESS = stcores.oracle._sc_transfer_witness
 
 
 @pytest.fixture(autouse=True)
@@ -66,12 +60,7 @@ def _split(runs, parent):
     return [name for pid, name in runs if pid == parent], [name for pid, name in runs if pid != parent]
 
 
-def test_the_pinned_rows_are_the_ones_that_draw_from_the_generator():
-    assert sorted(stcores.oracle._DRAWS_FROM_RNG) == sorted(PINNED)
-    assert [name for name in NAMES if name in PINNED] == PINNED and len(FREE) == 24
-
-
-def test_every_row_runs_exactly_once_and_each_pinned_row_in_the_parent(runs):
+def test_every_row_runs_exactly_once_and_the_parents_rows_are_a_prefix_in_row_order(runs):
     parent = os.getpid()
     reports = list(run_verify_suite(4, 5, 12, trials=10))
     assert [r.check for r in reports] == NAMES and all(r.passed for r in reports)
@@ -79,9 +68,7 @@ def test_every_row_runs_exactly_once_and_each_pinned_row_in_the_parent(runs):
     assert sorted(name for _, name in ran) == sorted(NAMES)
     mine, childs = _split(ran, parent)
     assert len({pid for pid, _ in ran}) == 2 and childs
-    # the pinned rows run here in row order, and so do the free rows this process claimed
-    assert [name for name in mine if name in PINNED] == PINNED
-    assert mine == [name for name in NAMES if name in mine]
+    assert mine == NAMES[: len(mine)]
     _no_child_left()
 
 
@@ -89,13 +76,16 @@ def test_the_child_takes_a_run_of_free_rows_from_the_back(runs):
     parent = os.getpid()
     list(run_verify_suite(5, 6, 20))
     mine, childs = _split(runs(), parent)
-    assert childs and childs == FREE[::-1][: len(childs)]
-    assert set(mine) == set(NAMES) - set(childs)
+    # every row is free: the child's rows are a suffix, claimed from the back
+    assert childs and childs == NAMES[::-1][: len(childs)]
+    assert mine == NAMES[: len(NAMES) - len(childs)]
 
 
 @pytest.mark.parametrize("bounds, trials", [((1, 1, 4), 60), ((2, 3, 6), 4), ((4, 5, 12), 10), ((5, 6, 20), 60)])
 def test_the_reports_equal_those_of_one_process(monkeypatch, bounds, trials):
     forked = _fields(run_verify_suite(*bounds, trials=trials))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _fields(run_verify_suite(*bounds, trials=trials)) == forked
     monkeypatch.delattr(os, "fork")
     assert _fields(run_verify_suite(*bounds, trials=trials)) == forked
     assert [check for check, *_ in forked] == NAMES
@@ -110,7 +100,7 @@ def test_a_child_that_exits_in_its_first_row_fails_only_that_row(monkeypatch, ru
             os._exit(3)
         return cyclic_sums(s, t)
 
-    # cyclic-sum-identities is the last free row, the child's first claim
+    # cyclic-sum-identities is the last row, the child's first claim
     monkeypatch.setattr(stcores.oracle, "verify_cyclic_sum_identities", exit_3_in_child)
     reports = list(run_verify_suite(4, 5, 12, trials=10))
     assert [r.check for r in reports] == NAMES
@@ -132,7 +122,7 @@ def test_when_the_childs_first_row_is_slow_the_parent_runs_every_other_row(monke
         return cyclic_sums(s, t)
 
     def open_gate(s, t):
-        # the parent's last free row before the child's
+        # the parent's last row before the child's
         os.write(gate_w, b"x")
         return oracle_witness(s, t)
 
@@ -148,43 +138,49 @@ def test_when_the_childs_first_row_is_slow_the_parent_runs_every_other_row(monke
     _no_child_left()
 
 
-def test_once_the_child_holds_the_next_free_row_the_parent_runs_its_pinned_rows_first(monkeypatch, runs):
+def _sc_transfer_cases(monkeypatch, log):
+    """Log each case of self-conjugacy-transfer, with the pid that checks it."""
+
+    def logged(s, t, p):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, json.dumps([os.getpid(), s, t, p.parts]).encode() + b"\n")
+        finally:
+            os.close(fd)
+        return SC_TRANSFER_WITNESS(s, t, p)
+
+    monkeypatch.setattr(stcores.oracle, "_sc_transfer_witness", logged)
+    return lambda: [json.loads(line) for line in log.read_text().splitlines()]
+
+
+def test_a_randomized_row_draws_the_same_cases_in_the_child(monkeypatch, tmp_path):
     parent = os.getpid()
-    claimed_r, claimed_w = os.pipe()
-    pinned_r, pinned_w = os.pipe()
-    charge_a_witness = stcores.oracle._charge_a_witness
-    conjugate_charge_witness = stcores.oracle._conjugate_charge_witness
-    sc_transfer_witness = stcores.oracle._sc_transfer_witness
+    done_r, done_w = os.pipe()
+    run_check = stcores.runner._run_check
 
-    def wait_in_parent(*case):
-        # charge-to-a-translation, row 8, waits until the child runs row 9
-        if os.getpid() == parent:
-            select.select([claimed_r], [], [], 60)
-        return charge_a_witness(*case)
+    def hold_row_0_until_the_child_checked_row_19(name, *rest):
+        if os.getpid() == parent and name == NAMES[0]:
+            select.select([done_r], [], [], 60)
+        rep = run_check(name, *rest)
+        if os.getpid() != parent and name == "self-conjugacy-transfer":
+            os.write(done_w, b"x")
+        return rep
 
-    def wait_in_child(*case):
-        # row 9 ends only once the parent has reached its last pinned row
-        if os.getpid() != parent:
-            os.write(claimed_w, b"x")
-            if not select.select([pinned_r], [], [], 60)[0]:
-                return "the parent waited for this row before its pinned rows"
-        return conjugate_charge_witness(*case)
-
-    def open_gate_in_parent(*case):
-        os.write(pinned_w, b"x")
-        return sc_transfer_witness(*case)
-
-    monkeypatch.setattr(stcores.oracle, "_charge_a_witness", wait_in_parent)
-    monkeypatch.setattr(stcores.oracle, "_conjugate_charge_witness", wait_in_child)
-    monkeypatch.setattr(stcores.oracle, "_sc_transfer_witness", open_gate_in_parent)
+    monkeypatch.setattr(stcores.runner, "_run_check", hold_row_0_until_the_child_checked_row_19)
+    forked = _sc_transfer_cases(monkeypatch, tmp_path / "forked")
     try:
         reports = list(run_verify_suite(4, 5, 12, trials=10))
     finally:
-        for fd in (claimed_r, claimed_w, pinned_r, pinned_w):
-            os.close(fd)
-    assert [r.check for r in reports] == NAMES and all(r.passed for r in reports), [r.witness for r in reports]
-    # rows 0-8 here, then the pinned rows after row 8; the child took every free row from row 9 on
-    assert _split(runs(), parent) == (NAMES[:9] + PINNED[1:], FREE[8:][::-1])
+        os.close(done_r)
+        os.close(done_w)
+    assert [r.check for r in reports] == NAMES and all(r.passed for r in reports)
+    cases = forked()
+    assert cases and parent not in {pid for pid, *_ in cases}
+    monkeypatch.setattr(stcores.runner, "_run_check", run_check)
+    monkeypatch.delattr(os, "fork")
+    alone = _sc_transfer_cases(monkeypatch, tmp_path / "alone")
+    list(run_verify_suite(4, 5, 12, trials=10))
+    assert [case for _, *case in alone()] == [case for _, *case in cases]
     _no_child_left()
 
 
@@ -291,7 +287,7 @@ def test_a_child_waiting_for_the_token_exits_once_the_parent_is_gone():
     pid = os.fork()
     if not pid:
         os.close(read_fd)
-        stcores.runner._report_to_pipe([], [], token, write_fd)
+        stcores.runner._report_to_pipe([], token, write_fd)
     os.close(write_fd)
     os.close(read_fd)  # nobody can read the reports any more
     try:

@@ -9,7 +9,7 @@ enumerated records and the dynamic program of :mod:`stcores.stats` share.
 
 import math
 
-from .errors import CoreError, NotCoprimeError
+from .errors import CoreError, InvariantError, NotCoprimeError
 
 
 def _require_coprime(s: int, t: int) -> None:
@@ -64,10 +64,19 @@ def multinomial(n: int, ks: tuple[int, ...]) -> int:
 
 def count_triple(m: int, d: int) -> int:
     """Number of (m, m+d, m+2d)-cores:
-    (1/(m+d)) * sum_i multinom(m+d; i, i+d, m-2i)."""
+    (1/(m+d)) * sum_i multinom(m+d; i, i+d, m-2i).
+
+    The i = 0 term is C(m+d, d), and each next term is the last times the
+    exact ratio (m-2i)(m-2i-1) / ((i+1)(i+1+d)): one product and one
+    division per term."""
     _require_coprime(m, d)
     t = m + d
-    total = sum(multinomial(t, (i, i + d, m - 2 * i)) for i in range(m // 2 + 1))
+    term = total = math.comb(t, d)
+    for i in range(m // 2):
+        term, rem = divmod(term * (m - 2 * i) * (m - 2 * i - 1), (i + 1) * (i + 1 + d))
+        if rem:
+            raise InvariantError(f"count_triple({m}, {d}): the ratio after term {i} leaves a remainder")
+        total += term
     if total % t:
         raise CoreError(f"multinomial sum {total} is not divisible by {t}")
     return total // t

@@ -480,8 +480,8 @@ def run_verify_suite(
     rather than extend them.  Each randomized check draws from a generator
     of its own, seeded from SEED and the check's name, so each check is
     reproducible on its own, in either process.  Raises ValueError, at the
-    call, when s_max or t_max is below 1.  The checks run on up to two
-    processes when iteration starts (see :func:`stcores.runner._stream_reports`).
+    call, when s_max or t_max is below 1.  When iteration starts, up to two
+    processes claim the checks from one pipe (see :mod:`stcores.runner`).
     """
     if s_max < 1:
         raise ValueError(f"s_max must be >= 1, got {s_max}")

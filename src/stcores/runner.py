@@ -10,22 +10,25 @@ depend on the rows run before it.
 
 :func:`_stream_reports` yields one report per row, in row order, each as
 soon as it and every row before it have ended.  A child made by
-``os.fork`` shares the rows with this process through a two-ended queue, a
-pipe that holds one token of two bytes ``(lo, hi)``: rows ``lo`` to
-``hi - 1`` are unclaimed.  Reading the token takes it, and the one write
-that puts it back releases it.  This process claims rows from the front,
-in row order; the child claims them from the back and writes one JSON line
-``[row, witness, checked]`` per row it runs.  If the child dies, each row
-it claimed but never reported fails with a witness naming its exit status,
-and each row it never claimed runs here.  Where no child starts, every row
-runs here, in row order.
+``os.fork`` shares the rows with this process through a claim pipe.
+Before the fork, the pipe is filled with the numbers of rows 1 to n - 1,
+one byte each, in claim order (:func:`_claim_order`), and its write end is
+closed.  This process runs row 0, so the first line never waits for the
+child.  Each process claims a row by reading one byte; the kernel gives
+each byte to one reader, and an empty read means every row is claimed, so
+no read of the claim pipe ever waits.  One byte per row number allows at
+most 256 rows.  The child writes one JSON line ``[row, witness, checked]``
+per row it runs.  If the child dies, each row it claimed but never
+reported fails with a witness naming its exit status, and the rows it
+never claimed are still in the pipe and run here.  If this process dies,
+the child exits at its next write of a report.  Where no child starts,
+every row runs here, in row order.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import select
 from typing import Callable, Iterable, Iterator, NoReturn
 
 from .betaset import _Frozen, _set
@@ -82,104 +85,68 @@ def _stream_reports(rows: list[tuple]) -> Iterator[VerifyReport]:
     """The reports of ``rows``, in row order, each as soon as it can be given.
 
     On the first ``next``, a child process (see :func:`_start_child`)
-    starts on the rows from the back while this process claims them from
-    the front.  Once a claim finds that the child holds the next row, this
-    process reads the child's reports.  However the iteration ends, even
-    by ``close`` or an exception, the child is killed if it still runs and
-    reaped.
+    starts claiming rows, while this process runs row 0 and then claims
+    rows too.  After each of its own checks it reads the reports the child
+    has finished, without waiting; once every row is claimed, it waits for
+    them.  However the iteration ends, even by ``close`` or an exception,
+    the child is killed if it still runs and reaped.
     """
-    child = _start_child(rows)
-    if child is None:
+    started = _start_child(rows)
+    if started is None:
         yield from (_run_check(*row) for row in rows)
         return
-    queue = _Queue(rows, *child)
+    claims, child = started
+    reports: dict[int, VerifyReport] = {}
     try:
-        for i, row in enumerate(rows):
-            if not queue.claim():
-                # The child holds row i and every row after it.
-                yield from map(queue.report_of, range(i, len(rows)))
-                return
-            yield _run_check(*row)
+        reports[0] = _run_check(*rows[0])
+        for row in range(len(rows)):
+            while row not in reports:
+                claim = os.read(claims, 1)
+                if claim:
+                    reports[claim[0]] = _run_check(*rows[claim[0]])
+                elif child.status is None:
+                    os.set_blocking(child.report_fd, True)  # every row is claimed: wait for the child
+                else:
+                    name, params = rows[row][:2]
+                    witness = f"the child process running this check ended with status {child.status}"
+                    reports[row] = VerifyReport(name, params, witness, {"checked": 0})
+                if child.status is None:
+                    child.read(reports)
+            yield reports.pop(row)
     finally:
-        queue.close()
+        os.close(claims)
+        child.close()
 
 
-class _Queue:
-    """This process's end of the two-ended queue of rows.
+class _Child:
+    """The forked child as this process sees it: the read end of its report
+    pipe, the start of a line not yet read in full, and its exit status once
+    it has been reaped."""
 
-    It has claimed ``rows[:lo]``; the child has claimed ``rows[hi:]`` as far
-    as this process has seen.  ``status`` is the child's exit code once it
-    has been reaped.
-    """
-
-    def __init__(self, rows: list[tuple], pid: int, token: tuple[int, int], report_fd: int):
-        self.rows, self.pid, (self.token_r, self.token_w), self.report_fd = rows, pid, token, report_fd
-        self.lo, self.hi = 0, len(rows)
-        self.reports: dict[int, VerifyReport] = {}
-        self.reported = 0
+    def __init__(self, rows: list[tuple], pid: int, report_fd: int):
+        self.rows, self.pid, self.report_fd = rows, pid, report_fd
         self.partial = b""
         self.status: int | None = None
 
-    def claim(self) -> bool:
-        """Take the next row from the front; False if the child holds it.
-
-        While waiting for the token, this reads the child's reports, so it
-        sees the child end, and once the child has ended it no longer waits.
-        """
-        held = False
-        while self.status is None and not held:
-            ready = select.select([self.token_r, self.report_fd], [], [])[0]
-            if self.report_fd in ready:
-                self._read_reports()
-            held = self.token_r in ready and self.status is None and self._take_token()
-        got = self.lo < self.hi
-        self.lo += got
-        if held:
-            os.write(self.token_w, bytes([self.lo, self.hi]))
-        return got
-
-    def _take_token(self) -> bool:
-        # The token pipe does not block: the child may have taken the token
-        # since select saw it, and it may die before it puts it back.
+    def read(self, reports: dict[int, VerifyReport]) -> None:
+        """Add each report the child has finished to ``reports``, by row;
+        reap the child once its pipe has ended.  A line the child did not
+        finish is dropped."""
         try:
-            self.hi = os.read(self.token_r, 2)[1]
+            data = os.read(self.report_fd, 1 << 16)
         except BlockingIOError:
-            return False
-        return True
-
-    def report_of(self, row: int) -> VerifyReport:
-        """The child's report of ``row``, which it claimed."""
-        while row not in self.reports and self.status is None:
-            self._read_reports()
-        if row in self.reports:
-            return self.reports.pop(row)
-        name, params = self.rows[row][:2]
-        witness = f"the child process running this check ended with status {self.status}"
-        return VerifyReport(name, params, witness, {"checked": 0})
-
-    def _read_reports(self) -> None:
-        data = os.read(self.report_fd, 1 << 16)
+            return
         if not data:
-            self._child_ended()
+            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
             return
         *lines, self.partial = (self.partial + data).split(b"\n")
         for line in lines:
             row, witness, checked = json.loads(line)
             name, params = self.rows[row][:2]
-            self.reports[row] = VerifyReport(name, params, witness, {"checked": checked})
-            self.reported += 1
-
-    def _child_ended(self) -> None:
-        # A line the child did not finish is dropped.  The child puts the
-        # token back before it runs the row it claimed, so a token that is
-        # lost with the child covers no unreported row.
-        self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        if not self._take_token():
-            self.hi = len(self.rows) - self.reported
+            reports[row] = VerifyReport(name, params, witness, {"checked": checked})
 
     def close(self) -> None:
-        for fd in (self.token_r, self.token_w, self.report_fd):
-            os.close(fd)
+        os.close(self.report_fd)
         if self.status is None:
             # The child has ended, has nothing left to report, or is no
             # longer wanted.  A child already exiting keeps its exit status.
@@ -187,34 +154,52 @@ class _Queue:
             os.waitpid(self.pid, 0)
 
 
-def _start_child(rows: list[tuple]) -> tuple[int, tuple[int, int], int] | None:
-    """Fork a child that runs rows from the back (see
-    :func:`_report_to_pipe`), and return its pid, both ends of the token
-    pipe and the read end of its report pipe.
+def _claim_order(n: int) -> list[int]:
+    """Rows 0 to n - 1 in the order they are claimed: 0, n - 1, n - 2, 1,
+    n - 3, n - 4, 2, and so on, one row from the front and then two from
+    the back.
 
-    Returns None, starting nothing, where ``os.fork`` does not exist, where
-    this process may run on fewer than two CPUs (there the split adds a
-    process and no speed), or where the fork fails.
+    The front rows are the next lines to print, so this process reaches
+    them early; the back rows keep the child busy meanwhile.  Claimed front
+    to back, the suite's longest check, ``triple-enumerations-agree``
+    (row 23 of 34), starts late and the default run takes longer.
     """
-    if not hasattr(os, "fork") or _usable_cpus() < 2:
+    left, order = list(range(n)), []
+    while left:
+        order.append(left.pop(0))
+        order.extend(reversed(left[-2:]))
+        del left[-2:]
+    return order
+
+
+def _start_child(rows: list[tuple]) -> tuple[int, _Child] | None:
+    """Fork a child that claims rows (see :func:`_report_to_pipe`), and
+    return the read end of the claim pipe and the child.
+
+    Returns None, starting nothing, where there are fewer than two rows to
+    share, where ``os.fork`` does not exist, where this process may run on
+    fewer than two CPUs (there the split adds a process and no speed), or
+    where the fork fails.
+    """
+    if len(rows) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
         return None
-    # Both processes read the token from one pipe and write it back to it.
-    # One byte per end of the queue: at most 255 rows.
-    token = os.pipe()
-    os.set_blocking(token[0], False)
+    order = bytes(_claim_order(len(rows))[1:])  # ValueError past 256 rows
+    claims, fill = os.pipe()
+    os.write(fill, order)
+    os.close(fill)
     read_fd, write_fd = os.pipe()
-    os.write(token[1], bytes([0, len(rows)]))
     try:
         pid = os.fork()
     except OSError:
-        for fd in (*token, read_fd, write_fd):
+        for fd in (claims, read_fd, write_fd):
             os.close(fd)
         return None
     if not pid:
         os.close(read_fd)
-        _report_to_pipe(rows, token, write_fd)
+        _report_to_pipe(rows, claims, write_fd)
     os.close(write_fd)
-    return pid, token, read_fd
+    os.set_blocking(read_fd, False)
+    return claims, _Child(rows, pid, read_fd)
 
 
 def _usable_cpus() -> int:
@@ -223,39 +208,24 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _report_to_pipe(rows: list[tuple], token: tuple[int, int], write_fd: int) -> NoReturn:
-    """The forked child: claim rows from the back until none is left,
-    and write one line per report.
+def _report_to_pipe(rows: list[tuple], claims: int, write_fd: int) -> NoReturn:
+    """The forked child: claim rows until none is left, and write one line
+    per report.
 
     It leaves only through ``os._exit``, so no ``atexit`` hook runs and no
     buffer inherited from the parent is flushed; its stdout and stderr
     point at the null device.  If the parent dies without killing it, the
-    child exits at its next write of a report or while it waits for the
-    token, which the parent may have held when it died.
+    child's next write of a report fails, and it exits with status 1.
     """
     status = 1
     try:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, 1)
         os.dup2(devnull, 2)
-        waiting = select.poll()
-        waiting.register(token[0], select.POLLIN)
-        # The report pipe polls POLLERR once no process can read it, that is
-        # once the parent is gone.
-        waiting.register(write_fd, 0)
-        while all(fd != write_fd for fd, _ in waiting.poll()):
-            try:
-                lo, hi = os.read(token[0], 2)
-            except BlockingIOError:
-                continue  # the parent took the token first
-            got = lo < hi
-            hi -= got
-            os.write(token[1], bytes([lo, hi]))
-            if not got:
-                status = 0
-                break
-            rep = _run_check(*rows[hi])
-            os.write(write_fd, json.dumps([hi, rep.witness, rep.counts["checked"]]).encode() + b"\n")
+        while claim := os.read(claims, 1):
+            rep = _run_check(*rows[claim[0]])
+            os.write(write_fd, json.dumps([claim[0], rep.witness, rep.counts["checked"]]).encode() + b"\n")
+        status = 0
     finally:
         os._exit(status)
 

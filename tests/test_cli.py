@@ -12,6 +12,7 @@ import pytest
 
 import stcores.betaset
 import stcores.coords
+import stcores.runner
 from stcores import enumeration, oracle
 from stcores.cli import main
 
@@ -447,40 +448,46 @@ class _FlushRecorder(io.StringIO):
         self.flushed.append(self.getvalue())
 
 
-def test_verify_writes_and_flushes_each_line_as_its_check_ends(monkeypatch):
+def test_verify_writes_and_flushes_each_line_as_its_check_ends(monkeypatch, hold_row_0):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     out = _FlushRecorder()
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["verify", "--smax", "0"]) == 2
     assert out.getvalue() == "" and out.flushed in ([], [""])
     seen = []
     parent = os.getpid()
+    started_r, started_w = os.pipe()
     gate_r, gate_w = os.pipe()
-    sc_transfer_witness, cyclic_sums = oracle._sc_transfer_witness, oracle.verify_cyclic_sum_identities
+    run_check = stcores.runner._run_check
 
-    def record_then_check(*case):
-        if not seen:
-            seen.append(out.flushed[-1])
-            os.write(gate_w, b"x")
-        return sc_transfer_witness(*case)
-
-    def wait_in_child(s, t):
+    def record_then_check(name, *rest):
         if os.getpid() != parent:
+            os.write(started_w, b"x")
             select.select([gate_r], [], [], 60)
-        return cyclic_sums(s, t)
+        else:
+            seen.append((name, out.flushed[-1] if out.flushed else ""))
+            if len(seen) == 33:
+                os.write(gate_w, b"x")
+        return run_check(name, *rest)
 
-    # A forked child waits in its first check, the last row, until this
-    # process runs self-conjugacy-transfer, row 19, so this process claims
-    # rows 0 to 19 and prints each row before row 19 before it runs row 19.
-    monkeypatch.setattr(oracle, "_sc_transfer_witness", record_then_check)
-    monkeypatch.setattr(oracle, "verify_cyclic_sum_identities", wait_in_child)
+    # A forked child waits in its first check until this process starts its
+    # 33rd, so this process runs every other row.  Before each, it has
+    # printed the line of each row before the first row it has not run.
+    monkeypatch.setattr(stcores.runner, "_run_check", record_then_check)
+    hold_row_0(started_r)
     try:
         assert main(["verify", "--smax", "2", "--tmax", "3", "--nmax", "6"]) == 0
     finally:
-        os.close(gate_r)
-        os.close(gate_w)
+        for fd in (started_r, started_w, gate_r, gate_w):
+            os.close(fd)
     lines = out.getvalue().splitlines(keepends=True)
-    assert lines[19].startswith("PASS self-conjugacy-transfer ") and lines[-1] == "34/34 checks passed\n"
-    assert seen == ["".join(lines[:19])]
+    assert lines[-1] == "34/34 checks passed\n" and len(seen) == 33
+    names = [line.split()[1] for line in lines[:-1]]
+    done = set()
+    for name, flushed in seen:
+        assert flushed == "".join(lines[: next(i for i, n in enumerate(names) if n not in done)])
+        done.add(name)
+    assert seen[1][1] == lines[0]
 
 
 def test_verify_kills_its_child_when_writing_a_line_raises(monkeypatch):

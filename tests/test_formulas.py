@@ -28,6 +28,11 @@ def test_count_matches_both_closed_forms():
             n = count_st(s, t)
             assert n == math.comb(s + t, t) // (s + t)
             assert n == math.comb(s + t - 1, t - 1) // t
+    for m in range(1, 80):
+        for d in range(1, 6):
+            if math.gcd(m, d) == 1:
+                total = sum(multinomial(m + d, (i, i + d, m - 2 * i)) for i in range(m // 2 + 1))
+                assert count_triple(m, d) * (m + d) == total, (m, d)
 
 
 def test_multinomial_rejects_parts_with_wrong_sum():

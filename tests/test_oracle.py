@@ -1,5 +1,6 @@
 import functools
 import gc
+import json
 import math
 import operator
 import os
@@ -16,6 +17,7 @@ import stcores.coords
 import stcores.enumeration
 import stcores.formulas
 import stcores.oracle
+import stcores.runner
 import stcores.stats
 from stcores import (
     BetaSet,
@@ -295,83 +297,89 @@ def test_a_failed_fork_closes_its_pipe_and_runs_every_row_here(monkeypatch):
     monkeypatch.setattr(os, "pipe", recorded_pipe)
     monkeypatch.setattr(os, "fork", failed_fork)
     assert _fields(run_verify_suite(4, 5, 12, trials=10)) == forked
-    assert len(pipes) == 4  # the token pipe and the report pipe
+    assert len(pipes) == 4  # the claim pipe and the report pipe
     for fd in pipes:
         with pytest.raises(OSError):
             os.fstat(fd)
 
 
-def test_rows_a_dead_child_never_reported_fail_with_its_exit_status(monkeypatch):
-    parent = os.getpid()
+def _in_child(monkeypatch, act):
+    """Run ``act(name)`` in the child at the start of each check it runs."""
+    parent, run_check = os.getpid(), stcores.runner._run_check
+
+    def acting(name, *rest):
+        if os.getpid() != parent:
+            act(name)
+        return run_check(name, *rest)
+
+    monkeypatch.setattr(stcores.runner, "_run_check", acting)
+
+
+def test_rows_a_dead_child_never_reported_fail_with_its_exit_status(monkeypatch, hold_row_0):
     died_r, died_w = os.pipe()
-    count_triple, charge_a_witness = stcores.formulas.count_triple, stcores.oracle._charge_a_witness
-    waited = []
+    ran = []
 
-    def exit_3_in_child(m, d):
-        if os.getpid() == parent:
-            return count_triple(m, d)
-        os.write(died_w, b"x")
-        os._exit(3)
+    def exit_3_in_the_third(name):
+        ran.append(name)
+        if len(ran) == 3:
+            os.write(died_w, json.dumps(ran).encode())
+            os._exit(3)
 
-    def wait_for_the_child_to_die(*case):
-        # The parent waits in row 8, charge-to-a-translation, so the child
-        # claims every row from the back down to motzkin-column, the first
-        # that calls count_triple, and dies there.
-        if not waited:
-            waited.append(select.select([died_r], [], [], 60)[0])
-        return charge_a_witness(*case)
-
-    monkeypatch.setattr(stcores.formulas, "count_triple", exit_3_in_child)
-    monkeypatch.setattr(stcores.oracle, "_charge_a_witness", wait_for_the_child_to_die)
+    # the parent waits in row 0 until the child has died in the third row it
+    # claimed, so rows the child never claimed are left
+    _in_child(monkeypatch, exit_3_in_the_third)
+    hold_row_0(died_r)
     try:
         reports = list(run_verify_suite(4, 5, 12, trials=10))
+        childs = json.loads(os.read(died_r, 1 << 12))
     finally:
         os.close(died_r)
         os.close(died_w)
-    assert waited == [[died_r]]
-    assert [r.check for r in reports] == [name for name, _ in SUITE_SHAPE]
-    # the rows it never claimed, triple-enumerations-agree among them, ran here
+    assert [r.check for r in reports] == [name for name, _ in SUITE_SHAPE] and len(childs) == 3
     witness = "the child process running this check ended with status 3"
-    assert [(r.check, r.witness, r.counts) for r in reports if not r.passed] == [
-        ("motzkin-column", witness, {"checked": 0})
-    ]
+    assert [(r.check, r.witness, r.counts) for r in reports if not r.passed] == [(childs[-1], witness, {"checked": 0})]
     _no_child_left()
 
 
-def test_a_line_cut_short_by_the_child_counts_as_unreported(monkeypatch):
+def test_a_line_cut_short_by_the_child_counts_as_unreported(monkeypatch, hold_row_0):
     parent = os.getpid()
+    cut_r, cut_w = os.pipe()
     write = os.write
 
     def write_half_and_exit(fd, data):
         if os.getpid() == parent or not data.endswith(b"\n"):
             return write(fd, data)
+        write(cut_w, data)
         write(fd, data[: len(data) // 2])
         os._exit(5)
 
-    # the child's first line, the report of cyclic-sum-identities, is cut short
+    # the child's first line is cut short; the parent waits in row 0 until then
     monkeypatch.setattr(os, "write", write_half_and_exit)
-    reports = list(run_verify_suite(2, 3, 6, trials=4))
+    hold_row_0(cut_r)
+    try:
+        reports = list(run_verify_suite(2, 3, 6, trials=4))
+        row = json.loads(os.read(cut_r, 1 << 12))[0]
+    finally:
+        os.close(cut_r)
+        os.close(cut_w)
     assert [r.check for r in reports] == [name for name, _ in SUITE_SHAPE]
     assert {r.check: r.witness for r in reports if not r.passed} == {
-        "cyclic-sum-identities": "the child process running this check ended with status 5"
+        SUITE_SHAPE[row][0]: "the child process running this check ended with status 5"
     }
     _no_child_left()
 
 
 def test_closing_the_stream_early_kills_and_reaps_the_child(monkeypatch, tmp_path):
-    parent = os.getpid()
     finished = tmp_path / "finished"
 
-    def slow_in_child(s, t):
-        if os.getpid() != parent and not finished.exists():
+    def slow(name):
+        if not finished.exists():
             time.sleep(1)
             finished.touch()
-        return []
 
-    # cyclic-sum-identities is the child's first check, so the child has
-    # written nothing yet; left to run, it would wait out the sleep and
-    # leave the file before its first write could fail
-    monkeypatch.setattr(stcores.oracle, "verify_cyclic_sum_identities", slow_in_child)
+    # this process runs row 0; left to run, the child would wait out the
+    # sleep and leave the file before its first write could fail
+    _in_child(monkeypatch, slow)
     suite = run_verify_suite(4, 5, 12, trials=10)
     reports = iter(suite)
     assert next(reports).check == "conjugate-involution"
@@ -381,15 +389,28 @@ def test_closing_the_stream_early_kills_and_reaps_the_child(monkeypatch, tmp_pat
     assert [r.check for r in suite] == ["conjugate-involution"]
 
 
-# Kills itself with SIGKILL while its forked child runs the first of its
-# checks, cyclic-sum-identities; the child's next check would keep an orphan
-# alive for a minute.
+# Kills itself with SIGKILL after its first report, which waits until the
+# forked child is in its first check; the child stays there until the parent
+# is gone, and a second check in it would keep an orphan alive for a minute.
 ORPHANING = """
 import os, time
-import stcores.oracle
-stcores.oracle._oracle_witness = lambda s, t: time.sleep(60)
-stcores.oracle.verify_cyclic_sum_identities = lambda s, t: time.sleep(0.1) or []
+import stcores.oracle, stcores.runner
 os.sched_getaffinity = lambda pid: {0, 1}
+parent, run_check = os.getpid(), stcores.runner._run_check
+started_r, started_w = os.pipe()
+
+def orphaned_in_child(*row):
+    if os.getpid() == parent:
+        os.read(started_r, 1)
+    elif os.getppid() == parent:
+        os.write(started_w, b"x")
+        while os.getppid() == parent:
+            time.sleep(0.01)
+    else:
+        time.sleep(60)
+    return run_check(*row)
+
+stcores.runner._run_check = orphaned_in_child
 reports = iter(stcores.oracle.run_verify_suite(2, 3, 6, trials=4))
 next(reports)
 os.kill(os.getpid(), 9)
@@ -409,39 +430,39 @@ def test_a_child_whose_parent_is_killed_exits_after_its_current_check():
         os.close(read_fd)
 
 
-def test_the_child_writes_nothing_to_stdout_or_stderr(monkeypatch, capfd, tmp_path):
-    parent = os.getpid()
-    noisy = tmp_path / "noisy"
-    cyclic_sums = stcores.oracle.verify_cyclic_sum_identities
+def test_the_child_writes_nothing_to_stdout_or_stderr(monkeypatch, capfd, hold_row_0):
+    noisy_r, noisy_w = os.pipe()
 
-    def noisy_in_child(s, t):
-        if os.getpid() != parent:
-            os.write(1, b"out\n")
-            os.write(2, b"err\n")
-            fd = os.open(noisy, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
-            os.write(fd, b"x")
-            os.close(fd)
-        return cyclic_sums(s, t)
+    def noisy(name):
+        os.write(1, b"out\n")
+        os.write(2, b"err\n")
+        os.write(noisy_w, b"x")
 
-    # cyclic-sum-identities is the child's first check
-    monkeypatch.setattr(stcores.oracle, "verify_cyclic_sum_identities", noisy_in_child)
-    assert all(r.passed for r in run_verify_suite(2, 3, 6, trials=4))
+    # the parent waits in row 0 until the child has written
+    _in_child(monkeypatch, noisy)
+    hold_row_0(noisy_r)
+    try:
+        assert all(r.passed for r in run_verify_suite(2, 3, 6, trials=4))
+    finally:
+        os.close(noisy_r)
+        os.close(noisy_w)
     assert capfd.readouterr() == ("", "")
-    assert noisy.read_bytes()
 
 
 def test_an_interrupt_in_a_check_kills_and_reaps_the_child(monkeypatch):
     parent = os.getpid()
-    removal_witness = stcores.oracle._removal_witness
+    run_check = stcores.runner._run_check
 
-    def interrupt_in_parent(*case):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        return removal_witness(*case)
+    def interrupt_in_parent(name, params, cases, witness_of):
+        def interrupted(*case):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return witness_of(*case)
 
-    # rim-removal-order-independence is row 3: this process claims it long
-    # before the child, claiming from the back, could reach it
-    monkeypatch.setattr(stcores.oracle, "_removal_witness", interrupt_in_parent)
+        return run_check(name, params, cases, interrupted)
+
+    # this process runs row 0 and is interrupted in its first case
+    monkeypatch.setattr(stcores.runner, "_run_check", interrupt_in_parent)
     with pytest.raises(KeyboardInterrupt):
         list(run_verify_suite(4, 5, 12, trials=10))
     _no_child_left()

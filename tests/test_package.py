@@ -75,7 +75,7 @@ def _loaded(code: str, *argv: str) -> tuple[str, set[str]]:
     (["enum", "4", "5", "--with-stab"], None, {"stcores.enumeration", "stcores.coords"},
      {"stcores.stats", "fractions", "dataclasses", "stcores.runner"}),
     (["verify", "--smax", "2", "--tmax", "3", "--nmax", "6"], None, {"stcores.oracle", "stcores.runner"},
-     {"dataclasses", "multiprocessing", "concurrent.futures", "subprocess", "pickle"}),
+     {"dataclasses", "multiprocessing", "concurrent.futures", "subprocess", "pickle", "select"}),
 ], ids=["count", "avg", "enum-with-stab", "verify"])
 def test_each_command_loads_only_the_modules_it_runs(argv, out, loads, skips):
     stdout, loaded = _loaded(CHILD, *argv)

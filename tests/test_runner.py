@@ -1,20 +1,14 @@
-"""The two-ended queue of ``cores verify``: which process runs which row."""
+"""The claim pipe of ``cores verify``: which process runs which row."""
 
 import json
 import os
 import select
-import subprocess
-import sys
-import time
-from pathlib import Path
 
 import pytest
 
 import stcores.oracle
 import stcores.runner
 from stcores import run_verify_suite
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 NAMES = [r.check for r in run_verify_suite(1, 1, 2)]
 CHILD_DIED = "the child process running this check ended with status {}"
@@ -60,25 +54,71 @@ def _split(runs, parent):
     return [name for pid, name in runs if pid == parent], [name for pid, name in runs if pid != parent]
 
 
-def test_every_row_runs_exactly_once_and_the_parents_rows_are_a_prefix_in_row_order(runs):
+def test_claim_order_is_every_row_once_from_row_0():
+    for n in range(1, 41):
+        order = stcores.runner._claim_order(n)
+        assert sorted(order) == list(range(n)) and order[0] == 0
+    assert stcores.runner._claim_order(8) == [0, 7, 6, 1, 5, 4, 2, 3]
+
+
+def test_every_row_runs_exactly_once_and_each_process_runs_its_rows_in_claim_order(runs):
     parent = os.getpid()
     reports = list(run_verify_suite(4, 5, 12, trials=10))
     assert [r.check for r in reports] == NAMES and all(r.passed for r in reports)
     ran = runs()
     assert sorted(name for _, name in ran) == sorted(NAMES)
     mine, childs = _split(ran, parent)
-    assert len({pid for pid, _ in ran}) == 2 and childs
-    assert mine == NAMES[: len(mine)]
+    assert len({pid for pid, _ in ran}) == 2 and childs and mine[0] == NAMES[0]
+    order = [NAMES[i] for i in stcores.runner._claim_order(len(NAMES))]
+    for names in (mine, childs):
+        assert names == [name for name in order if name in names]
     _no_child_left()
 
 
-def test_the_child_takes_a_run_of_free_rows_from_the_back(runs):
-    parent = os.getpid()
-    list(run_verify_suite(5, 6, 20))
-    mine, childs = _split(runs(), parent)
-    # every row is free: the child's rows are a suffix, claimed from the back
-    assert childs and childs == NAMES[::-1][: len(childs)]
-    assert mine == NAMES[: len(NAMES) - len(childs)]
+def test_rows_that_race_for_claims_each_run_exactly_once_up_to_256_rows(tmp_path, hold_row_0):
+    log = tmp_path / "ran"
+    ran_r, ran_w = os.pipe()
+
+    def ran(i):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, f"{os.getpid()} {i}\n".encode())
+        os.close(fd)
+        if i:
+            os.write(ran_w, b"x")
+
+    rows = [(f"row-{i}", {"i": i}, [(i,)], ran) for i in range(256)]
+    pids = set()
+    # the first run's row 0 waits until the child has run a row
+    hold_row_0(ran_r)
+    for _ in range(5):
+        log.unlink(missing_ok=True)
+        reports = list(stcores.runner._stream_reports(rows))
+        assert [(r.check, r.params, r.witness, r.counts) for r in reports] == [
+            (name, params, None, {"checked": 1}) for name, params, *_ in rows
+        ]
+        ran_rows = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(int(i) for _, i in ran_rows) == list(range(256))
+        pids |= {pid for pid, _ in ran_rows}
+    assert len(pids) > 1
+    with pytest.raises(ValueError):
+        list(stcores.runner._stream_reports(rows + rows[:1]))
+    os.close(ran_r)
+    os.close(ran_w)
+    _no_child_left()
+
+
+def test_a_child_starts_for_two_rows_but_not_for_one(monkeypatch):
+    fork, forks = os.fork, []
+
+    def recorded_fork():
+        forks.append(True)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    rows = [(f"row-{i}", {}, [()], lambda: None) for i in range(2)]
+    assert [r.check for r in stcores.runner._stream_reports(rows[:1])] == ["row-0"] and forks == []
+    assert [r.check for r in stcores.runner._stream_reports(rows)] == ["row-0", "row-1"] and forks == [True]
+    _no_child_left()
 
 
 @pytest.mark.parametrize("bounds, trials", [((1, 1, 4), 60), ((2, 3, 6), 4), ((4, 5, 12), 10), ((5, 6, 20), 60)])
@@ -91,50 +131,95 @@ def test_the_reports_equal_those_of_one_process(monkeypatch, bounds, trials):
     assert [check for check, *_ in forked] == NAMES
 
 
-def test_a_child_that_exits_in_its_first_row_fails_only_that_row(monkeypatch, runs):
+def test_a_child_that_exits_in_its_first_row_fails_only_that_row(monkeypatch, runs, hold_row_0):
     parent = os.getpid()
-    cyclic_sums = stcores.oracle.verify_cyclic_sum_identities
+    died_r, died_w = os.pipe()
+    run_check = stcores.runner._run_check
 
-    def exit_3_in_child(s, t):
+    def exit_3_in_child(name, *rest):
         if os.getpid() != parent:
+            run_check(name, {}, [], None)  # logs the row, checks nothing
+            os.write(died_w, b"x")
             os._exit(3)
-        return cyclic_sums(s, t)
+        return run_check(name, *rest)
 
-    # cyclic-sum-identities is the last row, the child's first claim
-    monkeypatch.setattr(stcores.oracle, "verify_cyclic_sum_identities", exit_3_in_child)
-    reports = list(run_verify_suite(4, 5, 12, trials=10))
-    assert [r.check for r in reports] == NAMES
-    failed = {r.check: (r.witness, r.counts) for r in reports if not r.passed}
-    assert failed == {"cyclic-sum-identities": (CHILD_DIED.format(3), {"checked": 0})}
-    mine, childs = _split(runs(), parent)
-    assert childs == ["cyclic-sum-identities"] and mine == NAMES[:-1]
-    _no_child_left()
-
-
-def test_when_the_childs_first_row_is_slow_the_parent_runs_every_other_row(monkeypatch, runs):
-    parent = os.getpid()
-    gate_r, gate_w = os.pipe()
-    cyclic_sums, oracle_witness = stcores.oracle.verify_cyclic_sum_identities, stcores.oracle._oracle_witness
-
-    def wait_in_child(s, t):
-        if os.getpid() != parent:
-            select.select([gate_r], [], [], 60)
-        return cyclic_sums(s, t)
-
-    def open_gate(s, t):
-        # the parent's last row before the child's
-        os.write(gate_w, b"x")
-        return oracle_witness(s, t)
-
-    monkeypatch.setattr(stcores.oracle, "verify_cyclic_sum_identities", wait_in_child)
-    monkeypatch.setattr(stcores.oracle, "_oracle_witness", open_gate)
+    monkeypatch.setattr(stcores.runner, "_run_check", exit_3_in_child)
+    hold_row_0(died_r)
     try:
         reports = list(run_verify_suite(4, 5, 12, trials=10))
     finally:
-        os.close(gate_r)
-        os.close(gate_w)
+        os.close(died_r)
+        os.close(died_w)
+    assert [r.check for r in reports] == NAMES
+    mine, childs = _split(runs(), parent)
+    assert len(childs) == 1 and sorted(mine + childs) == sorted(NAMES)
+    failed = {r.check: (r.witness, r.counts) for r in reports if not r.passed}
+    assert failed == {childs[0]: (CHILD_DIED.format(3), {"checked": 0})}
+    _no_child_left()
+
+
+def test_when_the_childs_first_row_is_slow_the_parent_runs_every_other_row(monkeypatch, runs, hold_row_0):
+    parent = os.getpid()
+    started_r, started_w = os.pipe()
+    gate_r, gate_w = os.pipe()
+    run_check, mine = stcores.runner._run_check, []
+
+    def wait_in_child(*row):
+        if os.getpid() != parent:
+            os.write(started_w, b"x")
+            select.select([gate_r], [], [], 60)
+        else:
+            mine.append(row[0])
+            if len(mine) == len(NAMES) - 1:
+                os.write(gate_w, b"x")  # the parent's last row
+        return run_check(*row)
+
+    monkeypatch.setattr(stcores.runner, "_run_check", wait_in_child)
+    hold_row_0(started_r)
+    try:
+        reports = list(run_verify_suite(4, 5, 12, trials=10))
+    finally:
+        for fd in (started_r, started_w, gate_r, gate_w):
+            os.close(fd)
     assert [r.check for r in reports] == NAMES and all(r.passed for r in reports)
-    assert _split(runs(), parent) == (NAMES[:-1], ["cyclic-sum-identities"])
+    here, childs = _split(runs(), parent)
+    assert len(childs) == 1 and here == mine and sorted(mine + childs) == sorted(NAMES)
+    _no_child_left()
+
+
+def test_the_childs_reports_are_given_while_this_process_still_runs_rows(monkeypatch, runs, hold_row_0):
+    parent = os.getpid()
+    fourth_r, fourth_w = os.pipe()
+    gate_r, gate_w = os.pipe()
+    run_check, childs, mine, given = stcores.runner._run_check, [], [], []
+
+    def pace(name, *rest):
+        if os.getpid() != parent:
+            childs.append(name)
+            if len(childs) == 4:
+                os.write(fourth_w, b"x")
+                select.select([gate_r], [], [], 60)
+        else:
+            mine.append(list(given))
+            if len(mine) == 3:
+                os.write(gate_w, b"x")
+        return run_check(name, *rest)
+
+    # This process starts row 0 once the child has reported three rows, and
+    # the child starts its fourth row; the child waits there until this
+    # process starts its third row.
+    monkeypatch.setattr(stcores.runner, "_run_check", pace)
+    hold_row_0(fourth_r)
+    try:
+        for rep in run_verify_suite(4, 5, 12, trials=10):
+            given.append(rep.check)
+    finally:
+        for fd in (fourth_r, fourth_w, gate_r, gate_w):
+            os.close(fd)
+    assert given == NAMES
+    here, there = _split(runs(), parent)
+    done = {*here[:2], *there[:3]}
+    assert mine[2] == NAMES[: next(i for i, name in enumerate(NAMES) if name not in done)] != mine[1]
     _no_child_left()
 
 
@@ -184,114 +269,29 @@ def test_a_randomized_row_draws_the_same_cases_in_the_child(monkeypatch, tmp_pat
     _no_child_left()
 
 
-# Runs the suite with the child killed at its n-th write of the token, that
-# is while it holds the token; prints each report and each check run.
-HOLDER = """
-import json, os, sys
-from stcores.oracle import run_verify_suite
-import stcores.runner
-os.sched_getaffinity = lambda pid: {0, 1}
-parent, dies_at, log = os.getpid(), int(sys.argv[1]), sys.argv[2]
-write, run_check, token_writes = os.write, stcores.runner._run_check, []
-
-def write_or_die(fd, data):
-    if os.getpid() != parent and len(data) == 2:
-        token_writes.append(data)
-        if len(token_writes) == dies_at:
-            os._exit(4)
-    return write(fd, data)
-
-def recorded(name, *rest):
-    fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
-    write(fd, f"{os.getpid() == parent} {name}\\n".encode())
-    os.close(fd)
-    return run_check(name, *rest)
-
-os.write, stcores.runner._run_check = write_or_die, recorded
-print(json.dumps([[r.check, r.witness] for r in run_verify_suite(2, 3, 6, trials=4)]))
-"""
-
-
 @pytest.mark.parametrize("dies_at", [1, 2])
-def test_a_child_that_dies_holding_the_token_does_not_stop_the_parent(tmp_path, dies_at):
-    log = tmp_path / "runs"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", HOLDER, str(dies_at), str(log)], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[name, None] for name in NAMES]
-    ran = [line.split() for line in log.read_text().splitlines()]
-    assert sorted(name for _, name in ran) == sorted(NAMES)
-    # the child reported each row it claimed before it died
-    assert [name for here, name in ran if here == "False"] == ["cyclic-sum-identities"][: dies_at - 1]
+def test_a_child_that_dies_before_a_claim_does_not_stop_the_parent(monkeypatch, runs, hold_row_0, dies_at):
+    parent = os.getpid()
+    died_r, died_w = os.pipe()
+    read, claims = os.read, []
 
+    def read_or_die(fd, n):
+        if n == 1 and os.getpid() != parent:
+            claims.append(fd)
+            if len(claims) == dies_at:
+                os.write(died_w, b"x")
+                os._exit(4)
+        return read(fd, n)
 
-# The parent's first select sees the token; before the parent reads it, the
-# child takes it and dies holding it.  Prints each report.
-STALE = """
-import json, os, select
-from stcores.oracle import run_verify_suite
-os.sched_getaffinity = lambda pid: {0, 1}
-parent, first = os.getpid(), []
-seen_r, seen_w = os.pipe()
-died_r, died_w = os.pipe()
-real_select, real_read, real_write = select.select, os.read, os.write
-
-def select_then_lose_the_token(rlist, *rest):
-    ready = real_select(rlist, *rest)
-    if not first and len(rlist) == 2 and rlist[0] in ready[0]:
-        first.append(True)
-        real_write(seen_w, b"x")
-        real_select([died_r], [], [], 60)
-    return ready
-
-def read(fd, n):
-    if os.getpid() != parent and n == 2 and not first:
-        first.append(True)
-        real_select([seen_r], [], [], 60)
-    return real_read(fd, n)
-
-def write(fd, data):
-    if os.getpid() != parent and len(data) == 2:
-        real_write(died_w, b"x")
-        os._exit(4)
-    return real_write(fd, data)
-
-select.select, os.read, os.write = select_then_lose_the_token, read, write
-print(json.dumps([[r.check, r.witness] for r in run_verify_suite(2, 3, 6, trials=4)]))
-"""
-
-
-def test_a_token_taken_after_the_parent_saw_it_does_not_stop_the_parent():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", STALE], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[name, None] for name in NAMES]
-
-
-def _exit_code_within(pid, seconds):
-    deadline = time.monotonic() + seconds
-    while time.monotonic() < deadline:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            return os.waitstatus_to_exitcode(status)
-        time.sleep(0.01)
-    os.kill(pid, 9)
-    os.waitpid(pid, 0)
-    return None
-
-
-def test_a_child_waiting_for_the_token_exits_once_the_parent_is_gone():
-    token = os.pipe()  # empty: the parent holds the token
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if not pid:
-        os.close(read_fd)
-        stcores.runner._report_to_pipe([], token, write_fd)
-    os.close(write_fd)
-    os.close(read_fd)  # nobody can read the reports any more
+    monkeypatch.setattr(os, "read", read_or_die)
+    hold_row_0(died_r)
     try:
-        assert _exit_code_within(pid, 30) == 1
+        reports = list(run_verify_suite(2, 3, 6, trials=4))
     finally:
-        os.close(token[0])
-        os.close(token[1])
+        os.close(died_r)
+        os.close(died_w)
+    assert [(r.check, r.witness) for r in reports] == [(name, None) for name in NAMES]
+    # the child reported each row it claimed before it died; the rest ran here
+    mine, childs = _split(runs(), parent)
+    assert len(childs) == dies_at - 1 and sorted(mine + childs) == sorted(NAMES)
+    _no_child_left()

@@ -176,12 +176,11 @@ def _start_child(rows: list[tuple]) -> tuple[int, _Child] | None:
     """Fork a child that claims rows (see :func:`_report_to_pipe`), and
     return the read end of the claim pipe and the child.
 
-    Returns None, starting nothing, where there are fewer than two rows to
-    share, where ``os.fork`` does not exist, where this process may run on
-    fewer than two CPUs (there the split adds a process and no speed), or
-    where the fork fails.
+    Returns None, starting nothing, where ``os.fork`` does not exist, where
+    this process may run on fewer than two CPUs (there the split adds a
+    process and no speed), or where the fork fails.
     """
-    if len(rows) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
+    if not hasattr(os, "fork") or _usable_cpus() < 2:
         return None
     order = bytes(_claim_order(len(rows))[1:])  # ValueError past 256 rows
     claims, fill = os.pipe()

@@ -3,7 +3,6 @@ import io
 import json
 import math
 import os
-import select
 import subprocess
 import sys
 from pathlib import Path
@@ -448,46 +447,24 @@ class _FlushRecorder(io.StringIO):
         self.flushed.append(self.getvalue())
 
 
-def test_verify_writes_and_flushes_each_line_as_its_check_ends(monkeypatch, hold_row_0):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def test_verify_writes_and_flushes_each_line_as_its_check_ends(monkeypatch):
     out = _FlushRecorder()
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["verify", "--smax", "0"]) == 2
     assert out.getvalue() == "" and out.flushed in ([], [""])
-    seen = []
-    parent = os.getpid()
-    started_r, started_w = os.pipe()
-    gate_r, gate_w = os.pipe()
-    run_check = stcores.runner._run_check
+    run_check, seen = stcores.runner._run_check, []
 
-    def record_then_check(name, *rest):
-        if os.getpid() != parent:
-            os.write(started_w, b"x")
-            select.select([gate_r], [], [], 60)
-        else:
-            seen.append((name, out.flushed[-1] if out.flushed else ""))
-            if len(seen) == 33:
-                os.write(gate_w, b"x")
-        return run_check(name, *rest)
+    def record_then_check(*row):
+        seen.append(out.flushed[-1] if out.flushed else "")
+        return run_check(*row)
 
-    # A forked child waits in its first check until this process starts its
-    # 33rd, so this process runs every other row.  Before each, it has
-    # printed the line of each row before the first row it has not run.
+    # In one process, each check starts once every line before it is out;
+    # tests/test_runner.py checks the lines of two processes.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(stcores.runner, "_run_check", record_then_check)
-    hold_row_0(started_r)
-    try:
-        assert main(["verify", "--smax", "2", "--tmax", "3", "--nmax", "6"]) == 0
-    finally:
-        for fd in (started_r, started_w, gate_r, gate_w):
-            os.close(fd)
+    assert main(["verify", "--smax", "2", "--tmax", "3", "--nmax", "6"]) == 0
     lines = out.getvalue().splitlines(keepends=True)
-    assert lines[-1] == "34/34 checks passed\n" and len(seen) == 33
-    names = [line.split()[1] for line in lines[:-1]]
-    done = set()
-    for name, flushed in seen:
-        assert flushed == "".join(lines[: next(i for i, n in enumerate(names) if n not in done)])
-        done.add(name)
-    assert seen[1][1] == lines[0]
+    assert lines[-1] == "34/34 checks passed\n" and seen == ["".join(lines[:i]) for i in range(34)]
 
 
 def test_verify_kills_its_child_when_writing_a_line_raises(monkeypatch):

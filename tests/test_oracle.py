@@ -453,15 +453,12 @@ def test_an_interrupt_in_a_check_kills_and_reaps_the_child(monkeypatch):
     parent = os.getpid()
     run_check = stcores.runner._run_check
 
-    def interrupt_in_parent(name, params, cases, witness_of):
-        def interrupted(*case):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            return witness_of(*case)
+    def interrupt_in_parent(*row):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return run_check(*row)
 
-        return run_check(name, params, cases, interrupted)
-
-    # this process runs row 0 and is interrupted in its first case
+    # this process runs row 0 and is interrupted in it
     monkeypatch.setattr(stcores.runner, "_run_check", interrupt_in_parent)
     with pytest.raises(KeyboardInterrupt):
         list(run_verify_suite(4, 5, 12, trials=10))

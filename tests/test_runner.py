@@ -91,6 +91,32 @@ def test_rows_that_race_for_claims_each_run_exactly_once_up_to_256_rows(runs, ho
     _no_child_left()
 
 
+def test_the_child_takes_a_run_of_free_rows_from_the_back(monkeypatch, runs, hold_row_0):
+    parent = os.getpid()
+    second_r, second_w = os.pipe()
+    run_check, childs = stcores.runner._run_check, []
+
+    def signal_the_childs_second_row(name, *rest):
+        if os.getpid() != parent:
+            childs.append(name)
+            if len(childs) == 2:
+                os.write(second_w, b"x")
+        return run_check(name, *rest)
+
+    monkeypatch.setattr(stcores.runner, "_run_check", signal_the_childs_second_row)
+    hold_row_0(second_r)
+    try:
+        reports = list(run_verify_suite(5, 6, 20))
+    finally:
+        os.close(second_r)
+        os.close(second_w)
+    assert [r.check for r in reports] == NAMES and all(r.passed for r in reports)
+    mine, childs = _split(runs(), parent)
+    # while this process holds row 0, every other row is free: the child claims the last two first
+    assert childs[:2] == NAMES[:-3:-1] and mine[0] == NAMES[0]
+    _no_child_left()
+
+
 @pytest.mark.parametrize("bounds, trials", [((1, 1, 4), 60), ((2, 3, 6), 4), ((4, 5, 12), 10), ((5, 6, 20), 60)])
 def test_the_reports_equal_those_of_one_process(monkeypatch, bounds, trials):
     forked = _fields(run_verify_suite(*bounds, trials=trials))

@@ -364,7 +364,7 @@ def _count_witness(s: int, t: int) -> str | None:
 
 
 def _orbit_rep_witness(s: int, t: int, comp: tuple[int, ...]) -> str | None:
-    hits = [r for r in range(t) if sum(j * comp[(r + j) % t] for j in range(t)) % t == 0]
+    hits = [r for r in range(t) if sum(j * v for j, v in enumerate(comp[r:] + comp[:r])) % t == 0]
     if len(hits) != 1 or hits[0] != enumeration.canonical_cyclic_rep(comp):
         return f"x={comp}, s={s}, t={t}, hits={hits}"
     return None
@@ -513,7 +513,7 @@ def run_verify_suite(
     def random_u(rng: random.Random, s: int, t: int) -> coords.UTuple:
         cuts = sorted(rng.randint(0, s // 2) for _ in range(t // 2))
         u_entries = [b - a for a, b in zip([0] + cuts, cuts + [s // 2])]
-        if len(u_entries) > 1 and rng.random() < 0.5:
+        if len(u_entries) > 1 and rng.getrandbits(1):
             # exercise the general (possibly negative) lattice too
             i, j = rng.sample(range(len(u_entries)), 2)
             delta = rng.randint(1, 4)
@@ -592,7 +592,7 @@ def run_verify_suite(
                                  for k in [coords.shift_constant(s, t)] for _ in range(half)),
                     _z_residue_witness),
         _randomized("self-conjugacy-transfer", {"pairs": len(pairs)},
-                    lambda rng: ((s, t, random_sc_t_core(rng, t, s) if rng.random() < 0.5
+                    lambda rng: ((s, t, random_sc_t_core(rng, t, s) if rng.getrandbits(1)
                                   else betaset.random_s_core(t, rng)) for s, t in pairs for _ in range(half)),
                     _sc_transfer_witness),
         # --- enumeration module -----------------------------------------

@@ -63,6 +63,8 @@ def test_beta_from_partition_examples():
     assert b.members == (0, 2) and b.gaps == (-3, -2)
     b = beta_from_partition(Partition([5, 5]))
     assert b.members == (3, 4) and b.gaps == (-2, -1)
+    assert repr(b) == "BetaSet(members=[3, 4], gaps=[-2, -1])"
+    assert hash(b) == hash(BetaSet([4, 3], [-1, -2])) and b == BetaSet([4, 3], [-1, -2])
 
 
 def _random_good_sets(seed, count, charge_zero=False):
@@ -243,11 +245,40 @@ def test_partition_from_a_matches_class_maxima_path():
             assert size_from_a(a) == via_beta.size
 
 
+class _CountedReads(tuple):
+    """A tuple that counts its reads by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_partition_from_a_reads_a_once_per_position_it_walks():
+    reads = []
+    for p, t in [(Partition([5, 5]), 3), (Partition([4, 2, 1]), 5), (Partition([3, 1, 1]), 2)]:
+        core = t_core(p, t)
+        a = _CountedReads(a_coords(core, t).a)
+        assert partition_from_a(ATuple._unchecked(t, a)) == core
+        assert a.reads == max(a) - t - min(a), (p, t)
+        reads.append(a.reads)
+    assert reads == [1, 6, 1]
+
+
 def test_atuple_validation():
     with pytest.raises(ValueError, match=r"a\[2\] = 1 is not congruent to 2 mod 3"):
         ATuple(3, (0, 1, 1))  # wrong congruence
     with pytest.raises(ValueError):
         ATuple(3, (3, 1, 2))  # wrong sum
+    for make, args, message in (
+        (CTuple, (0, ()), "modulus must be >= 1"),
+        (CTuple, (2, (1,)), "expected 2 entries, got 1"),
+        (ATuple, (0, ()), "modulus must be >= 1"),
+        (ATuple, (3, (0, 1)), "expected 3 entries, got 2"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make(*args)
 
 
 _Z, _A = (3, 2, (0, 1, 1)), (3, (0, 1, 2))

@@ -54,8 +54,21 @@ def test_count_non_coprime_exits_2(capsys):
 
 
 def test_count_malformed_exits_2(capsys):
-    code, _, err = run(capsys, "count", "2")
-    assert code == 2 and err
+    for argv, message in (
+        (("2",), "usage: cores count <s> <t> [--self-conjugate]"),
+        (("triple", "3"), "usage: cores count triple <m> <d>"),
+        (("triple", "3", "1", "--self-conjugate"), "usage: cores count triple <m> <d>"),
+        (("x", "4"), "s must be an integer, got 'x'"),
+    ):
+        assert run(capsys, "count", *argv) == (2, "", f"error: {message}\n"), argv
+
+
+def test_enum_malformed_exits_2(capsys):
+    for argv, message in (
+        (("3", "4", "--triple", "3", "1"), "--triple takes no positional s t and no --self-conjugate"),
+        (("3",), "usage: cores enum <s> <t> [--self-conjugate] | cores enum --triple <m> <d>"),
+    ):
+        assert run(capsys, "enum", *argv) == (2, "", f"error: {message}\n"), argv
 
 
 def test_nonpositive_parameters_exit_2(capsys):
@@ -295,6 +308,8 @@ def test_convert_z_names_the_flag_it_rejects(capsys):
         assert (code, out) == (2, "") and "--z entries must sum to s >= 1, got 0" in err
     code, out, err = run(capsys, "convert", "--z", "2,0,0", "--t", "4")
     assert (code, out) == (2, "") and "--t 4 disagrees with --z" in err
+    code, out, err = run(capsys, "convert", "--z", "1,x")
+    assert (code, out) == (2, "") and "cannot parse z-tuple '1,x': invalid literal" in err
     code, out, err = run(capsys, "convert", "--z", "2,0,0", "--s", "3")
     assert (code, out) == (2, "") and "--s 3 disagrees with --z" in err
     code, out, _ = run(capsys, "convert", "--z", "2,0,0", "--t", "3", "--s", "2")
@@ -368,6 +383,8 @@ def test_convert_s_without_t_exits_2(capsys):
     for flag, value in (("--partition", "5,5"), ("--beta", '{"members":[0],"gaps":[-1]}')):
         code, out, err = run(capsys, "convert", flag, value, "--s", "2")
         assert (code, out) == (2, "") and "--s needs --t" in err
+    for extra in ((), ("--t", "3"), ("--s", "2")):
+        assert run(capsys, "convert", "--u", "0,1", *extra) == (2, "", "error: --u needs both --t and --s\n")
 
 
 def test_convert_from_beta(capsys):

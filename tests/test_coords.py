@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -47,6 +48,8 @@ def test_ztuple_validation():
         ZTuple(3, 2, (1, 1, 0))  # sum(j * z_j) = 1 mod 3
     with pytest.raises(InvalidZError):
         ZTuple(3, 2, (1, 1, 1))  # sums to 3, not 2
+    with pytest.raises(InvalidZError, match="^expected 3 entries, got 2$"):
+        ZTuple(3, 2, (1, 1))
     with pytest.raises(NotCoprimeError):
         ZTuple(4, 2, (0, 2, 0, 0))
 
@@ -96,6 +99,25 @@ def test_z_to_u_examples():
 def test_z_to_u_rejects_asymmetric():
     with pytest.raises(NotSymmetricError, match=r"^z\[1\] != z\[2\]$"):
         z_to_u(ZTuple(3, 2, (-1, 0, 3)))
+
+
+def test_z_to_u_folds_every_symmetric_z_in_a_box():
+    # For a symmetric z, sum(j * z_j) = 0 (mod t) makes z_{t/2} even for even
+    # t, and then sum(z) = s makes z_0 = s (mod 2): every symmetric ZTuple folds.
+    for t in range(1, 9):
+        folded = 0
+        for head in itertools.product(range(-2, 5), repeat=t // 2 + 1):
+            z = (*head, *head[1 : (t + 1) // 2][::-1])
+            s = sum(z)
+            if not 1 <= s <= 8 or math.gcd(s, t) != 1:
+                continue
+            try:
+                zt = ZTuple(t, s, z)
+            except InvalidZError:
+                continue
+            assert u_to_z(z_to_u(zt)) == zt
+            folded += 1
+        assert folded, t
 
 
 def test_u_to_z_examples():

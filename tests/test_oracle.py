@@ -1,14 +1,7 @@
 import functools
 import gc
-import json
 import math
 import operator
-import os
-import select
-import subprocess
-import sys
-import time
-from pathlib import Path
 
 import pytest
 
@@ -17,7 +10,6 @@ import stcores.coords
 import stcores.enumeration
 import stcores.formulas
 import stcores.oracle
-import stcores.runner
 import stcores.stats
 from stcores import (
     BetaSet,
@@ -41,14 +33,6 @@ from stcores import (
     s_set_of,
 )
 from stcores.oracle import PARTITION_CAP, _oracle_witness, _removal_witness, enumerated_moment_sums
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-@pytest.fixture(autouse=True)
-def two_cpus(monkeypatch):
-    """Every test sees two usable CPUs, so verify forks on any host."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 def test_enum_partitions_counts():
@@ -253,225 +237,6 @@ def test_pair_ranged_checks_run_every_pair_their_caps_allow(s_max, t_max):
 def test_run_verify_suite_rejects_bounds_below_1(bounds, name):
     with pytest.raises(ValueError, match=name):
         run_verify_suite(*bounds)
-
-
-def _fields(reports):
-    return [(r.check, r.params, r.witness, r.counts) for r in reports]
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_suite_without_fork_runs_every_row_here_with_the_same_reports(monkeypatch):
-    forked = _fields(run_verify_suite(4, 5, 12, trials=10))
-    monkeypatch.delattr(os, "fork")
-    assert _fields(run_verify_suite(4, 5, 12, trials=10)) == forked
-    assert [name for name, *_ in forked] == [shape[0] for shape in SUITE_SHAPE]
-
-
-def _no_fork():
-    raise AssertionError("os.fork was called")
-
-
-def test_suite_on_one_cpu_forks_nothing_and_gives_the_same_reports(monkeypatch):
-    forked = _fields(run_verify_suite(4, 5, 12, trials=10))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(os, "fork", _no_fork)
-    assert _fields(run_verify_suite(4, 5, 12, trials=10)) == forked
-
-
-def test_a_failed_fork_closes_its_pipe_and_runs_every_row_here(monkeypatch):
-    forked = _fields(run_verify_suite(4, 5, 12, trials=10))
-    pipes = []
-    pipe = os.pipe
-
-    def recorded_pipe():
-        pipes.extend(pipe())
-        return pipes[-2:]
-
-    def failed_fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "pipe", recorded_pipe)
-    monkeypatch.setattr(os, "fork", failed_fork)
-    assert _fields(run_verify_suite(4, 5, 12, trials=10)) == forked
-    assert len(pipes) == 4  # the claim pipe and the report pipe
-    for fd in pipes:
-        with pytest.raises(OSError):
-            os.fstat(fd)
-
-
-def _in_child(monkeypatch, act):
-    """Run ``act(name)`` in the child at the start of each check it runs."""
-    parent, run_check = os.getpid(), stcores.runner._run_check
-
-    def acting(name, *rest):
-        if os.getpid() != parent:
-            act(name)
-        return run_check(name, *rest)
-
-    monkeypatch.setattr(stcores.runner, "_run_check", acting)
-
-
-def test_rows_a_dead_child_never_reported_fail_with_its_exit_status(monkeypatch, hold_row_0):
-    died_r, died_w = os.pipe()
-    ran = []
-
-    def exit_3_in_the_third(name):
-        ran.append(name)
-        if len(ran) == 3:
-            os.write(died_w, json.dumps(ran).encode())
-            os._exit(3)
-
-    # the parent waits in row 0 until the child has died in the third row it
-    # claimed, so rows the child never claimed are left
-    _in_child(monkeypatch, exit_3_in_the_third)
-    hold_row_0(died_r)
-    try:
-        reports = list(run_verify_suite(4, 5, 12, trials=10))
-        childs = json.loads(os.read(died_r, 1 << 12))
-    finally:
-        os.close(died_r)
-        os.close(died_w)
-    assert [r.check for r in reports] == [name for name, _ in SUITE_SHAPE] and len(childs) == 3
-    witness = "the child process running this check ended with status 3"
-    assert [(r.check, r.witness, r.counts) for r in reports if not r.passed] == [(childs[-1], witness, {"checked": 0})]
-    _no_child_left()
-
-
-def test_a_line_cut_short_by_the_child_counts_as_unreported(monkeypatch, hold_row_0):
-    parent = os.getpid()
-    cut_r, cut_w = os.pipe()
-    write = os.write
-
-    def write_half_and_exit(fd, data):
-        if os.getpid() == parent or not data.endswith(b"\n"):
-            return write(fd, data)
-        write(cut_w, data)
-        write(fd, data[: len(data) // 2])
-        os._exit(5)
-
-    # the child's first line is cut short; the parent waits in row 0 until then
-    monkeypatch.setattr(os, "write", write_half_and_exit)
-    hold_row_0(cut_r)
-    try:
-        reports = list(run_verify_suite(2, 3, 6, trials=4))
-        row = json.loads(os.read(cut_r, 1 << 12))[0]
-    finally:
-        os.close(cut_r)
-        os.close(cut_w)
-    assert [r.check for r in reports] == [name for name, _ in SUITE_SHAPE]
-    assert {r.check: r.witness for r in reports if not r.passed} == {
-        SUITE_SHAPE[row][0]: "the child process running this check ended with status 5"
-    }
-    _no_child_left()
-
-
-def test_closing_the_stream_early_kills_and_reaps_the_child(monkeypatch, tmp_path):
-    finished = tmp_path / "finished"
-
-    def slow(name):
-        if not finished.exists():
-            time.sleep(1)
-            finished.touch()
-
-    # this process runs row 0; left to run, the child would wait out the
-    # sleep and leave the file before its first write could fail
-    _in_child(monkeypatch, slow)
-    suite = run_verify_suite(4, 5, 12, trials=10)
-    reports = iter(suite)
-    assert next(reports).check == "conjugate-involution"
-    reports.close()
-    _no_child_left()
-    assert not finished.exists()
-    assert [r.check for r in suite] == ["conjugate-involution"]
-
-
-# Kills itself with SIGKILL after its first report, which waits until the
-# forked child is in its first check; the child stays there until the parent
-# is gone, and a second check in it would keep an orphan alive for a minute.
-ORPHANING = """
-import os, time
-import stcores.oracle, stcores.runner
-os.sched_getaffinity = lambda pid: {0, 1}
-parent, run_check = os.getpid(), stcores.runner._run_check
-started_r, started_w = os.pipe()
-
-def orphaned_in_child(*row):
-    if os.getpid() == parent:
-        os.read(started_r, 1)
-    elif os.getppid() == parent:
-        os.write(started_w, b"x")
-        while os.getppid() == parent:
-            time.sleep(0.01)
-    else:
-        time.sleep(60)
-    return run_check(*row)
-
-stcores.runner._run_check = orphaned_in_child
-reports = iter(stcores.oracle.run_verify_suite(2, 3, 6, trials=4))
-next(reports)
-os.kill(os.getpid(), 9)
-"""
-
-
-def test_a_child_whose_parent_is_killed_exits_after_its_current_check():
-    read_fd, write_fd = os.pipe()
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    try:
-        proc = subprocess.Popen([sys.executable, "-c", ORPHANING], pass_fds=(write_fd,), env=env)
-        os.close(write_fd)
-        assert proc.wait(timeout=60) == -9
-        # the child holds write_fd too, so the pipe ends once the child has exited
-        assert select.select([read_fd], [], [], 10)[0] and os.read(read_fd, 1) == b""
-    finally:
-        os.close(read_fd)
-
-
-def test_the_child_writes_nothing_to_stdout_or_stderr(monkeypatch, capfd, hold_row_0):
-    noisy_r, noisy_w = os.pipe()
-
-    def noisy(name):
-        os.write(1, b"out\n")
-        os.write(2, b"err\n")
-        os.write(noisy_w, b"x")
-
-    # the parent waits in row 0 until the child has written
-    _in_child(monkeypatch, noisy)
-    hold_row_0(noisy_r)
-    try:
-        assert all(r.passed for r in run_verify_suite(2, 3, 6, trials=4))
-    finally:
-        os.close(noisy_r)
-        os.close(noisy_w)
-    assert capfd.readouterr() == ("", "")
-
-
-def test_an_interrupt_in_a_check_kills_and_reaps_the_child(monkeypatch):
-    parent = os.getpid()
-    run_check = stcores.runner._run_check
-
-    def interrupt_in_parent(*row):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        return run_check(*row)
-
-    # this process runs row 0 and is interrupted in it
-    monkeypatch.setattr(stcores.runner, "_run_check", interrupt_in_parent)
-    with pytest.raises(KeyboardInterrupt):
-        list(run_verify_suite(4, 5, 12, trials=10))
-    _no_child_left()
-
-
-def test_a_second_pass_replays_the_reports_of_the_first():
-    reports = run_verify_suite(2, 3, 6, trials=4)
-    first = list(reports)
-    assert len(first) == len(SUITE_SHAPE)
-    second = list(reports)
-    assert second == first and all(a is b for a, b in zip(first, second))
-    _no_child_left()
 
 
 def _flip_gap_sign(orig):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import stcores.partition
 from stcores import NonMonotoneError, OutOfDiagramError, Partition
 
 partitions = st.lists(st.integers(min_value=1, max_value=10), max_size=8).map(
@@ -26,6 +27,15 @@ def test_constructor_rejects_increasing():
         Partition([3, 0, 2])
     with pytest.raises(NonMonotoneError):
         Partition([3, -1])
+
+
+def test_only_an_invalid_partition_enters_the_loop_that_names_its_fault(monkeypatch):
+    entered = []
+    monkeypatch.setattr(stcores.partition, "enumerate", lambda ps: entered.append(ps) or enumerate(ps), raising=False)
+    assert Partition((3, 1)).parts == (3, 1) and entered == []
+    with pytest.raises(NonMonotoneError):
+        Partition((1, 3))
+    assert entered == [(1, 3)]
 
 
 def test_conjugate_examples():

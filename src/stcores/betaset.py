@@ -14,22 +14,25 @@ positions.  The a-coordinates of an s-core come from its charge.
 
 Residue classes are always taken with the nonnegative convention, i.e.
 ``x % s`` lies in 0..s-1 even for negative x, matching Python's ``%``.
+
+``BetaSet``, ``CTuple`` and ``ATuple`` subclass ``partition._Frozen``.
 """
 
 from __future__ import annotations
 
 import random
-from operator import attrgetter
 from typing import Iterable
 
 from .errors import InvariantError, NonzeroChargeError, NotACoreError
-from .partition import Partition
+from .partition import Partition, _Frozen, _set
 
 
-class BetaSet:
+class BetaSet(_Frozen):
     """Canonical finite encoding of a beta-set / good set."""
 
-    __slots__ = ("_members", "_gaps")
+    __slots__ = ("members", "gaps")
+    members: tuple[int, ...]
+    gaps: tuple[int, ...]
 
     def __init__(self, members: Iterable[int] = (), gaps: Iterable[int] = ()):
         ms = tuple(sorted(set(members)))
@@ -38,88 +41,20 @@ class BetaSet:
             raise ValueError(f"members must be >= 0, got {ms[0]}")
         if gs and gs[-1] > -1:
             raise ValueError(f"gaps must be <= -1, got {gs[-1]}")
-        self._members = ms
-        self._gaps = gs
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return self._members
-
-    @property
-    def gaps(self) -> tuple[int, ...]:
-        return self._gaps
+        _set(self, "members", ms)
+        _set(self, "gaps", gs)
 
     @property
     def total_charge(self) -> int:
         """|gaps| - |members|; zero exactly for beta-sets of partitions."""
-        return len(self._gaps) - len(self._members)
+        return len(self.gaps) - len(self.members)
 
     def __contains__(self, x: int) -> bool:
         """Membership in the encoded infinite set B."""
-        return x in self._members if x >= 0 else x not in self._gaps
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BetaSet)
-            and self._members == other._members
-            and self._gaps == other._gaps
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._members, self._gaps))
-
-    def __repr__(self) -> str:
-        return f"BetaSet(members={list(self._members)!r}, gaps={list(self._gaps)!r})"
+        return x in self.members if x >= 0 else x not in self.gaps
 
     def to_json_dict(self) -> dict:
-        return {"members": list(self._members), "gaps": list(self._gaps)}
-
-
-# Builders set the fields of a _Frozen instance through this.
-_set = object.__setattr__
-
-
-class _Frozen:
-    """Base of the immutable value classes: ``CTuple`` and ``ATuple`` here,
-    ``ZTuple`` and ``UTuple`` in :mod:`stcores.coords`, ``CoreRecord`` in
-    :mod:`stcores.enumeration`.
-
-    A subclass names its fields in ``__slots__``; equality (same class),
-    hashing, repr, copying and pickling read them in that order, and
-    assigning or deleting an attribute raises AttributeError.  Constructors
-    set the fields through ``object.__setattr__``.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        super().__init_subclass__()
-        cls._values = attrgetter(*cls.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values(self) == other._values(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values(self))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values(self)))
-        return f"{type(self).__qualname__}({fields})"
-
-    def __getstate__(self) -> tuple:
-        return self._values(self)
-
-    def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self.__slots__, state):
-            _set(self, name, value)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+        return {"members": list(self.members), "gaps": list(self.gaps)}
 
 
 class CTuple(_Frozen):

@@ -31,17 +31,17 @@ from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
-from .betaset import ATuple, _Frozen, _set
+from .betaset import ATuple
 from .errors import (
     InvalidZError,
     InvariantError,
     NegativeEntryError,
     NotCoprimeError,
     NotSymmetricError,
-    ParityError,
 )
 # The size form of the prefix sums, shared with the records and the DP.
 from .formulas import _require_coprime, _x
+from .partition import _Frozen, _set
 
 
 def shift_constant(s: int, t: int) -> int:
@@ -180,22 +180,19 @@ def is_self_conjugate_a(a: ATuple) -> bool:
 def z_to_u(z: ZTuple) -> UTuple:
     """Fold a symmetric z-tuple into u-coordinates.
 
-    Requires z_i = z_{-i}; for even t additionally z_{t/2} even and
-    z_0 = s mod 2.  Odd t: u_0 = floor(z_0 / 2), u_i = z_i.  Even t: the
-    middle entry halves as well, u_{t/2} = z_{t/2} / 2.
+    Requires z_i = z_{-i}; the ZTuple invariants then make z_{t/2} even for
+    even t (sum(j * z_j) = 0 mod t pairs j with t - j) and z_0 = s mod 2.
+    Odd t: u_0 = floor(z_0 / 2), u_i = z_i.  Even t: the middle entry halves
+    as well, u_{t/2} = z_{t/2} / 2.
     """
     t, s = z.t, z.s
     tp = t // 2
     for i in range(t):
         if z.z[i] != z.z[(-i) % t]:
             raise NotSymmetricError(f"z[{i}] != z[{t - i}]")
-    if z.z[0] % 2 != s % 2:
-        raise ParityError("z_0 must have the parity of s")
     if t % 2 == 1:
         u = (z.z[0] // 2,) + z.z[1 : tp + 1]
     else:
-        if z.z[tp] % 2 != 0:
-            raise ParityError("middle entry must be even when t is even")
         u = (z.z[0] // 2,) + z.z[1:tp] + (z.z[tp] // 2,)
     return UTuple(t, s, u)
 

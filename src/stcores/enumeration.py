@@ -37,11 +37,11 @@ from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from . import coords
-from .betaset import ATuple, _Frozen, _set, partition_from_a
+from .betaset import ATuple, partition_from_a
 from .coords import ZTuple, _unfold, shift_constant
 from .errors import InvariantError
 from .formulas import _require_coprime, _scaled_size
-from .partition import Partition
+from .partition import Partition, _Frozen, _set
 
 
 class CoreRecord(_Frozen):

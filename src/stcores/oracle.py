@@ -32,8 +32,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from . import betaset, coords, enumeration, errors, formulas, runner, stats
-from .betaset import _Frozen, _set
-from .partition import Partition
+from .partition import Partition, _Frozen, _set
 from .runner import VerifyReport
 
 PARTITION_CAP = 40

@@ -3,18 +3,67 @@
 Everything in this module works directly on the diagram and never touches
 the abacus machinery, so it can serve as an independent reference for the
 beta-set code.  Cells are addressed 1-based as (row, column), rows growing
-downward (English notation).
+downward (English notation).  As the root module it also holds ``_Frozen``,
+the immutable base of every value class, and its field setter ``_set``.
 """
 
 from __future__ import annotations
 
-from operator import ge
+from operator import attrgetter, ge
 from typing import Iterable, Iterator
 
 from .errors import NonMonotoneError, OutOfDiagramError
 
+# Builders set the fields of a _Frozen instance through this.
+_set = object.__setattr__
 
-class Partition:
+
+class _Frozen:
+    """Base of the immutable value classes: ``Partition`` here, and those of
+    :mod:`~stcores.betaset`, ``coords``, ``enumeration``, ``oracle`` and ``runner``.
+
+    A subclass names its fields in ``__slots__``; equality (same class),
+    hashing, repr, copying and pickling read them in that order, and
+    assigning or deleting an attribute raises AttributeError.  Constructors
+    set the fields through ``_set``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self.__getstate__()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __getstate__(self) -> tuple:
+        # The fields in slot order.  attrgetter of one name gives the bare
+        # value, which equality and hashing use as it is.
+        key = self._key(self)
+        return key if len(self.__slots__) > 1 else (key,)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            _set(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Partition(_Frozen):
     """A weakly decreasing tuple of positive integers.
 
     Conceptually the sequence continues with infinitely many zeros; only the
@@ -23,7 +72,8 @@ class Partition:
     order lexicographically on their parts (useful for deterministic output).
     """
 
-    __slots__ = ("_parts",)
+    __slots__ = ("parts",)
+    parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int] = ()):
         ps = tuple(parts)
@@ -43,7 +93,7 @@ class Partition:
                     raise NonMonotoneError(f"part {i + 1} is {p}, expected a positive integer")
                 if i and ps[i - 1] < p:
                     raise NonMonotoneError(f"parts increase at index {i}: {ps[i - 1]} < {p}")
-        self._parts = ps
+        _set(self, "parts", ps)
 
     @classmethod
     def _unchecked(cls, parts: tuple[int, ...]) -> "Partition":
@@ -51,40 +101,27 @@ class Partition:
         weakly decreasing and positive, built without the checks of
         :meth:`__init__`."""
         self = object.__new__(cls)
-        self._parts = parts
+        _set(self, "parts", parts)
         return self
 
     @property
-    def parts(self) -> tuple[int, ...]:
-        return self._parts
-
-    @property
     def size(self) -> int:
-        return sum(self._parts)
+        return sum(self.parts)
 
     def __len__(self) -> int:
-        return len(self._parts)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Partition) and self._parts == other._parts
-
-    def __hash__(self) -> int:
-        return hash(self._parts)
+        return len(self.parts)
 
     def __lt__(self, other: "Partition") -> bool:
-        return self._parts < other._parts
-
-    def __repr__(self) -> str:
-        return f"Partition({list(self._parts)!r})"
+        return self.parts < other.parts
 
     def cells(self) -> Iterator[tuple[int, int]]:
         """All diagram cells (r, c), row-major, 1-based."""
-        for r, p in enumerate(self._parts, start=1):
+        for r, p in enumerate(self.parts, start=1):
             for c in range(1, p + 1):
                 yield r, c
 
     def contains(self, r: int, c: int) -> bool:
-        return 1 <= r <= len(self._parts) and 1 <= c <= self._parts[r - 1]
+        return 1 <= r <= len(self.parts) and 1 <= c <= self.parts[r - 1]
 
     def conjugate(self) -> "Partition":
         """Reflect the diagram across the main diagonal."""
@@ -93,15 +130,15 @@ class Partition:
     def _column_heights(self) -> list[int]:
         # columns lambda_{i+1} + 1 .. lambda_i have height i
         heights: list[int] = []
-        for i in range(len(self._parts), 0, -1):
-            heights += [i] * (self._parts[i - 1] - len(heights))
+        for i in range(len(self.parts), 0, -1):
+            heights += [i] * (self.parts[i - 1] - len(heights))
         return heights
 
     def hook_length(self, r: int, c: int) -> int:
         """1 + arm + leg of the cell (r, c), read off :meth:`hook_lengths`."""
         if not self.contains(r, c):
             raise OutOfDiagramError(f"cell ({r}, {c}) is outside {self!r}")
-        return self.hook_lengths()[sum(self._parts[: r - 1]) + c - 1]
+        return self.hook_lengths()[sum(self.parts[: r - 1]) + c - 1]
 
     def hook_lengths(self) -> list[int]:
         """All hook lengths, in the row-major order of :meth:`cells`.  The
@@ -113,7 +150,7 @@ class Partition:
         heights = self._column_heights()
         return (
             1 + (p - c) + (heights[c - 1] - r)
-            for r, p in enumerate(self._parts, start=1)
+            for r, p in enumerate(self.parts, start=1)
             for c in range(1, p + 1)
         )
 
@@ -127,9 +164,9 @@ class Partition:
         if not self.contains(r, c):
             raise OutOfDiagramError(f"cell ({r}, {c}) is outside {self!r}")
         last = self._column_heights()[c - 1]  # deepest row meeting column c
-        new = list(self._parts)
+        new = list(self.parts)
         for i in range(r, last):
-            new[i - 1] = self._parts[i] - 1
+            new[i - 1] = self.parts[i] - 1
         new[last - 1] = c - 1
         return Partition(new)
 
@@ -160,4 +197,4 @@ class Partition:
 
     def to_json(self) -> list[int]:
         """JSON form: plain array of parts, ``[]`` for the empty partition."""
-        return list(self._parts)
+        return list(self.parts)

@@ -31,7 +31,7 @@ import json
 import os
 from typing import Callable, Iterable, Iterator, NoReturn
 
-from .betaset import _Frozen, _set
+from .partition import _Frozen, _set
 
 
 class VerifyReport(_Frozen):

@@ -63,7 +63,7 @@ def test_beta_from_partition_examples():
     assert b.members == (0, 2) and b.gaps == (-3, -2)
     b = beta_from_partition(Partition([5, 5]))
     assert b.members == (3, 4) and b.gaps == (-2, -1)
-    assert repr(b) == "BetaSet(members=[3, 4], gaps=[-2, -1])"
+    assert repr(b) == "BetaSet(members=(3, 4), gaps=(-2, -1))"
     assert hash(b) == hash(BetaSet([4, 3], [-1, -2])) and b == BetaSet([4, 3], [-1, -2])
 
 
@@ -285,6 +285,10 @@ _Z, _A = (3, 2, (0, 1, 1)), (3, (0, 1, 2))
 
 
 @pytest.mark.parametrize("make, different, fields, text", [
+    # one field: copy and pickle must not unpack it
+    (lambda: Partition([2, 1, 0]), Partition([2, 2]), ("parts",), "Partition(parts=(2, 1))"),
+    (lambda: BetaSet([4, 3], [-1, -2]), BetaSet([3, 4], [-3, -1]), ("members", "gaps"),
+     "BetaSet(members=(3, 4), gaps=(-2, -1))"),
     (lambda: CTuple(3, (1, 0, -1)), CTuple(3, (0, 1, -1)), ("s", "c"), "CTuple(s=3, c=(1, 0, -1))"),
     (lambda: ATuple(3, (3, 1, -1)), ATuple(3, (0, 1, 2)), ("t", "a"), "ATuple(t=3, a=(3, 1, -1))"),
     (lambda: ZTuple(*_Z), ZTuple(3, 2, (2, 0, 0)), ("t", "s", "z"), "ZTuple(t=3, s=2, z=(0, 1, 1))"),
@@ -293,7 +297,7 @@ _Z, _A = (3, 2, (0, 1, 1)), (3, (0, 1, 2))
     (lambda: CoreRecord(ZTuple(*_Z), ATuple(*_A), 0), CoreRecord(ZTuple(*_Z), ATuple(*_A), 0, 1),
      ("z", "a", "size", "stab"),
      "CoreRecord(z=ZTuple(t=3, s=2, z=(0, 1, 1)), a=ATuple(t=3, a=(0, 1, 2)), size=0, stab=None)"),
-], ids=["CTuple", "ATuple", "ZTuple", "UTuple", "CoreRecord"])
+], ids=["Partition", "BetaSet", "CTuple", "ATuple", "ZTuple", "UTuple", "CoreRecord"])
 def test_value_classes_compare_hash_and_show_their_fields_and_refuse_assignment(make, different, fields, text):
     x, y = make(), make()
     assert x is not y and x == y and hash(x) == hash(y) and not x != y

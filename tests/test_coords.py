@@ -198,18 +198,10 @@ def test_shift_constant_rejects_two_even_moduli():
         shift_constant(2, 4)
 
 
-def _unchecked(cls, **fields):
-    """An instance that skips the validation of ``__init__``."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 def test_coordinate_changes_reject_corrupted_inputs():
     # a_2 = 3 is not congruent to 2 mod 3, so the division by t is inexact
     with pytest.raises(InvariantError):
-        a_to_z(_unchecked(ATuple, t=3, a=(0, 1, 3)), 2)
+        a_to_z(ATuple._unchecked(3, (0, 1, 3)), 2)
     # s = t = 2 is not coprime, so k = (s+1)(t-1)/2 is not an integer
     with pytest.raises(NotCoprimeError):
-        z_to_a(_unchecked(ZTuple, t=2, s=2, z=(1, 1)))
+        z_to_a(ZTuple._unchecked(2, 2, (1, 1)))

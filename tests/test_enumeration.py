@@ -290,11 +290,8 @@ def test_partition_from_a_rejects_a_nonpositive_last_part():
     assert partition_from_a(ATuple(2, (4, -3))) == Partition([3, 2, 1])
     # residues right, but the entries sum to -1, not t(t-1)/2 = 1: the bead
     # walk ends in the part 0
-    a = object.__new__(ATuple)
-    object.__setattr__(a, "t", 2)
-    object.__setattr__(a, "a", (-2, 1))
     with pytest.raises(InvariantError, match="last is not positive"):
-        partition_from_a(a)
+        partition_from_a(ATuple._unchecked(2, (-2, 1)))
 
 
 def test_with_stab_returns_a_new_record_and_leaves_the_original():

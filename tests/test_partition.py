@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -115,3 +118,14 @@ def test_ordering_and_hash():
     a, b = Partition([2, 1]), Partition([2, 1])
     assert a == b and hash(a) == hash(b) and not a < b
     assert Partition([1]) < Partition([2]) < Partition([2, 1])
+
+
+def test_a_partition_in_a_set_cannot_be_changed_and_copies_whole():
+    p = Partition([2, 1])
+    seen = {p}
+    for name in ("parts", "_parts"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, (3,))
+    assert Partition([2, 1]) in seen and Partition([3]) not in seen
+    # one field: the copies must not take its tuple apart
+    assert copy.copy(p).parts == pickle.loads(pickle.dumps(p)).parts == (2, 1)

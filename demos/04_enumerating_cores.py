@@ -13,12 +13,12 @@ from stcores import (
     canonical_cyclic_rep,
     count_sc,
     count_st,
-    enum_sc_st_cores,
-    enum_st_cores,
+    iter_sc_st_cores,
+    iter_st_cores,
 )
 
 s, t = 3, 4
-records = enum_st_cores(s, t)
+records = list(iter_st_cores(s, t))
 print(f"all ({s},{t})-cores, in lexicographic order of z:")
 for rec in records:
     print("  z =", rec.z.z, " a =", rec.a.a, " partition =", rec.partition.parts, " size =", rec.size)
@@ -30,7 +30,7 @@ r = canonical_cyclic_rep(x)
 print("\ncomposition", x, "rotates by", r, "to", x[r:] + x[:r], "to satisfy the congruence")
 
 # Self-conjugate cores come from an even simpler simplex of u-coordinates.
-sc = enum_sc_st_cores(s, t)
+sc = list(iter_sc_st_cores(s, t))
 print(f"\nself-conjugate ({s},{t})-cores:", [rec.partition.parts for rec in sc])
 print("count:", len(sc), "= C(3,2) =", count_sc(s, t))
 

@@ -22,14 +22,14 @@ from fractions import Fraction
 from stcores import (
     attach_stabilizers,
     average_size,
-    enum_st_cores,
     expected_average,
+    iter_st_cores,
     moment_sum,
 )
 
 # The smallest interesting case, in full detail.
 print("(2,3)-cores with stabilizers:")
-for rec in attach_stabilizers(enum_st_cores(2, 3)):
+for rec in attach_stabilizers(iter_st_cores(2, 3)):
     print("  z =", rec.z.z, " partition =", rec.partition.parts,
           " size =", rec.size, " stab =", rec.stab)
 print("unweighted average:", average_size(2, 3))

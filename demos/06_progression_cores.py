@@ -13,14 +13,14 @@ number.
 
 from stcores import (
     count_triple,
-    enum_triple_asym,
-    enum_triple_sym,
+    iter_triple_asym,
+    iter_triple_sym,
     motzkin_number,
 )
 
 m, d = 3, 2
-sym = enum_triple_sym(m, d)
-asym = enum_triple_asym(m, d)
+sym = list(iter_triple_sym(m, d))
+asym = list(iter_triple_asym(m, d))
 print(f"({m},{m+d},{m+2*d})-cores, symmetric parameterization (z in {{-1,0,1}}^{m+d}):")
 for rec in sym:
     print("  z =", rec.z.z, " partition =", rec.partition.parts, " size =", rec.size)

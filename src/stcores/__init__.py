@@ -20,14 +20,12 @@ _HOME = {
     "InvalidSSetError": "errors", "InvalidZError": "errors", "InvariantError": "errors",
     "NegativeEntryError": "errors", "NonMonotoneError": "errors", "NonzeroChargeError": "errors",
     "NotACoreError": "errors", "NotCoprimeError": "errors", "NotSymmetricError": "errors",
-    "OutOfDiagramError": "errors", "ParityError": "errors", "Partition": "partition",
-    "TooLargeError": "errors", "UTuple": "coords", "ZTuple": "coords", "a_coords": "betaset",
-    "a_to_z": "coords", "attach_stabilizers": "enumeration", "average_size": "stats",
-    "beta_from_partition": "betaset", "betaset": "betaset", "canonical_cyclic_rep": "enumeration",
-    "charge": "betaset", "check_average": "oracle", "conjugate_beta": "betaset", "coords": "coords",
+    "OutOfDiagramError": "errors", "Partition": "partition", "TooLargeError": "errors",
+    "UTuple": "coords", "ZTuple": "coords", "a_coords": "betaset", "a_to_z": "coords",
+    "attach_stabilizers": "enumeration", "average_size": "stats", "beta_from_partition": "betaset",
+    "betaset": "betaset", "canonical_cyclic_rep": "enumeration", "charge": "betaset",
+    "check_average": "oracle", "conjugate_beta": "betaset", "coords": "coords",
     "count_sc": "formulas", "count_st": "formulas", "count_triple": "formulas",
-    "enum_sc_st_cores": "enumeration", "enum_st_cores": "enumeration",
-    "enum_triple_asym": "enumeration", "enum_triple_sym": "enumeration",
     "enumeration": "enumeration", "errors": "errors", "expected_average": "stats",
     "hook_count": "betaset", "is_s_core": "betaset", "is_self_conjugate_a": "coords",
     "is_st_core_a": "coords", "iter_sc_st_cores": "enumeration", "iter_st_cores": "enumeration",
@@ -37,7 +35,7 @@ _HOME = {
     "s_push": "betaset", "s_set": "betaset", "shift_constant": "coords", "size_from_a": "betaset",
     "size_from_c": "stats", "stab_size": "coords", "stab_size_sc": "coords", "stats": "stats",
     "t_core": "betaset", "u_to_z": "coords", "verify_cyclic_sum_identities": "oracle",
-    "z_to_a": "coords", "z_to_u": "coords", "VerifyReport": "oracle", "brute_st_cores": "oracle",
+    "z_to_a": "coords", "z_to_u": "coords", "VerifyReport": "runner", "brute_st_cores": "oracle",
     "brute_stab_count": "oracle", "enum_partitions_up_to": "oracle", "motzkin_number": "oracle",
     "run_verify_suite": "oracle", "s_set_of": "oracle",
 }

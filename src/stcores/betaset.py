@@ -123,9 +123,6 @@ class ATuple(_Frozen):
         _set(self, "a", a)
         return self
 
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self.a)
-
     def to_json(self) -> list[int]:
         return list(self.a)
 

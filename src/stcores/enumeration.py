@@ -24,8 +24,7 @@ formulas of :mod:`stcores.formulas`, and the division by t in
 :mod:`stcores.stats`.
 
 The ``iter_*`` functions stream records lazily, in lexicographic order of
-z; the ``enum_*`` wrappers collect them into lists.
-:func:`attach_stabilizers` fills in each record's stabilizer order from
+z.  :func:`attach_stabilizers` fills in each record's stabilizer order from
 :func:`~stcores.coords.stab_size` or :func:`~stcores.coords.stab_size_sc`.
 """
 
@@ -267,11 +266,6 @@ def iter_st_cores(s: int, t: int) -> Iterator[CoreRecord]:
     return _records(s, t, _iter_z(s, t, range(s + 1)))
 
 
-def enum_st_cores(s: int, t: int) -> list[CoreRecord]:
-    """All (s,t)-cores, in lexicographic order of z."""
-    return list(iter_st_cores(s, t))
-
-
 def iter_sc_st_cores(s: int, t: int) -> Iterator[CoreRecord]:
     """Stream all self-conjugate (s,t)-cores via u-coordinates: weak
     compositions of floor(s/2) into floor(t/2) + 1 parts, unfolded.  The
@@ -282,10 +276,6 @@ def iter_sc_st_cores(s: int, t: int) -> Iterator[CoreRecord]:
     return _records(s, t, map(partial(_unfold, t, s), iter_weak_compositions(s // 2, t // 2 + 1)))
 
 
-def enum_sc_st_cores(s: int, t: int) -> list[CoreRecord]:
-    return list(iter_sc_st_cores(s, t))
-
-
 def iter_triple_sym(m: int, d: int) -> Iterator[CoreRecord]:
     """(m, m+d, m+2d)-cores as (m+d)-cores: extended z-coordinates with
     parameter s = d take values in {-1, 0, 1}."""
@@ -294,17 +284,9 @@ def iter_triple_sym(m: int, d: int) -> Iterator[CoreRecord]:
     return _records(d, t, _iter_z(d, t, range(-1, 2)))
 
 
-def enum_triple_sym(m: int, d: int) -> list[CoreRecord]:
-    return list(iter_triple_sym(m, d))
-
-
 def iter_triple_asym(m: int, d: int) -> Iterator[CoreRecord]:
     """(m, m+d, m+2d)-cores as (m+d, m)-cores: nonnegative z with the cyclic
     no-two-adjacent-zeros condition z_j + z_{j+1} >= 1."""
     _require_coprime(m, d)
     s, t = m + d, m
     return _records(s, t, _iter_z(s, t, range(s + 1), no_zero_pair=True))
-
-
-def enum_triple_asym(m: int, d: int) -> list[CoreRecord]:
-    return list(iter_triple_asym(m, d))

@@ -39,10 +39,6 @@ class NotSymmetricError(CoreError):
     """z-tuple is not invariant under index negation."""
 
 
-class ParityError(CoreError):
-    """Entry has the wrong parity for the u-coordinate folding."""
-
-
 class NegativeEntryError(CoreError):
     """Stabilizer formulas need componentwise nonnegative coordinates."""
 

@@ -78,5 +78,5 @@ def count_triple(m: int, d: int) -> int:
             raise InvariantError(f"count_triple({m}, {d}): the ratio after term {i} leaves a remainder")
         total += term
     if total % t:
-        raise CoreError(f"multinomial sum {total} is not divisible by {t}")
+        raise InvariantError(f"multinomial sum {total} is not divisible by {t}")
     return total // t

@@ -33,7 +33,6 @@ from typing import Callable, Iterable, Iterator
 
 from . import betaset, coords, enumeration, errors, formulas, runner, stats
 from .partition import Partition, _Frozen, _set
-from .runner import VerifyReport
 
 PARTITION_CAP = 40
 # The seed of the randomized checks of run_verify_suite.
@@ -275,7 +274,7 @@ def _charge_a_witness(s: int, p: Partition) -> str | None:
     a = betaset.a_coords(p, s)
     if any(v - s not in b or v in b for v in a.a):
         return f"p={p.parts}, s={s}"
-    if a.as_set() != betaset.s_set(b, s):
+    if frozenset(a.a) != betaset.s_set(b, s):
         return f"p={p.parts}, s={s}: a-set != (B+s)\\B"
     return None
 
@@ -355,9 +354,9 @@ def _sc_transfer_witness(s: int, t: int, p: Partition) -> str | None:
 
 
 def _count_witness(s: int, t: int) -> str | None:
-    if len(enumeration.enum_st_cores(s, t)) != formulas.count_st(s, t):
+    if len(list(enumeration.iter_st_cores(s, t))) != formulas.count_st(s, t):
         return f"(s,t)=({s},{t}) general count"
-    if len(enumeration.enum_sc_st_cores(s, t)) != formulas.count_sc(s, t):
+    if len(list(enumeration.iter_sc_st_cores(s, t))) != formulas.count_sc(s, t):
         return f"(s,t)=({s},{t}) self-conjugate count"
     return None
 
@@ -370,8 +369,8 @@ def _orbit_rep_witness(s: int, t: int, comp: tuple[int, ...]) -> str | None:
 
 
 def _sc_subset_witness(s: int, t: int) -> str | None:
-    general = {r.partition for r in enumeration.enum_st_cores(s, t)}
-    sc = [r.partition for r in enumeration.enum_sc_st_cores(s, t)]
+    general = {r.partition for r in enumeration.iter_st_cores(s, t)}
+    sc = [r.partition for r in enumeration.iter_sc_st_cores(s, t)]
     if not all(p.is_self_conjugate() for p in sc):
         return f"(s,t)=({s},{t}): non-self-conjugate output"
     if set(sc) != {p for p in general if p.is_self_conjugate()}:
@@ -450,7 +449,7 @@ def _oracle_witness(s: int, t: int) -> str | None:
     # Olsson and Stanton: the largest (s,t)-core has size (s^2-1)(t^2-1)/24,
     # and no other (s,t)-core has that size.
     largest = (s * s - 1) * (t * t - 1) // 24
-    enum_parts = {r.partition for r in enumeration.enum_st_cores(s, t)}
+    enum_parts = {r.partition for r in enumeration.iter_st_cores(s, t)}
     if {p for p in enum_parts if p.size <= largest} != set(brute_st_cores({s, t}, largest)):
         return f"(s,t)=({s},{t}): set mismatch at size <= {largest}"
     top = sorted(p.size for p in enum_parts if p.size >= largest)
@@ -470,7 +469,7 @@ def run_verify_suite(
     n_max: int = 20,
     *,
     trials: int = 60,
-) -> Iterable[VerifyReport]:
+) -> Iterable[runner.VerifyReport]:
     """Every structural cross-check at the given scale, as reports that
     stream in row order when iterated.
 
@@ -616,10 +615,10 @@ def run_verify_suite(
          _asymmetry_witness),
         ("stabilizer-formula-vs-brute", {"sum_max": sum9},
          ((s, t, self_conjugate, rec) for s, t in coprime_pairs(sum9) for self_conjugate in (False, True)
-          for rec in (enumeration.enum_sc_st_cores if self_conjugate else enumeration.enum_st_cores)(s, t)),
+          for rec in (enumeration.iter_sc_st_cores if self_conjugate else enumeration.iter_st_cores)(s, t)),
          _stab_witness),
         ("size-formulas-triple-agreement", {"pairs": len(pairs)},
-         ((s, t, rec) for s, t in pairs for rec in enumeration.enum_st_cores(s, t)),
+         ((s, t, rec) for s, t in pairs for rec in enumeration.iter_st_cores(s, t)),
          _size_witness),
         ("oracle-enumeration-equivalence", {"pairs_run": len(oracle_pairs)}, oracle_pairs, _oracle_witness),
         ("cyclic-sum-identities", {"sum_max": sum14},

@@ -111,8 +111,10 @@ class Partition(_Frozen):
     def __len__(self) -> int:
         return len(self.parts)
 
-    def __lt__(self, other: "Partition") -> bool:
-        return self.parts < other.parts
+    def __lt__(self, other: object) -> bool:
+        if isinstance(other, Partition):
+            return self.parts < other.parts
+        return NotImplemented
 
     def cells(self) -> Iterator[tuple[int, int]]:
         """All diagram cells (r, c), row-major, 1-based."""
@@ -170,10 +172,6 @@ class Partition(_Frozen):
         new[last - 1] = c - 1
         return Partition(new)
 
-    def find_hook_cell(self, t: int) -> tuple[int, int] | None:
-        """First cell (row-major) whose hook length is exactly t, if any."""
-        return next((cell for cell, h in zip(self.cells(), self._hooks()) if h == t), None)
-
     def t_core_by_diagram(self, t: int) -> "Partition":
         """t-core by repeated rim t-hook removal on the diagram.
 
@@ -187,7 +185,7 @@ class Partition(_Frozen):
             return Partition()
         cur = self
         while True:
-            cell = cur.find_hook_cell(t)
+            cell = next((cell for cell, h in zip(cur.cells(), cur._hooks()) if h == t), None)
             if cell is None:
                 return cur
             cur = cur.remove_rim_hook(*cell)

@@ -31,8 +31,8 @@ def _finish(num: int, started: float, desc: str) -> None:
 def test_criterion_1_counting():
     started = time.time()
     for s, t in _coprime_pairs(18):
-        assert len(sc.enum_st_cores(s, t)) == math.comb(s + t, t) // (s + t)
-        assert len(sc.enum_sc_st_cores(s, t)) == math.comb(s // 2 + t // 2, t // 2)
+        assert len(list(sc.iter_st_cores(s, t))) == math.comb(s + t, t) // (s + t)
+        assert len(list(sc.iter_sc_st_cores(s, t))) == math.comb(s // 2 + t // 2, t // 2)
     _finish(1, started, "enumeration counts match both closed forms for all coprime s+t <= 18")
 
 
@@ -77,8 +77,8 @@ def test_criterion_5_triple_progression_cores():
             )
             assert count % (m + d) == 0
             count //= m + d
-            sym = sc.enum_triple_sym(m, d)
-            asym = sc.enum_triple_asym(m, d)
+            sym = list(sc.iter_triple_sym(m, d))
+            asym = list(sc.iter_triple_asym(m, d))
             assert len(sym) == len(asym) == count == sc.count_triple(m, d)
             assert {r.partition for r in sym} == {r.partition for r in asym}
     for m in range(1, 13):
@@ -89,7 +89,7 @@ def test_criterion_5_triple_progression_cores():
 def test_criterion_6_oracle_equivalence():
     started = time.time()
     for s, t in [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]:
-        enum_parts = {r.partition for r in sc.enum_st_cores(s, t)}
+        enum_parts = {r.partition for r in sc.iter_st_cores(s, t)}
         bound = max(p.size for p in enum_parts)
         brute = sc.brute_st_cores({s, t}, bound + s + t)
         assert {p for p in brute if p.size <= bound} == enum_parts

@@ -17,10 +17,10 @@ from stcores import (
     a_to_z,
     beta_from_partition,
     canonical_cyclic_rep,
-    enum_st_cores,
     is_s_core,
     is_self_conjugate_a,
     is_st_core_a,
+    iter_st_cores,
     random_s_core,
     shift_constant,
     u_to_z,
@@ -177,7 +177,7 @@ COPRIME_PAIRS_14 = [
 
 def test_z_to_a_matches_telescoping_form_on_every_st_core():
     for s, t in COPRIME_PAIRS_14:
-        for rec in enum_st_cores(s, t):
+        for rec in iter_st_cores(s, t):
             assert z_to_a(rec.z) == _z_to_a_telescoping(rec.z), (s, t, rec.z.z)
 
 

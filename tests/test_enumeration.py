@@ -11,10 +11,6 @@ from stcores import (
     ZTuple,
     canonical_cyclic_rep,
     count_triple,
-    enum_sc_st_cores,
-    enum_st_cores,
-    enum_triple_asym,
-    enum_triple_sym,
     iter_sc_st_cores,
     iter_st_cores,
     iter_triple_asym,
@@ -79,16 +75,16 @@ def test_canonical_cyclic_rep_needs_coprimality():
 
 
 def test_enum_st_cores_small_cases():
-    recs = enum_st_cores(2, 3)
+    recs = list(iter_st_cores(2, 3))
     assert [r.partition for r in recs] == [Partition(), Partition([1])]
     assert [r.size for r in recs] == [0, 1]
-    assert len(enum_st_cores(3, 4)) == 5
-    assert [r.partition for r in enum_st_cores(1, 6)] == [Partition()]
+    assert len(list(iter_st_cores(3, 4))) == 5
+    assert [r.partition for r in iter_st_cores(1, 6)] == [Partition()]
 
 
 def test_enum_st_cores_sorted_by_z():
-    recs = enum_st_cores(4, 5)
-    assert [r.z.z for r in recs] == sorted(r.z.z for r in recs)
+    zs = [r.z.z for r in iter_st_cores(4, 5)]
+    assert zs == sorted(zs)
 
 
 ST_PAIRS = [(s, t) for s in range(1, 14) for t in range(1, 15 - s) if math.gcd(s, t) == 1]
@@ -100,7 +96,7 @@ def _congruent(z):
 
 
 def test_iterators_yield_strictly_increasing_z():
-    # the enum_* wrappers rely on this order instead of sorting
+    # the documented order of every stream: nothing sorts the records
     for factory, pairs in (
         (iter_st_cores, ST_PAIRS),
         (iter_sc_st_cores, ST_PAIRS),
@@ -136,11 +132,11 @@ def test_iter_z_matches_brute_filter():
 
 def test_enum_rejects_non_coprime():
     with pytest.raises(NotCoprimeError):
-        enum_st_cores(2, 4)
+        iter_st_cores(2, 4)
     with pytest.raises(NotCoprimeError):
-        enum_sc_st_cores(2, 4)
+        iter_sc_st_cores(2, 4)
     with pytest.raises(ValueError):
-        enum_st_cores(0, 3)
+        iter_st_cores(0, 3)
 
 
 def test_iterators_validate_before_first_yield():
@@ -151,48 +147,47 @@ def test_iterators_validate_before_first_yield():
 
 
 def test_enum_sc_small_cases():
-    sc = enum_sc_st_cores(2, 3)
-    assert {r.partition for r in sc} == {Partition(), Partition([1])}
-    assert len(enum_sc_st_cores(3, 4)) == 3
-    assert [r.partition for r in enum_sc_st_cores(1, 9)] == [Partition()]
+    assert {r.partition for r in iter_sc_st_cores(2, 3)} == {Partition(), Partition([1])}
+    assert len(list(iter_sc_st_cores(3, 4))) == 3
+    assert [r.partition for r in iter_sc_st_cores(1, 9)] == [Partition()]
 
 
 def test_enum_sc_is_self_conjugate_subset_of_general():
     for s, t in [(2, 3), (3, 4), (4, 5), (5, 4), (3, 8)]:
-        general = {r.partition for r in enum_st_cores(s, t)}
-        sc = {r.partition for r in enum_sc_st_cores(s, t)}
+        general = {r.partition for r in iter_st_cores(s, t)}
+        sc = {r.partition for r in iter_sc_st_cores(s, t)}
         assert sc == {p for p in general if p.is_self_conjugate()}
 
 
 def test_triple_enumerations_small_cases():
-    sym = enum_triple_sym(2, 1)
-    asym = enum_triple_asym(2, 1)
+    sym = list(iter_triple_sym(2, 1))
+    asym = list(iter_triple_asym(2, 1))
     assert {r.partition for r in sym} == {r.partition for r in asym}
     assert len(sym) == 2
     # (2,3,4)-cores coincide with the (2,3)-cores here
     assert {r.partition for r in sym} == {Partition(), Partition([1])}
 
-    assert len(enum_triple_sym(3, 1)) == 4
-    assert {r.partition for r in enum_triple_sym(3, 1)} == {
-        r.partition for r in enum_triple_asym(3, 1)
+    assert len(list(iter_triple_sym(3, 1))) == 4
+    assert {r.partition for r in iter_triple_sym(3, 1)} == {
+        r.partition for r in iter_triple_asym(3, 1)
     }
-    assert len(enum_triple_sym(3, 2)) == 6
-    assert [r.partition for r in enum_triple_asym(1, 4)] == [Partition()]
+    assert len(list(iter_triple_sym(3, 2))) == 6
+    assert [r.partition for r in iter_triple_asym(1, 4)] == [Partition()]
 
 
 def test_triple_outputs_have_no_divisible_hooks():
     for m, d in [(2, 1), (3, 1), (3, 2), (4, 3), (5, 2)]:
         moduli = (m, m + d, m + 2 * d)
-        for rec in enum_triple_sym(m, d):
+        for rec in iter_triple_sym(m, d):
             hooks = rec.partition.hook_lengths()
             assert all(h % mod for mod in moduli for h in hooks)
 
 
 def test_triple_rejects_non_coprime():
     with pytest.raises(NotCoprimeError):
-        enum_triple_sym(2, 4)
+        iter_triple_sym(2, 4)
     with pytest.raises(NotCoprimeError):
-        enum_triple_asym(3, 6)
+        iter_triple_asym(3, 6)
     with pytest.raises(NotCoprimeError):
         count_triple(2, 2)
 
@@ -203,7 +198,7 @@ def test_motzkin_column():
 
 
 def test_record_serialization():
-    recs = enum_st_cores(2, 3)
+    recs = list(iter_st_cores(2, 3))
     assert recs[0].to_json_dict() == {"z": [0, 1, 1], "a": [0, 1, 2], "parts": [], "size": 0}
     assert recs[1].to_json_dict() == {"z": [2, 0, 0], "a": [3, 1, -1], "parts": [1], "size": 1}
     with_stab = recs[1].with_stab(2)
@@ -213,7 +208,7 @@ def test_record_serialization():
 def test_all_views_describe_the_same_core():
     from stcores import partition_from_a, z_to_a
 
-    for rec in enum_st_cores(4, 5):
+    for rec in iter_st_cores(4, 5):
         assert z_to_a(rec.z) == rec.a
         assert partition_from_a(rec.a) == rec.partition
         assert rec.partition.size == rec.size

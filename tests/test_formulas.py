@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from stcores import CoreError, NotCoprimeError, count_sc, count_st, count_triple
+import stcores.formulas
+from stcores import CoreError, InvariantError, NotCoprimeError, count_sc, count_st, count_triple
 from stcores.formulas import _require_coprime, multinomial
 
 
@@ -33,6 +35,13 @@ def test_count_matches_both_closed_forms():
             if math.gcd(m, d) == 1:
                 total = sum(multinomial(m + d, (i, i + d, m - 2 * i)) for i in range(m // 2 + 1))
                 assert count_triple(m, d) * (m + d) == total, (m, d)
+
+
+def test_count_triple_raises_invariant_error_on_an_inexact_final_division(monkeypatch):
+    # with every binomial 1, the sum for (m, d) = (1, 1) is 1, not a multiple of m + d = 2
+    monkeypatch.setattr(stcores.formulas, "math", SimpleNamespace(comb=lambda n, k: 1, gcd=math.gcd))
+    with pytest.raises(InvariantError, match="multinomial sum 1 is not divisible by 2"):
+        count_triple(1, 1)
 
 
 def test_multinomial_rejects_parts_with_wrong_sum():

@@ -25,8 +25,8 @@ from stcores import (
     count_sc,
     count_st,
     enum_partitions_up_to,
-    enum_st_cores,
-    enum_triple_sym,
+    iter_st_cores,
+    iter_triple_sym,
     moment_sum,
     motzkin_number,
     run_verify_suite,
@@ -63,7 +63,7 @@ def test_brute_st_cores_examples():
     assert {p for p in brute_st_cores({2, 3}, 5)} == {Partition(), Partition([1])}
     # no partition of size <= 2 can reach a hook of 4
     assert len(brute_st_cores({4}, 2)) == 4
-    sym = {r.partition for r in enum_triple_sym(2, 1)}
+    sym = {r.partition for r in iter_triple_sym(2, 1)}
     bound = max(p.size for p in sym) if sym else 0
     assert set(brute_st_cores({2, 3, 4}, bound)) == sym
 
@@ -98,16 +98,16 @@ def test_motzkin_numbers():
 
 
 def test_stab_formula_matches_brute_on_all_small_pairs():
-    from stcores import enum_sc_st_cores, stab_size, stab_size_sc, z_to_u
+    from stcores import iter_sc_st_cores, stab_size, stab_size_sc, z_to_u
 
     for s in range(1, 9):
         for t in range(1, 9):
             if s + t > 9 or math.gcd(s, t) != 1:
                 continue
-            for rec in enum_st_cores(s, t):
+            for rec in iter_st_cores(s, t):
                 sset = s_set_of(rec.partition, s)
                 assert stab_size(rec.z) == brute_stab_count(sset, t, s)
-            for rec in enum_sc_st_cores(s, t):
+            for rec in iter_sc_st_cores(s, t):
                 sset = s_set_of(rec.partition, s)
                 assert stab_size_sc(z_to_u(rec.z)) == brute_stab_count(
                     sset, t, s, self_conjugate=True
@@ -212,7 +212,7 @@ def test_asymmetry_check_has_no_case_outside_its_range(bounds, checked):
 
 @pytest.mark.parametrize("s, t, largest", [(2, 3, 1), (2, 5, 3), (3, 4, 5), (3, 5, 8), (4, 5, 15)])
 def test_each_oracle_pair_has_one_largest_core_of_the_olsson_stanton_size(s, t, largest):
-    sizes = sorted(r.size for r in enum_st_cores(s, t))
+    sizes = sorted(r.size for r in iter_st_cores(s, t))
     assert sizes[-1] == largest == (s * s - 1) * (t * t - 1) // 24 and sizes.count(largest) == 1
     assert _oracle_witness(s, t) is None
 
@@ -260,7 +260,7 @@ def _bead_walk(is_bead, a):
 
 def test_bead_walk_with_the_library_test_is_partition_from_a():
     for t in range(1, 8):
-        for rec in (r for s in range(1, 9) if math.gcd(s, t) == 1 for r in enum_st_cores(s, t)):
+        for rec in (r for s in range(1, 9) if math.gcd(s, t) == 1 for r in iter_st_cores(s, t)):
             assert _bead_walk(operator.lt, rec.a) == stcores.betaset.partition_from_a(rec.a)
 
 
@@ -292,12 +292,12 @@ def _drop_negative_elements(orig):
 
 
 def _drop_largest_core(orig):
-    def enum_st_cores(s, t):
-        records = orig(s, t)
+    def iter_st_cores(s, t):
+        records = list(orig(s, t))
         largest = max(r.size for r in records)
-        return [r for r in records if r.size < largest]
+        return (r for r in records if r.size < largest)
 
-    return enum_st_cores
+    return iter_st_cores
 
 
 # (module, attribute, make the faulty replacement from the original,
@@ -386,9 +386,9 @@ FAULTS = {
     ),
     # The brute force up to the Olsson-Stanton size (s^2-1)(t^2-1)/24 finds
     # the core the enumeration lost.
-    "enum_st_cores-largest-dropped": (
+    "iter_st_cores-largest-dropped": (
         stcores.enumeration,
-        "enum_st_cores",
+        "iter_st_cores",
         _drop_largest_core,
         "oracle-enumeration-equivalence",
         "(s,t)=",

@@ -1,5 +1,6 @@
 """The public surface of ``import stcores`` and the modules each command loads."""
 
+import ast
 import json
 import os
 import subprocess
@@ -14,17 +15,16 @@ PUBLIC = [
     "ATuple", "BetaSet", "CTuple", "CapExceededError", "CoreError", "CoreRecord", "IdentityReport",
     "InvalidSSetError", "InvalidZError", "InvariantError", "NegativeEntryError", "NonMonotoneError",
     "NonzeroChargeError", "NotACoreError", "NotCoprimeError", "NotSymmetricError", "OutOfDiagramError",
-    "ParityError", "Partition", "TooLargeError", "UTuple", "ZTuple", "a_coords", "a_to_z",
-    "attach_stabilizers", "average_size", "beta_from_partition", "betaset", "canonical_cyclic_rep",
-    "charge", "check_average", "conjugate_beta", "coords", "count_sc", "count_st", "count_triple",
-    "enum_sc_st_cores", "enum_st_cores", "enum_triple_asym", "enum_triple_sym", "enumeration", "errors",
+    "Partition", "TooLargeError", "UTuple", "ZTuple", "a_coords", "a_to_z", "attach_stabilizers",
+    "average_size", "beta_from_partition", "betaset", "canonical_cyclic_rep", "charge", "check_average",
+    "conjugate_beta", "coords", "count_sc", "count_st", "count_triple", "enumeration", "errors",
     "expected_average", "hook_count", "is_s_core", "is_self_conjugate_a", "is_st_core_a",
-    "iter_sc_st_cores", "iter_st_cores", "iter_triple_asym", "iter_triple_sym", "iter_weak_compositions",
-    "moment_sum", "partition", "partition_from_a", "partition_from_beta", "random_s_core", "s_push",
-    "s_set", "shift_constant", "size_from_a", "size_from_c", "stab_size", "stab_size_sc", "stats",
-    "t_core", "u_to_z", "verify_cyclic_sum_identities", "z_to_a", "z_to_u", "VerifyReport",
-    "brute_st_cores", "brute_stab_count", "enum_partitions_up_to", "motzkin_number", "run_verify_suite",
-    "s_set_of",
+    "iter_sc_st_cores", "iter_st_cores", "iter_triple_asym", "iter_triple_sym",
+    "iter_weak_compositions", "moment_sum", "partition", "partition_from_a", "partition_from_beta",
+    "random_s_core", "s_push", "s_set", "shift_constant", "size_from_a", "size_from_c", "stab_size",
+    "stab_size_sc", "stats", "t_core", "u_to_z", "verify_cyclic_sum_identities", "z_to_a", "z_to_u",
+    "VerifyReport", "brute_st_cores", "brute_stab_count", "enum_partitions_up_to", "motzkin_number",
+    "run_verify_suite", "s_set_of",
 ]
 SUBMODULES = {"betaset", "coords", "enumeration", "errors", "partition", "stats"}
 
@@ -41,10 +41,33 @@ def test_every_public_name_resolves_from_its_home():
         else:
             # defined where it is looked up, not re-exported from elsewhere
             home = sys.modules[value.__module__]
-            assert home.__name__.startswith("stcores.") and vars(home)[name] is value, name
+            assert home.__name__ == f"stcores.{stcores._HOME[name]}" and vars(home)[name] is value, name
     assert set(PUBLIC) <= set(dir(stcores))
-    with pytest.raises(AttributeError, match="has no attribute 'multinomial'"):
-        getattr(stcores, "multinomial")
+
+
+@pytest.mark.parametrize("name", ["multinomial", "enum_st_cores", "enum_sc_st_cores", "enum_triple_sym",
+                                  "enum_triple_asym", "ParityError"])
+def test_a_name_outside_the_published_list_is_not_an_attribute(name):
+    with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+        getattr(stcores, name)
+
+
+def test_every_exception_class_is_raised_or_subclassed():
+    src = Path(stcores.__file__).parent
+    defined = {node.name for node in ast.parse((src / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    used = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                refs = [node.exc.func if isinstance(node.exc, ast.Call) else node.exc]
+            elif isinstance(node, ast.ClassDef):
+                refs = node.bases
+            else:
+                continue
+            used |= {ref.id if isinstance(ref, ast.Name) else ref.attr for ref in refs
+                     if isinstance(ref, (ast.Name, ast.Attribute))}
+    assert defined and not defined - used, sorted(defined - used)
 
 
 # Run as perfbench runs a command: ``stcores.cli`` through runpy, with the

@@ -118,6 +118,9 @@ def test_ordering_and_hash():
     a, b = Partition([2, 1]), Partition([2, 1])
     assert a == b and hash(a) == hash(b) and not a < b
     assert Partition([1]) < Partition([2]) < Partition([2, 1])
+    # a Partition orders only against a Partition
+    with pytest.raises(TypeError):
+        Partition([1]) < 5
 
 
 def test_a_partition_in_a_set_cannot_be_changed_and_copies_whole():

@@ -25,9 +25,9 @@ from stcores import (
     check_average,
     count_sc,
     count_st,
-    enum_sc_st_cores,
-    enum_st_cores,
     expected_average,
+    iter_sc_st_cores,
+    iter_st_cores,
     iter_weak_compositions,
     moment_sum,
     random_s_core,
@@ -53,7 +53,7 @@ def test_size_from_a_rejects_corrupted_coordinates():
 
 
 def test_size_from_a_cross_check_on_enumeration():
-    for rec in enum_st_cores(4, 5):
+    for rec in iter_st_cores(4, 5):
         assert size_from_a(rec.a) == rec.partition.size
 
 
@@ -115,15 +115,15 @@ def test_stab_size_sc_rejects_negative_entries():
 
 
 def test_attach_stabilizers():
-    recs = attach_stabilizers(enum_st_cores(2, 3))
+    recs = attach_stabilizers(iter_st_cores(2, 3))
     assert [r.stab for r in recs] == [1, 2]
-    sc = attach_stabilizers(enum_sc_st_cores(3, 2), self_conjugate=True)
+    sc = attach_stabilizers(iter_sc_st_cores(3, 2), self_conjugate=True)
     assert sorted(r.stab for r in sc) == [2, 2]
 
 
 def test_attach_stabilizers_is_lazy():
     def records():
-        yield from enum_st_cores(2, 3)
+        yield from iter_st_cores(2, 3)
         raise RuntimeError("read past the records")
 
     stream = attach_stabilizers(records())
@@ -319,8 +319,8 @@ def test_moment_sum_matches_per_core_fraction_sum():
         for t in range(1, 13 - s):
             if math.gcd(s, t) != 1:
                 continue
-            general = [(rec.size, stab_size(rec.z)) for rec in enum_st_cores(s, t)]
-            sc = [(rec.size, stab_size_sc(z_to_u(rec.z))) for rec in enum_sc_st_cores(s, t)]
+            general = [(rec.size, stab_size(rec.z)) for rec in iter_st_cores(s, t)]
+            sc = [(rec.size, stab_size_sc(z_to_u(rec.z))) for rec in iter_sc_st_cores(s, t)]
             for e in range(4):
                 for self_conjugate, rows in ((False, general), (True, sc)):
                     got = moment_sum(s, t, e, weighted=True, self_conjugate=self_conjugate)

@@ -24,7 +24,7 @@ import random
 from typing import Iterable
 
 from .errors import InvariantError, NonzeroChargeError, NotACoreError
-from .partition import Partition, _Frozen, _set
+from .partition import Partition, _Frozen
 
 
 class BetaSet(_Frozen):
@@ -41,8 +41,7 @@ class BetaSet(_Frozen):
             raise ValueError(f"members must be >= 0, got {ms[0]}")
         if gs and gs[-1] > -1:
             raise ValueError(f"gaps must be <= -1, got {gs[-1]}")
-        _set(self, "members", ms)
-        _set(self, "gaps", gs)
+        self.__setstate__((ms, gs))
 
     @property
     def total_charge(self) -> int:
@@ -73,8 +72,7 @@ class CTuple(_Frozen):
             raise ValueError("modulus must be >= 1")
         if len(c) != s:
             raise ValueError(f"expected {s} entries, got {len(c)}")
-        _set(self, "s", s)
-        _set(self, "c", c)
+        self.__setstate__((s, c))
 
     @property
     def total(self) -> int:
@@ -111,17 +109,7 @@ class ATuple(_Frozen):
         want = t * (t - 1) // 2
         if sum(a) != want:
             raise ValueError(f"entries sum to {sum(a)}, expected {want}")
-        _set(self, "t", t)
-        _set(self, "a", a)
-
-    @classmethod
-    def _unchecked(cls, t: int, a: tuple[int, ...]) -> "ATuple":
-        """The ATuple of an ``a`` whose invariants the caller has checked,
-        built without the checks of :meth:`__init__`."""
-        self = object.__new__(cls)
-        _set(self, "t", t)
-        _set(self, "a", a)
-        return self
+        self.__setstate__((t, a))
 
     def to_json(self) -> list[int]:
         return list(self.a)

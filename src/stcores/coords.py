@@ -41,7 +41,7 @@ from .errors import (
 )
 # The size form of the prefix sums, shared with the records and the DP.
 from .formulas import _require_coprime, _x
-from .partition import _Frozen, _set
+from .partition import _Frozen
 
 
 def shift_constant(s: int, t: int) -> int:
@@ -72,19 +72,7 @@ class ZTuple(_Frozen):
             raise InvalidZError(f"entries sum to {sum(z)}, expected {s}")
         if sum(map(mul, range(t), z)) % t != 0:
             raise InvalidZError("sum(j * z_j) is not 0 mod t")
-        _set(self, "t", t)
-        _set(self, "s", s)
-        _set(self, "z", z)
-
-    @classmethod
-    def _unchecked(cls, t: int, s: int, z: tuple[int, ...]) -> "ZTuple":
-        """The ZTuple of a z whose invariants the caller has checked, built
-        without the checks of :meth:`__init__`."""
-        self = object.__new__(cls)
-        _set(self, "t", t)
-        _set(self, "s", s)
-        _set(self, "z", z)
-        return self
+        self.__setstate__((t, s, z))
 
     def is_nonnegative(self) -> bool:
         return min(self.z) >= 0
@@ -108,9 +96,7 @@ class UTuple(_Frozen):
             raise InvalidZError(f"expected {t // 2 + 1} entries, got {len(u)}")
         if sum(u) != s // 2:
             raise InvalidZError(f"entries sum to {sum(u)}, expected {s // 2}")
-        _set(self, "t", t)
-        _set(self, "s", s)
-        _set(self, "u", u)
+        self.__setstate__((t, s, u))
 
     def is_nonnegative(self) -> bool:
         return min(self.u) >= 0

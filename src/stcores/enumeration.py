@@ -40,7 +40,7 @@ from .betaset import ATuple, partition_from_a
 from .coords import ZTuple, _unfold, shift_constant
 from .errors import InvariantError
 from .formulas import _require_coprime, _scaled_size
-from .partition import Partition, _Frozen, _set
+from .partition import Partition, _Frozen
 
 
 class CoreRecord(_Frozen):
@@ -61,10 +61,7 @@ class CoreRecord(_Frozen):
     stab: int | None
 
     def __init__(self, z: ZTuple, a: ATuple, size: int, stab: int | None = None):
-        _set(self, "z", z)
-        _set(self, "a", a)
-        _set(self, "size", size)
-        _set(self, "stab", stab)
+        self.__setstate__((z, a, size, stab))
 
     @property
     def partition(self) -> Partition:

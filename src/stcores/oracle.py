@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from . import betaset, coords, enumeration, errors, formulas, runner, stats
-from .partition import Partition, _Frozen, _set
+from .partition import Partition, _Frozen
 
 PARTITION_CAP = 40
 # The seed of the randomized checks of run_verify_suite.
@@ -161,10 +161,7 @@ class IdentityReport(_Frozen):
     rhs: Fraction
 
     def __init__(self, name: str, params: dict, lhs: Fraction, rhs: Fraction):
-        _set(self, "name", name)
-        _set(self, "params", params)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
+        self.__setstate__((name, params, lhs, rhs))
 
     @property
     def passed(self) -> bool:
@@ -288,10 +285,11 @@ def _conjugate_charge_witness(p: Partition, s: int, b: betaset.BetaSet, cb: beta
 
 def _conjugate_s_set_witness(s: int, p: Partition) -> str | None:
     a = betaset.a_coords(p, s)
-    ac = betaset.a_coords(p.conjugate(), s)
+    q = p.conjugate()
+    ac = betaset.a_coords(q, s)
     if any(ac.a[i] != s - 1 - a.a[(-1 - i) % s] for i in range(s)):
         return f"p={p.parts}, s={s}"
-    if coords.is_self_conjugate_a(a) != (p == p.conjugate()):
+    if coords.is_self_conjugate_a(a) != (p == q):
         return f"p={p.parts}, s={s}: symmetry mismatch"
     return None
 
@@ -345,10 +343,10 @@ def _z_residue_witness(s: int, t: int, k: int, p: Partition) -> str | None:
 def _sc_transfer_witness(s: int, t: int, p: Partition) -> str | None:
     a = betaset.a_coords(p, t)
     z = coords.a_to_z(a, s)
-    symmetric_z = all(z.z[i] == z.z[(-i) % t] for i in range(t))
-    if coords.is_self_conjugate_a(a) != symmetric_z:
+    symmetric_a = coords.is_self_conjugate_a(a)
+    if symmetric_a != all(z.z[i] == z.z[(-i) % t] for i in range(t)):
         return f"p={p.parts}, s={s}, t={t}"
-    if coords.is_self_conjugate_a(a) != (p == p.conjugate()):
+    if symmetric_a != p.is_self_conjugate():
         return f"p={p.parts}, s={s}, t={t}: a-symmetry vs partition"
     return None
 

@@ -4,7 +4,8 @@ Everything in this module works directly on the diagram and never touches
 the abacus machinery, so it can serve as an independent reference for the
 beta-set code.  Cells are addressed 1-based as (row, column), rows growing
 downward (English notation).  As the root module it also holds ``_Frozen``,
-the immutable base of every value class, and its field setter ``_set``.
+the immutable base of every value class and the one place that writes their
+fields.
 """
 
 from __future__ import annotations
@@ -14,9 +15,6 @@ from typing import Iterable, Iterator
 
 from .errors import NonMonotoneError, OutOfDiagramError
 
-# Builders set the fields of a _Frozen instance through this.
-_set = object.__setattr__
-
 
 class _Frozen:
     """Base of the immutable value classes: ``Partition`` here, and those of
@@ -24,8 +22,10 @@ class _Frozen:
 
     A subclass names its fields in ``__slots__``; equality (same class),
     hashing, repr, copying and pickling read them in that order, and
-    assigning or deleting an attribute raises AttributeError.  Constructors
-    set the fields through ``_set``.
+    assigning or deleting an attribute raises AttributeError.  Fields are
+    written only by ``__setstate__``, through each slot's own setter: a
+    constructor checks its arguments and ends in one ``__setstate__`` call,
+    and every subclass inherits :meth:`_unchecked`, which skips the checks.
     """
 
     __slots__ = ()
@@ -33,6 +33,15 @@ class _Frozen:
     def __init_subclass__(cls):
         super().__init_subclass__()
         cls._key = attrgetter(*cls.__slots__)
+        cls._puts = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    @classmethod
+    def _unchecked(cls, *fields):
+        """The instance of ``fields``, in slot order, whose invariants the
+        caller has checked, built without the checks of ``__init__``."""
+        self = object.__new__(cls)
+        self.__setstate__(fields)
+        return self
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -53,8 +62,8 @@ class _Frozen:
         return key if len(self.__slots__) > 1 else (key,)
 
     def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self.__slots__, state):
-            _set(self, name, value)
+        for put, value in zip(self._puts, state):
+            put(self, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -93,16 +102,7 @@ class Partition(_Frozen):
                     raise NonMonotoneError(f"part {i + 1} is {p}, expected a positive integer")
                 if i and ps[i - 1] < p:
                     raise NonMonotoneError(f"parts increase at index {i}: {ps[i - 1]} < {p}")
-        _set(self, "parts", ps)
-
-    @classmethod
-    def _unchecked(cls, parts: tuple[int, ...]) -> "Partition":
-        """The Partition of ``parts`` that the caller has checked to be
-        weakly decreasing and positive, built without the checks of
-        :meth:`__init__`."""
-        self = object.__new__(cls)
-        _set(self, "parts", parts)
-        return self
+        self.__setstate__((ps,))
 
     @property
     def size(self) -> int:

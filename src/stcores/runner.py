@@ -31,7 +31,7 @@ import json
 import os
 from typing import Callable, Iterable, Iterator, NoReturn
 
-from .partition import _Frozen, _set
+from .partition import _Frozen
 
 
 class VerifyReport(_Frozen):
@@ -44,10 +44,7 @@ class VerifyReport(_Frozen):
     counts: dict | None
 
     def __init__(self, check: str, params: dict, witness: str | None = None, counts: dict | None = None):
-        _set(self, "check", check)
-        _set(self, "params", params)
-        _set(self, "witness", witness)
-        _set(self, "counts", counts)
+        self.__setstate__((check, params, witness, counts))
 
     @property
     def passed(self) -> bool:

@@ -310,6 +310,7 @@ def test_value_classes_compare_hash_and_show_their_fields_and_refuse_assignment(
             delattr(x, name)
     assert x == y and repr(x) == text
     assert copy.copy(x) == x and copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x
+    assert type(x)._unchecked(*x.__getstate__()) == x
 
 
 def test_value_classes_differ_across_classes_and_unchecked_builds_the_same_value():

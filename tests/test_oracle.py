@@ -1,7 +1,10 @@
+import copy
 import functools
 import gc
 import math
 import operator
+import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +18,7 @@ from stcores import (
     BetaSet,
     CapExceededError,
     CTuple,
+    IdentityReport,
     InvalidSSetError,
     Partition,
     TooLargeError,
@@ -417,6 +421,30 @@ def test_injected_fault_is_caught_with_witness(monkeypatch, fault):
 def test_report_json_shape():
     rep = next(iter(run_verify_suite(1, 1, 2)))
     assert set(rep.to_json_dict()) == {"check", "params", "pass", "witness"}
+
+
+@pytest.mark.parametrize("make, different, text", [
+    (lambda: IdentityReport("c", {"s": 2}, Fraction(1, 2), Fraction(1, 2)),
+     IdentityReport("c", {"s": 2}, Fraction(1, 2), Fraction(1)),
+     "IdentityReport(name='c', params={'s': 2}, lhs=Fraction(1, 2), rhs=Fraction(1, 2))"),
+    (lambda: VerifyReport("c", {"s": 2}, None, {"checked": 3}), VerifyReport("c", {"s": 2}, None, {"checked": 4}),
+     "VerifyReport(check='c', params={'s': 2}, witness=None, counts={'checked': 3})"),
+], ids=["IdentityReport", "VerifyReport"])
+def test_reports_compare_and_show_their_fields_refuse_assignment_and_copy_whole(make, different, text):
+    # Each differs from its `different` in its last field only.  A report
+    # holds its params as a dict, so it is compared but never hashed.
+    x, y = make(), make()
+    assert x is not y and x == y and not x != y
+    assert x != different and not x == different
+    assert repr(x) == text
+    for name in type(x).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(x, name, getattr(different, name))
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x == y and repr(x) == text
+    assert copy.copy(x) == x and copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x
+    assert type(x)._unchecked(*x.__getstate__()) == x
 
 
 def test_report_passes_exactly_without_a_witness():

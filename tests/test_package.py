@@ -70,6 +70,27 @@ def test_every_exception_class_is_raised_or_subclassed():
     assert defined and not defined - used, sorted(defined - used)
 
 
+def test_only_partition_writes_the_fields_of_a_value_object():
+    # partition._Frozen writes every field, through __setstate__, and its
+    # _unchecked is the one builder that skips __init__.
+    src = Path(stcores.__file__).parent
+    found, builders = [], 0
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "_unchecked":
+                builders += 1
+            if path.name == "partition.py":
+                continue
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "object"
+                    and node.attr in {"__setattr__", "__new__"}):
+                found.append(f"{path.name}:{node.lineno} object.{node.attr}")
+            elif isinstance(node, ast.FunctionDef) and node.name in {"_unchecked", "__setstate__"}:
+                found.append(f"{path.name}:{node.lineno} def {node.name}")
+            elif isinstance(node, ast.ImportFrom) and any(alias.name == "_set" for alias in node.names):
+                found.append(f"{path.name}:{node.lineno} imports _set")
+    assert found == [] and builders == 1, (found, builders)
+
+
 # Run as perfbench runs a command: ``stcores.cli`` through runpy, with the
 # loaded modules read at exit.
 CHILD = """

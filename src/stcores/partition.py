@@ -4,8 +4,7 @@ Everything in this module works directly on the diagram and never touches
 the abacus machinery, so it can serve as an independent reference for the
 beta-set code.  Cells are addressed 1-based as (row, column), rows growing
 downward (English notation).  As the root module it also holds ``_Frozen``,
-the immutable base of every value class and the one place that writes their
-fields.
+the immutable base of every value class and the only writer of their fields.
 """
 
 from __future__ import annotations

@@ -38,8 +38,8 @@ print("\n4-push of beta(5,5):", pushed)
 print("which is beta of:", partition_from_beta(pushed).parts)
 
 # ... and the charge 4-tuple is untouched by the push.
-print("charge of (5,5) at s=4:", charge(five_five, 4).c)
-print("charge of (1,1) at s=4:", charge(pushed, 4).c)
+print("charge of (5,5) at s=4:", charge(five_five, 4))
+print("charge of (1,1) at s=4:", charge(pushed, 4))
 
 # t_core wraps the whole pipeline and always agrees with the diagram path.
 for t in range(2, 7):

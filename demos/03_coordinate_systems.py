@@ -32,7 +32,7 @@ print("a =", a.a, " sum =", sum(a.a))
 
 # charge is the same data with a different normalization: a_i = i - t*c_{-1-i}.
 c = charge(beta_from_partition(lam), t)
-print("charge =", c.c)
+print("charge =", c)
 
 # z-coordinates re-index the a-differences; nonnegative entries <=> (s,t)-core.
 z = a_to_z(a, s)

@@ -15,7 +15,7 @@ from importlib import import_module
 # Every public name and the module that defines it, in the order of
 # ``__all__``.  A name that is its own home is that submodule.
 _HOME = {
-    "ATuple": "betaset", "BetaSet": "betaset", "CTuple": "betaset", "CapExceededError": "errors",
+    "ATuple": "betaset", "BetaSet": "betaset", "CapExceededError": "errors",
     "CoreError": "errors", "CoreRecord": "enumeration", "IdentityReport": "oracle",
     "InvalidSSetError": "errors", "InvalidZError": "errors", "InvariantError": "errors",
     "NegativeEntryError": "errors", "NonMonotoneError": "errors", "NonzeroChargeError": "errors",
@@ -33,7 +33,7 @@ _HOME = {
     "iter_weak_compositions": "enumeration", "moment_sum": "stats", "partition": "partition",
     "partition_from_a": "betaset", "partition_from_beta": "betaset", "random_s_core": "betaset",
     "s_push": "betaset", "s_set": "betaset", "shift_constant": "coords", "size_from_a": "betaset",
-    "size_from_c": "stats", "stab_size": "coords", "stab_size_sc": "coords", "stats": "stats",
+    "size_from_c": "betaset", "stab_size": "coords", "stab_size_sc": "coords", "stats": "stats",
     "t_core": "betaset", "u_to_z": "coords", "verify_cyclic_sum_identities": "oracle",
     "z_to_a": "coords", "z_to_u": "coords", "VerifyReport": "runner", "brute_st_cores": "oracle",
     "brute_stab_count": "oracle", "enum_partitions_up_to": "oracle", "motzkin_number": "oracle",

@@ -15,7 +15,8 @@ positions.  The a-coordinates of an s-core come from its charge.
 Residue classes are always taken with the nonnegative convention, i.e.
 ``x % s`` lies in 0..s-1 even for negative x, matching Python's ``%``.
 
-``BetaSet``, ``CTuple`` and ``ATuple`` subclass ``partition._Frozen``.
+A charge is a plain tuple whose length is the modulus s.  ``BetaSet`` and
+``ATuple`` subclass ``partition._Frozen``.
 """
 
 from __future__ import annotations
@@ -54,29 +55,6 @@ class BetaSet(_Frozen):
 
     def to_json_dict(self) -> dict:
         return {"members": list(self.members), "gaps": list(self.gaps)}
-
-
-class CTuple(_Frozen):
-    """Signed charge measure: s integers indexed by Z/sZ.
-
-    The entries sum to the total charge of the underlying good set; zero sum
-    characterizes beta-sets of partitions.
-    """
-
-    __slots__ = ("s", "c")
-    s: int
-    c: tuple[int, ...]
-
-    def __init__(self, s: int, c: tuple[int, ...]):
-        if s < 1:
-            raise ValueError("modulus must be >= 1")
-        if len(c) != s:
-            raise ValueError(f"expected {s} entries, got {len(c)}")
-        self.__setstate__((s, c))
-
-    @property
-    def total(self) -> int:
-        return sum(self.c)
 
 
 class ATuple(_Frozen):
@@ -131,6 +109,25 @@ def size_from_a(a: ATuple) -> int:
     return size
 
 
+def size_from_c(c: tuple[int, ...]) -> int:
+    """Size of the t-core with the zero-sum charge tuple c, t = len(c)
+    (NonzeroChargeError otherwise):
+
+        |core| = sum_i ( (t/2) c_i^2 - ((t-1)/2 - i) c_i ) = t sum_i c_i^2 / 2 + sum_i i c_i
+
+    in integers: the (t-1)/2 terms sum to 0, and sum_i c_i^2 = sum_i c_i (mod 2).
+    """
+    if not c:
+        raise ValueError("modulus must be >= 1")
+    t = len(c)
+    if sum(c) != 0:
+        raise NonzeroChargeError(f"size formula needs a zero-sum charge tuple, got total {sum(c)}")
+    total = t * sum(v * v for v in c) // 2 + sum(i * v for i, v in enumerate(c))
+    if total < 0:
+        raise InvariantError(f"size formula gives {total} for c={c}")
+    return total
+
+
 def beta_from_partition(p: Partition) -> BetaSet:
     """Canonical encoding of B = {part_i - i}."""
     n = len(p)
@@ -162,11 +159,12 @@ def partition_from_beta(b: BetaSet) -> Partition:
     return Partition._unchecked(tuple([x + i for i, x in enumerate(beads, start=1)]))
 
 
-def charge(b: BetaSet, s: int) -> CTuple:
-    """Per-residue-class bead displacement.
+def charge(b: BetaSet, s: int) -> tuple[int, ...]:
+    """Per-residue-class bead displacement, as a tuple of s integers.
 
     c_{s,i} counts gaps minus members in the class -1-i (mod s); the tuple
-    sums to the total charge and is preserved by s-pushes.
+    sums to the total charge (zero exactly for beta-sets of partitions) and
+    is preserved by s-pushes.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -175,7 +173,7 @@ def charge(b: BetaSet, s: int) -> CTuple:
         c[(-1 - g) % s] += 1
     for m in b.members:
         c[(-1 - m) % s] -= 1
-    return CTuple(s, tuple(c))
+    return tuple(c)
 
 
 def hook_count(b: BetaSet, s: int) -> int:
@@ -210,15 +208,15 @@ def s_push(b: BetaSet, s: int) -> BetaSet:
     s-tuple.  Works for any good set, not just charge zero.
     """
     c = charge(b, s)
-    maxima = [rho - s - s * c.c[(-1 - rho) % s] for rho in range(s)]
+    maxima = [rho - s - s * c[(-1 - rho) % s] for rho in range(s)]
     return _beta_from_class_maxima(maxima, s)
 
 
-def a_from_charge(c: CTuple) -> ATuple:
-    """a-coordinates of the s-core with zero-sum charge tuple c:
+def a_from_charge(c: tuple[int, ...]) -> ATuple:
+    """a-coordinates of the s-core with zero-sum charge tuple c, s = len(c):
     a_i = i - s * c_{(-1-i) mod s}."""
-    s = c.s
-    return ATuple(s, tuple(i - s * c.c[(-1 - i) % s] for i in range(s)))
+    s = len(c)
+    return ATuple(s, tuple(i - s * c[(-1 - i) % s] for i in range(s)))
 
 
 def t_core(p: Partition, t: int) -> Partition:
@@ -320,4 +318,4 @@ def random_s_core(s: int, rng: random.Random, bound: int = 5) -> Partition:
         last = -sum(c)
         if -bound <= last <= bound:
             break
-    return partition_from_a(a_from_charge(CTuple(s, (*c, last))))
+    return partition_from_a(a_from_charge((*c, last)))

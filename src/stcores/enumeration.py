@@ -135,6 +135,8 @@ def iter_weak_compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
     lexicographic order is that of the compositions."""
     if k < 1:
         raise ValueError("need at least one part")
+    if total < 0:
+        raise ValueError(f"total must be >= 0, got {total}")
     for cuts in combinations_with_replacement(range(total + 1), k - 1):
         # through a list: on CPython 3.11, tuple() of a bare map (no length
         # hint) left one ~100-byte block per composition allocated

@@ -278,7 +278,7 @@ def _charge_a_witness(s: int, p: Partition) -> str | None:
 
 def _conjugate_charge_witness(p: Partition, s: int, b: betaset.BetaSet, cb: betaset.BetaSet) -> str | None:
     c, cc = betaset.charge(b, s), betaset.charge(cb, s)
-    if any(cc.c[i] != -c.c[(-1 - i) % s] for i in range(s)):
+    if any(cc[i] != -c[(-1 - i) % s] for i in range(s)):
         return f"p={p.parts}, s={s}"
     return None
 
@@ -437,7 +437,7 @@ def _size_witness(s: int, t: int, rec: enumeration.CoreRecord) -> str | None:
     if (
         coords.a_to_z(rec.a, s) == rec.z
         and betaset.size_from_a(rec.a) == rec.size == p.size
-        and stats.size_from_c(c) == rec.size
+        and betaset.size_from_c(c) == rec.size
     ):
         return None
     return f"(s,t)=({s},{t}), p={p.parts}"

@@ -24,26 +24,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InvariantError, NonzeroChargeError
+from .errors import InvariantError
 # The size identity of the prefix sums, shared with z_to_a and the records.
 from .formulas import _require_coprime, _x
-
-
-def size_from_c(c) -> int:
-    """Size of the t-core with the zero-sum charge coordinates c, a
-    :class:`~stcores.betaset.CTuple` (NonzeroChargeError otherwise):
-
-        |core| = sum_i ( (t/2) c_i^2 - ((t-1)/2 - i) c_i ) = t sum_i c_i^2 / 2 + sum_i i c_i
-
-    in integers: the (t-1)/2 terms sum to 0, and sum_i c_i^2 = sum_i c_i (mod 2).
-    """
-    t = c.s
-    if c.total != 0:
-        raise NonzeroChargeError(f"size formula needs a zero-sum charge tuple, got total {c.total}")
-    total = t * sum(v * v for v in c.c) // 2 + sum(i * v for i, v in enumerate(c.c))
-    if total < 0:
-        raise InvariantError(f"size formula gives {total} for c={c.c}")
-    return total
 
 
 def _weight_denominator(s: int, self_conjugate: bool) -> int:

@@ -38,6 +38,13 @@ def test_weak_compositions_lex_and_complete():
         list(iter_weak_compositions(3, 0))
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_weak_compositions_refuse_a_negative_total(k):
+    # one part draws no cut point from the empty range(total + 1), two parts draw one
+    with pytest.raises(ValueError, match="^total must be >= 0, got -1$"):
+        list(iter_weak_compositions(-1, k))
+
+
 def test_weak_compositions_do_not_recurse_per_part():
     # 1001 parts: one nested generator per part would pass the recursion limit
     assert [r.to_json_dict() for r in iter_sc_st_cores(1, 2001)] == [

@@ -17,7 +17,6 @@ import stcores.stats
 from stcores import (
     BetaSet,
     CapExceededError,
-    CTuple,
     IdentityReport,
     InvalidSSetError,
     Partition,
@@ -282,8 +281,7 @@ def _misplace_a(orig):
 
 def _negate_charge(orig):
     def charge(b, s):
-        c = orig(b, s)
-        return CTuple(c.s, tuple(-v for v in c.c))
+        return tuple(-v for v in orig(b, s))
 
     return charge
 

@@ -9,7 +9,6 @@ import stcores.formulas
 import stcores.stats
 from stcores import (
     ATuple,
-    CTuple,
     InvariantError,
     NegativeEntryError,
     NonzeroChargeError,
@@ -58,15 +57,17 @@ def test_size_from_a_cross_check_on_enumeration():
 
 
 def test_size_from_c_examples():
-    assert size_from_c(CTuple(4, (0, 0, 0, 0))) == 0
+    assert size_from_c((0, 0, 0, 0)) == 0
     c = charge(beta_from_partition(Partition([1, 1])), 4)
-    assert c.c == (0, 1, 0, -1)
+    assert type(c) is tuple and c == (0, 1, 0, -1)
     assert size_from_c(c) == 2
 
 
 def test_size_from_c_rejects_nonzero_charge():
     with pytest.raises(NonzeroChargeError):
-        size_from_c(CTuple(3, (1, 0, 0)))
+        size_from_c((1, 0, 0))
+    with pytest.raises(ValueError, match="^modulus must be >= 1$"):
+        size_from_c(())
 
 
 def test_size_from_c_is_size_from_a_on_every_small_zero_sum_charge():
@@ -75,7 +76,7 @@ def test_size_from_c_is_size_from_a_on_every_small_zero_sum_charge():
     for t in range(1, 5):
         for c in itertools.product(range(-2, 3), repeat=t):
             if sum(c) == 0:
-                assert size_from_c(CTuple(t, c)) == size_from_a(a_from_charge(CTuple(t, c))), c
+                assert size_from_c(c) == size_from_a(a_from_charge(c)), c
 
 
 def test_size_formulas_triple_agree_on_random_cores():

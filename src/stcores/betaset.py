@@ -25,7 +25,7 @@ import random
 from typing import Iterable
 
 from .errors import InvariantError, NonzeroChargeError, NotACoreError
-from .partition import Partition, _Frozen
+from .partition import Partition, _Frozen, _require_ints
 
 
 class BetaSet(_Frozen):
@@ -36,6 +36,9 @@ class BetaSet(_Frozen):
     gaps: tuple[int, ...]
 
     def __init__(self, members: Iterable[int] = (), gaps: Iterable[int] = ()):
+        members, gaps = tuple(members), tuple(gaps)
+        _require_ints(members, ValueError, "members")
+        _require_ints(gaps, ValueError, "gaps")
         ms = tuple(sorted(set(members)))
         gs = tuple(sorted(set(gaps)))
         if ms and ms[0] < 0:
@@ -74,13 +77,9 @@ class ATuple(_Frozen):
             raise ValueError("modulus must be >= 1")
         if len(a) != t:
             raise ValueError(f"expected {t} entries, got {len(a)}")
-        # One list comparison; the loop names the first offender (or raises
-        # what reducing it raises).
-        try:
-            valid = [v % t for v in a] == list(range(t))
-        except TypeError:
-            valid = False
-        if not valid:
+        _require_ints(a, ValueError, "a")
+        # One list comparison; the loop names the first offender.
+        if [v % t for v in a] != list(range(t)):
             for i, v in enumerate(a):
                 if v % t != i % t:
                     raise ValueError(f"a[{i}] = {v} is not congruent to {i} mod {t}")
@@ -214,7 +213,10 @@ def s_push(b: BetaSet, s: int) -> BetaSet:
 
 def a_from_charge(c: tuple[int, ...]) -> ATuple:
     """a-coordinates of the s-core with zero-sum charge tuple c, s = len(c):
-    a_i = i - s * c_{(-1-i) mod s}."""
+    a_i = i - s * c_{(-1-i) mod s}.  Raises NonzeroChargeError when c does
+    not sum to zero."""
+    if sum(c) != 0:
+        raise NonzeroChargeError(f"a-coordinates need a zero-sum charge tuple, got total {sum(c)}")
     s = len(c)
     return ATuple(s, tuple(i - s * c[(-1 - i) % s] for i in range(s)))
 

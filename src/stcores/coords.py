@@ -41,7 +41,7 @@ from .errors import (
 )
 # The size form of the prefix sums, shared with the records and the DP.
 from .formulas import _require_coprime, _x
-from .partition import _Frozen
+from .partition import _Frozen, _require_ints
 
 
 def shift_constant(s: int, t: int) -> int:
@@ -68,6 +68,7 @@ class ZTuple(_Frozen):
         _require_coprime(s, t)
         if len(z) != t:
             raise InvalidZError(f"expected {t} entries, got {len(z)}")
+        _require_ints(z, InvalidZError, "z")
         if sum(z) != s:
             raise InvalidZError(f"entries sum to {sum(z)}, expected {s}")
         if sum(map(mul, range(t), z)) % t != 0:
@@ -94,6 +95,7 @@ class UTuple(_Frozen):
         _require_coprime(s, t)
         if len(u) != t // 2 + 1:
             raise InvalidZError(f"expected {t // 2 + 1} entries, got {len(u)}")
+        _require_ints(u, InvalidZError, "u")
         if sum(u) != s // 2:
             raise InvalidZError(f"entries sum to {sum(u)}, expected {s // 2}")
         self.__setstate__((t, s, u))
@@ -153,6 +155,8 @@ def z_to_a(z: ZTuple) -> ATuple:
 def is_st_core_a(a: ATuple, s: int) -> bool:
     """Whether the t-core with these a-coordinates is also an s-core:
     a_i >= a_{i+s} - s for every i mod t."""
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
     t = a.t
     return all(a.a[i] >= a.a[(i + s) % t] - s for i in range(t))
 

@@ -5,9 +5,10 @@ tuples z of length t with sum s and sum(j * z_j) = 0 mod t.  The
 (m, m+d, m+2d)-cores are the same kind of tuple with entries in {-1, 0, 1},
 or nonnegative with no two cyclically adjacent zeros.  One generator,
 :func:`_iter_z`, visits exactly these lattice points in lexicographic order:
-a depth-first search, run on an explicit stack, guided by a table of the
-weighted residues each suffix can still reach, so it never builds a tuple
-it would have to throw away.
+a depth-first search, run on an explicit stack, guided by one table of the
+weighted residues each suffix can still reach, keyed by the sum left and
+whether the entry before the suffix and z_0 are zero (the cyclic pair), so
+it never builds a tuple it would have to throw away.
 
 Each record is built from the prefix sums P_l = z_0 + ... + z_{l-1}
 (:func:`_records`) by the one z -> a step of :mod:`stcores.coords`, which
@@ -30,7 +31,7 @@ z.  :func:`attach_stabilizers` fills in each record's stabilizer order from
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate, combinations_with_replacement
 from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
@@ -159,103 +160,68 @@ def canonical_cyclic_rep(x: Sequence[int]) -> int:
 
 def _iter_z(total: int, t: int, values: range, no_zero_pair: bool = False) -> Iterator[tuple[int, ...]]:
     """Every z in ``values``^t with sum ``total`` and sum(j * z_j) = 0 mod t,
-    lazily and in lexicographic order.  With ``no_zero_pair`` (for
-    nonnegative ``values``) also z_j + z_{j+1} >= 1 for every j, indices
-    mod t.
+    lazily and in lexicographic order.  With ``no_zero_pair`` (for nonnegative
+    ``values``) also z_j + z_{j+1} >= 1 for every j, indices mod t.
 
-    A completion table, built bottom-up, maps (position, whether the entry
-    before it is zero, remaining sum) to a bitmask of the residues
-    sum_{j >= position} j * z_j mod t that some valid suffix reaches.  The
-    search enters a prefix only when the bit of the residue that prefix
-    still needs is set, so every prefix it enters ends in at least one
-    output tuple, and the last entry is forced.  The cyclic pair
-    (z_{t-1}, z_0) is covered by a second table in which z_{t-1} must be
-    nonzero, used when z_0 = 0.  The search keeps the candidate entries of
-    each open position on an explicit stack; each state's candidate list is
-    computed once.
+    One residue table, ``reach[pos][rem, zero_before, zero_first]``, filled
+    by a loop from the last position up, maps the sum left and whether
+    z_{pos-1} and z_0 are 0 to the bitmask of the residues sum_{j >= pos}
+    j * z_j mod t that some valid suffix reaches; the flag of z_0 carries
+    the cyclic pair (z_{t-1}, z_0).  The search enters a prefix only when
+    the bit of the residue it still owes is set, so every prefix it enters
+    ends in an output tuple, and the last entry is forced.  It runs on an
+    explicit stack, and each state's candidate entries are computed once.
     """
-    vmin, vmax = values.start, values.stop - 1
-    full = (1 << t) - 1
-    # Sums that positions pos..t-1 can carry, given the entries before them.
-    rlo = [max((t - pos) * vmin, total - pos * vmax) for pos in range(t + 1)]
-    rhi = [min((t - pos) * vmax, total - pos * vmin) for pos in range(t + 1)]
-    # Smallest entry allowed after a nonzero entry and after a zero entry.
-    floor = (vmin, max(vmin, 1) if no_zero_pair else vmin)
+    vmin, vmax, last = values.start, values.stop - 1, t - 1
+    flags = (False, True) if no_zero_pair else (False,)
 
-    def completions(last_nonzero: bool) -> list:
-        # reach[pos][prev_zero][rem] = bitmask of reachable suffix residues
-        end = {0: 1}
-        reach: list = [None] * t + [(end, end)]
-        for pos in range(t - 1, 0, -1):
-            nxt, lo, hi = reach[pos + 1], rlo[pos + 1], rhi[pos + 1]
-            rows = []
-            for prev_zero in (False, True) if no_zero_pair else (False,):
-                lowest = floor[prev_zero]
-                if last_nonzero and pos == t - 1:
-                    lowest = max(lowest, 1)
-                row = {}
-                for rem in range(rlo[pos], rhi[pos] + 1):
+    def span(pos: int, rem: int, zero_before: bool, zero_first: bool) -> range:
+        # the entries at pos that leave a sum positions pos + 1.. can carry
+        lo = max(vmin, 1) if zero_before or zero_first and pos == last else vmin
+        return range(max(lo, rem - (last - pos) * vmax), min(vmax, rem - (last - pos) * vmin) + 1)
+
+    reach: list = [None] * t + [{(0, zb, zf): 1 for zb in flags for zf in flags}]
+    low = high = 0  # the sums that positions pos.. can carry
+    for pos in range(last, 0, -1):
+        nxt, row, low, high = reach[pos + 1], {}, low + vmin, high + vmax
+        for rem in range(max(low, total - pos * vmax), min(high, total - pos * vmin) + 1):
+            for zero_before in flags:
+                for zero_first in flags:
                     mask = 0
-                    for v in range(max(lowest, rem - hi), min(vmax, rem - lo) + 1):
-                        m = nxt[v == 0][rem - v]
-                        k = pos * v % t
-                        mask |= (m << k | m >> (t - k)) & full
-                    row[rem] = mask
-                rows.append(row)
-            reach[pos] = (rows[0], rows[-1])
-        return reach
+                    for v in span(pos, rem, zero_before, zero_first):
+                        m, k = nxt[rem - v, no_zero_pair and v == 0, zero_first], pos * v % t
+                        mask |= m << k | m >> (t - k)
+                    row[rem, zero_before, zero_first] = mask & ((1 << t) - 1)
+        reach[pos] = row
 
-    memo: dict = {}
-
-    def candidates(reach: list, pos: int, rem: int, need: int, prev_zero: bool) -> list[int]:
-        """The entries at ``pos`` whose prefix the search enters, computed
-        once per state."""
-        key = (reach is wrap, pos, rem, need, prev_zero)
-        found = memo.get(key)
-        if found is None:
-            rows = reach[pos + 1]
-            memo[key] = found = [
-                v
-                for v in range(max(floor[prev_zero], rem - rhi[pos + 1]), min(vmax, rem - rlo[pos + 1]) + 1)
-                if rows[v == 0][rem - v] >> (need - pos * v) % t & 1
-            ]
+    @cache
+    def options(pos: int, rem: int, need: int, zero_before: bool, zero_first: bool) -> list[int]:
+        # the entries at pos whose prefix the search enters; z_0 sets zero_first
+        nxt, found = reach[pos + 1], []
+        for v in span(pos, rem, zero_before, zero_first):
+            zero = no_zero_pair and v == 0
+            if nxt[rem - v, zero, zero_first if pos else zero] >> (need - pos * v) % t & 1:
+                found.append(v)
         return found
 
-    last = t - 1
     z = [0] * t
-    # rems[pos], needs[pos]: the sum and the residue positions pos.. still owe
-    rems = [0] * t
-    needs = [0] * t
-    free = completions(False)
-    wrap = completions(True) if no_zero_pair else free
-    for first in range(total - rhi[1], total - rlo[1] + 1):
-        reach = wrap if first == 0 else free
-        if not reach[1][first == 0][total - first] & 1:
+    stack = [(0, total, 0, False, iter(options(0, total, 0, False, False)))]
+    while stack:
+        pos, rem, need, zero_first, entries = stack[-1]
+        if pos >= last - 1:
+            # each entry completes a tuple: z_last is forced (or is v, at t = 1)
+            stack.pop()
+            for v in entries:
+                z[last], z[pos] = rem - v, v
+                yield tuple(z)
             continue
-        if t < 3:
-            yield (first, total - first)[:t]
+        v = next(entries, None)
+        if v is None:
+            stack.pop()
             continue
-        z[0] = first
-        rems[1], needs[1] = total - first, 0
-        stack = [iter(candidates(reach, 1, total - first, 0, first == 0))]
-        while stack:
-            pos = len(stack)
-            if pos == last - 1:
-                # each candidate here completes a tuple: the last entry is forced
-                rem = rems[pos]
-                for v in stack.pop():
-                    z[pos], z[last] = v, rem - v
-                    yield tuple(z)
-                continue
-            for v in stack[-1]:
-                break
-            else:
-                stack.pop()
-                continue
-            z[pos] = v
-            rems[pos + 1] = rem = rems[pos] - v
-            needs[pos + 1] = need = (needs[pos] - pos * v) % t
-            stack.append(iter(candidates(reach, pos + 1, rem, need, v == 0)))
+        z[pos], zero = v, no_zero_pair and v == 0
+        zero_first, rem, need = zero_first if pos else zero, rem - v, (need - pos * v) % t
+        stack.append((pos + 1, rem, need, zero_first, iter(options(pos + 1, rem, need, zero, zero_first))))
 
 
 def iter_st_cores(s: int, t: int) -> Iterator[CoreRecord]:

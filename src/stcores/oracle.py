@@ -96,6 +96,8 @@ def brute_stab_count(
     """Count permutations of the s-set that preserve residues mod t (and,
     for the self-conjugate action, commute with m -> s-1-m), by explicit
     enumeration of all |sset|! permutations."""
+    if s < 1 or t < 1:
+        raise ValueError(f"moduli must be >= 1, got s={s} and t={t}")
     elems = sorted(set(sset))
     if len(elems) != s or sum(elems) != s * (s - 1) // 2:
         raise errors.InvalidSSetError("expected one element per class mod s, summing to s(s-1)/2")
@@ -120,6 +122,8 @@ def brute_stab_count(
 def motzkin_number(n: int) -> int:
     """Motzkin numbers by the convolution recurrence
     M_n = M_{n-1} + sum_k M_k M_{n-2-k}."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     ms = [1, 1]
     while len(ms) <= n:
         j = len(ms)

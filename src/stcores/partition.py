@@ -71,6 +71,14 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _require_ints(values: tuple, error: type[Exception], name: str) -> None:
+    """Raise ``error`` naming the first entry of ``values`` that is not an
+    int (a bool is not one); one C-speed pass when every entry is."""
+    if not {int}.issuperset(map(type, values)):
+        i = next(i for i, v in enumerate(values) if type(v) is not int)
+        raise error(f"{name}[{i}] = {values[i]!r} is not an integer")
+
+
 class Partition(_Frozen):
     """A weakly decreasing tuple of positive integers.
 
@@ -88,20 +96,15 @@ class Partition(_Frozen):
         n = len(ps)
         while n and ps[n - 1] == 0:
             n -= 1
-        ps = ps[:n]
-        # Weakly decreasing down to a positive last part, checked at C speed;
-        # the loop names the first offender (or raises what comparing it raises).
-        try:
-            valid = not ps or (ps[-1] >= 1 and all(map(ge, ps, ps[1:])))
-        except TypeError:
-            valid = False
-        if not valid:
+        # Integers (a bool is not one), weakly decreasing, positive before the
+        # trailing zeros: checked at C speed; the loop names the first offender.
+        if not ({int}.issuperset(map(type, ps)) and (not n or ps[n - 1] >= 1) and all(map(ge, ps, ps[1:]))):
             for i, p in enumerate(ps):
-                if p < 1:
-                    raise NonMonotoneError(f"part {i + 1} is {p}, expected a positive integer")
+                if type(p) is not int or p < 1 and i < n:
+                    raise NonMonotoneError(f"part {i + 1} is {p!r}, expected a positive integer")
                 if i and ps[i - 1] < p:
                     raise NonMonotoneError(f"parts increase at index {i}: {ps[i - 1]} < {p}")
-        self.__setstate__((ps,))
+        self.__setstate__((ps[:n],))
 
     @property
     def size(self) -> int:

@@ -28,7 +28,7 @@ from stcores import (
     s_set,
     t_core,
 )
-from stcores.betaset import _beta_from_class_maxima, size_from_a
+from stcores.betaset import _beta_from_class_maxima, a_from_charge, size_from_a
 
 partitions = st.lists(st.integers(min_value=1, max_value=10), max_size=8).map(
     lambda xs: Partition(sorted(xs, reverse=True))
@@ -106,6 +106,12 @@ def test_partition_from_beta_examples():
 def test_partition_from_beta_rejects_nonzero_charge():
     with pytest.raises(NonzeroChargeError):
         partition_from_beta(BetaSet([0], []))
+
+
+def test_a_from_charge_rejects_a_nonzero_sum():
+    with pytest.raises(NonzeroChargeError, match="^a-coordinates need a zero-sum charge tuple, got total 1$"):
+        a_from_charge((1, 0, 0))
+    assert a_from_charge((0, 0, 0)) == ATuple(3, (0, 1, 2))
 
 
 def test_betaset_validates_sign_ranges():

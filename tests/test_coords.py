@@ -71,6 +71,10 @@ def test_a_z_round_trip_500_random_inputs_per_pair():
 def test_is_st_core_a_examples():
     assert is_st_core_a(ATuple(3, (0, 1, 2)), 2)
     assert is_st_core_a(ATuple(3, (3, 1, -1)), 2)
+    assert is_st_core_a(ATuple(2, (0, 1)), 1)
+    for s in (0, -1):
+        with pytest.raises(ValueError, match=f"^s must be >= 1, got {s}$"):
+            is_st_core_a(ATuple(2, (0, 1)), s)
 
 
 def test_is_st_core_a_matches_beta_criterion_on_random_4_cores():

@@ -1,7 +1,11 @@
+import functools
+import gc
 import itertools
 import math
 
 import pytest
+
+import stcores.enumeration
 
 from stcores import (
     ATuple,
@@ -50,6 +54,23 @@ def test_weak_compositions_do_not_recurse_per_part():
     assert [r.to_json_dict() for r in iter_sc_st_cores(1, 2001)] == [
         {"z": [1] + [0] * 2000, "a": list(range(2001)), "parts": [], "size": 0}
     ]
+
+
+def test_st_cores_do_not_recurse_per_position():
+    # 2001 positions: a recursive table or search would pass the recursion limit
+    assert [r.z.z for r in iter_st_cores(1, 2001)] == [(1,) + (0,) * 2000]
+
+
+def test_iter_z_leaves_no_cyclic_garbage():
+    # each call's table and candidate cache die with its generator
+    gc.collect()
+    gc.disable()
+    try:
+        for args in ((5, 7, range(6)), (2, 7, range(-1, 2)), (7, 5, range(8), True)):
+            assert sum(1 for _ in _iter_z(*args)) > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_canonical_cyclic_rep_examples():
@@ -135,6 +156,28 @@ def test_iter_z_matches_brute_filter():
             if _congruent(z) and all(z[j] + z[(j + 1) % t] >= 1 for j in range(t))
         ]
         assert list(_iter_z(s, t, range(s + 1), no_zero_pair=True)) == brute, ("asym", m, d)
+
+
+def test_iter_z_enters_only_prefixes_that_complete(monkeypatch):
+    # every candidate list the search asks for is nonempty, and none is asked
+    # for the last position, whose entry is forced
+    asked = []
+
+    def spy(options):
+        cached = functools.cache(options)
+
+        def counted(pos, *state):
+            found = cached(pos, *state)
+            asked.append((pos, found))
+            return found
+
+        return counted
+
+    monkeypatch.setattr(stcores.enumeration, "cache", spy)
+    for args, n in (((4, 5, range(5)), 14), ((2, 5, range(-1, 2)), 6), ((5, 3, range(6), True), 6)):
+        asked.clear()
+        assert len(list(_iter_z(*args))) == n
+        assert asked and all(found and pos < args[1] - 1 for pos, found in asked), args
 
 
 def test_enum_rejects_non_coprime():

@@ -94,10 +94,15 @@ def test_brute_stab_count_guards():
         brute_stab_count({0, 4}, 3, 2)  # wrong sum
     with pytest.raises(InvalidSSetError):
         brute_stab_count({6, -2, -1}, 2, 3, self_conjugate=True)  # not symmetric
+    for sset, t, s in (({0, 1, 2}, 0, 3), ({0, 1, 2}, -3, 3), (set(), 1, 0)):
+        with pytest.raises(ValueError, match=f"^moduli must be >= 1, got s={s} and t={t}$"):
+            brute_stab_count(sset, t, s)
 
 
 def test_motzkin_numbers():
     assert [motzkin_number(n) for n in range(8)] == [1, 1, 2, 4, 9, 21, 51, 127]
+    with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+        motzkin_number(-1)
 
 
 def test_stab_formula_matches_brute_on_all_small_pairs():

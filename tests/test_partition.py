@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import stcores.partition
-from stcores import NonMonotoneError, OutOfDiagramError, Partition
+from stcores import ATuple, BetaSet, InvalidZError, NonMonotoneError, OutOfDiagramError, Partition, UTuple, ZTuple
 
 partitions = st.lists(st.integers(min_value=1, max_value=10), max_size=8).map(
     lambda xs: Partition(sorted(xs, reverse=True))
@@ -32,12 +32,39 @@ def test_constructor_rejects_increasing():
         Partition([3, -1])
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Partition([2, 1.5]), NonMonotoneError, "part 2 is 1.5, expected a positive integer"),
+    (lambda: Partition([True]), NonMonotoneError, "part 1 is True, expected a positive integer"),
+    # trailing zeros are dropped, but they must be ints too
+    (lambda: Partition([1, 0, 0.0]), NonMonotoneError, "part 3 is 0.0, expected a positive integer"),
+    (lambda: Partition(["a"]), NonMonotoneError, "part 1 is 'a', expected a positive integer"),
+    (lambda: BetaSet([1.5], [-1]), ValueError, r"members\[0\] = 1.5 is not an integer"),
+    # checked before the set, which would merge True into 1
+    (lambda: BetaSet([1, True]), ValueError, r"members\[1\] = True is not an integer"),
+    (lambda: BetaSet([0], [-1.0]), ValueError, r"gaps\[0\] = -1.0 is not an integer"),
+    (lambda: ATuple(2, (0.0, 1)), ValueError, r"a\[0\] = 0.0 is not an integer"),
+    (lambda: ZTuple(2, 1, (1.0, 0)), InvalidZError, r"z\[0\] = 1.0 is not an integer"),
+    (lambda: UTuple(3, 2, (0, False)), InvalidZError, r"u\[1\] = False is not an integer"),
+    (lambda: UTuple(3, 2, (1.0, 0)), InvalidZError, r"u\[0\] = 1.0 is not an integer"),
+], ids=["Partition-float", "Partition-bool", "Partition-trailing-float", "Partition-str", "BetaSet-float",
+        "BetaSet-bool", "BetaSet-gap", "ATuple", "ZTuple", "UTuple-bool", "UTuple-float"])
+def test_value_classes_refuse_entries_that_are_not_ints(make, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        make()
+
+
 def test_only_an_invalid_partition_enters_the_loop_that_names_its_fault(monkeypatch):
     entered = []
     monkeypatch.setattr(stcores.partition, "enumerate", lambda ps: entered.append(ps) or enumerate(ps), raising=False)
     assert Partition((3, 1)).parts == (3, 1) and entered == []
     with pytest.raises(NonMonotoneError):
         Partition((1, 3))
+    assert entered == [(1, 3)]
+    # the other value classes check their int entries without the loop too
+    BetaSet([1], [-1])
+    ATuple(2, (0, 1))
+    ZTuple(2, 1, (1, 0))
+    UTuple(3, 2, (0, 1))
     assert entered == [(1, 3)]
 
 

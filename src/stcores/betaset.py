@@ -61,22 +61,21 @@ class BetaSet(_Frozen):
 
 
 class ATuple(_Frozen):
-    """An s-set in coordinate form: t integers a_0..a_{t-1} with a_i = i
-    (mod t) summing to t(t-1)/2.
+    """An s-set in coordinate form: t = len(a) integers a_0..a_{t-1} with
+    a_i = i (mod t) summing to t(t-1)/2.
 
     The set {a_i} is the s-set (B + t) \\ B of a t-core; as a set it carries
     one representative per residue class mod t.
     """
 
-    __slots__ = ("t", "a")
-    t: int
+    __slots__ = ("a",)
     a: tuple[int, ...]
+    t = property(lambda self: len(self.a))
 
-    def __init__(self, t: int, a: tuple[int, ...]):
+    def __init__(self, a: tuple[int, ...]):
+        t = len(a)
         if t < 1:
             raise ValueError("modulus must be >= 1")
-        if len(a) != t:
-            raise ValueError(f"expected {t} entries, got {len(a)}")
         _require_ints(a, ValueError, "a")
         # One list comparison; the loop names the first offender.
         if [v % t for v in a] != list(range(t)):
@@ -86,7 +85,7 @@ class ATuple(_Frozen):
         want = t * (t - 1) // 2
         if sum(a) != want:
             raise ValueError(f"entries sum to {sum(a)}, expected {want}")
-        self.__setstate__((t, a))
+        self.__setstate__((a,))
 
     def to_json(self) -> list[int]:
         return list(self.a)
@@ -218,7 +217,7 @@ def a_from_charge(c: tuple[int, ...]) -> ATuple:
     if sum(c) != 0:
         raise NonzeroChargeError(f"a-coordinates need a zero-sum charge tuple, got total {sum(c)}")
     s = len(c)
-    return ATuple(s, tuple(i - s * c[(-1 - i) % s] for i in range(s)))
+    return ATuple(tuple(i - s * c[(-1 - i) % s] for i in range(s)))
 
 
 def t_core(p: Partition, t: int) -> Partition:

@@ -46,9 +46,8 @@ def convert(args) -> dict:
 
         try:
             d = json.loads(args.beta)
-            for v in list(d["members"]) + list(d["gaps"]):
-                if type(v) is not int:
-                    raise TypeError(f"bead {json.dumps(v)} is not an integer")
+            if type(d) is not dict:
+                raise TypeError("expected an object with members and gaps")
             b = betaset.BetaSet(d["members"], d["gaps"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"bad --beta payload: {exc}") from None
@@ -58,7 +57,7 @@ def convert(args) -> dict:
         if t not in (None, len(entries)):
             raise UsageError(f"--t {t} disagrees with --a, which has {len(entries)} entries")
         t = len(entries)
-        p = betaset.partition_from_a(betaset.ATuple(t, entries))
+        p = betaset.partition_from_a(betaset.ATuple(entries))
     elif args.z is not None:
         entries = parse_ints(args.z, "z-tuple")
         t_z, s_z = len(entries), sum(entries)
@@ -69,7 +68,7 @@ def convert(args) -> dict:
         if s not in (None, s_z):
             raise UsageError(f"--s {s} disagrees with --z, whose entries sum to {s_z}")
         t, s = t_z, s_z
-        p = betaset.partition_from_a(coords.z_to_a(coords.ZTuple(t, s, entries)))
+        p = betaset.partition_from_a(coords.z_to_a(coords.ZTuple(entries)))
     else:
         if t is None or s is None:
             raise UsageError("--u needs both --t and --s")

@@ -53,27 +53,24 @@ def shift_constant(s: int, t: int) -> int:
 
 
 class ZTuple(_Frozen):
-    """t integers summing to s with sum(j * z_j) = 0 mod t.
+    """t = len(z) integers summing to s = sum(z) with sum(j * z_j) = 0 mod t.
 
     Entries may be negative (general t-cores); the (s,t)-core subset is the
     componentwise nonnegative one.
     """
 
-    __slots__ = ("t", "s", "z")
-    t: int
-    s: int
+    __slots__ = ("z",)
     z: tuple[int, ...]
+    t = property(lambda self: len(self.z))
+    s = property(lambda self: sum(self.z))
 
-    def __init__(self, t: int, s: int, z: tuple[int, ...]):
-        _require_coprime(s, t)
-        if len(z) != t:
-            raise InvalidZError(f"expected {t} entries, got {len(z)}")
+    def __init__(self, z: tuple[int, ...]):
         _require_ints(z, InvalidZError, "z")
-        if sum(z) != s:
-            raise InvalidZError(f"entries sum to {sum(z)}, expected {s}")
+        t = len(z)
+        _require_coprime(sum(z), t)
         if sum(map(mul, range(t), z)) % t != 0:
             raise InvalidZError("sum(j * z_j) is not 0 mod t")
-        self.__setstate__((t, s, z))
+        self.__setstate__((z,))
 
     def is_nonnegative(self) -> bool:
         return min(self.z) >= 0
@@ -118,12 +115,13 @@ def a_to_z(a: ATuple, s: int) -> ZTuple:
         if num % t:
             raise InvariantError(f"a-coordinates of {a.a} do not divide exactly at j={j}")
         z.append(num // t)
-    return ZTuple(t, s, tuple(z))
+    return ZTuple(tuple(z))
 
 
-def _a_layout(s: int, t: int, k: int) -> list[tuple[int, int]]:
-    """The per-(s,t) index layout of :func:`_a_from_prefix`: for each
-    a-index i, the level l with (k + ls) mod t = i and x_l at P_l = 0."""
+def _a_layout(s: int, t: int) -> list[tuple[int, int]]:
+    """The per-(s,t) index layout of :func:`_a_from_prefix`: for each a-index i,
+    the level l with (k + ls) mod t = i, k = shift_constant(s, t), and x_l at P_l = 0."""
+    k = shift_constant(s, t)
     levels = [0] * t
     for l in range(t):
         levels[(k + l * s) % t] = l
@@ -148,8 +146,8 @@ def z_to_a(z: ZTuple) -> ATuple:
     (:func:`_a_from_prefix`)."""
     t, s = z.t, z.s
     prefix = list(accumulate(z.z, initial=0))
-    _, a = _a_from_prefix(_a_layout(s, t, shift_constant(s, t)), prefix, sum(prefix) - s)
-    return ATuple(t, a)
+    _, a = _a_from_prefix(_a_layout(s, t), prefix, sum(prefix) - s)
+    return ATuple(a)
 
 
 def is_st_core_a(a: ATuple, s: int) -> bool:
@@ -200,7 +198,7 @@ def _unfold(t: int, s: int, u: Sequence[int]) -> tuple[int, ...]:
 
 def u_to_z(u: UTuple) -> ZTuple:
     """Unfold u-coordinates; exact inverse of :func:`z_to_u`."""
-    return ZTuple(u.t, u.s, _unfold(u.t, u.s, u.u))
+    return ZTuple(_unfold(u.t, u.s, u.u))
 
 
 def stab_size(z: ZTuple) -> int:

@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import coords
 from .betaset import ATuple, partition_from_a
-from .coords import ZTuple, _unfold, shift_constant
+from .coords import ZTuple, _unfold
 from .errors import InvariantError
 from .formulas import _require_coprime, _scaled_size
 from .partition import Partition, _Frozen
@@ -103,8 +103,8 @@ def _records(s: int, t: int, zs: Iterable[tuple[int, ...]]) -> Iterator[CoreReco
     :func:`~stcores.formulas._scaled_size`, in O(t) operations.
 
     Each record is validated once, here, on values the leaf already holds,
-    and any failure raises InvariantError.  The z checks of ZTuple: t + 1
-    prefix sums ending at s, and S + s = 0 (mod t), since
+    and any failure raises InvariantError.  The z checks: t + 1 prefix sums
+    ending at s, the (s, t) asked for, and ZTuple's S + s = 0 (mod t), since
     sum_j j z_j = (t-1)s - S.  The a checks of ATuple: a_i = i (mod t),
     one comparison with a list built once per (s, t), and sum(a) =
     t(t-1)/2.  The size check of :func:`~stcores.betaset.size_from_a`: 24t
@@ -112,7 +112,7 @@ def _records(s: int, t: int, zs: Iterable[tuple[int, ...]]) -> Iterator[CoreReco
     values then become the ZTuple and ATuple without a second validation.
     """
     # the z -> a step of z_to_a, looked up in coords when the stream starts
-    layout, step = coords._a_layout(s, t, shift_constant(s, t)), coords._a_from_prefix
+    layout, step = coords._a_layout(s, t), coords._a_from_prefix
     residues, a_sum = list(range(t)), t * (t - 1) // 2
     t24 = 24 * t
     for z in zs:
@@ -127,7 +127,7 @@ def _records(s: int, t: int, zs: Iterable[tuple[int, ...]]) -> Iterator[CoreReco
         size, rem = divmod(num, t24)
         if rem or size < 0:
             raise InvariantError(f"size formula gives {num}/{t24} for a={a}")
-        yield CoreRecord(ZTuple._unchecked(t, s, z), ATuple._unchecked(t, a), size)
+        yield CoreRecord(ZTuple._unchecked(z), ATuple._unchecked(a), size)
 
 
 def iter_weak_compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:

@@ -13,6 +13,8 @@ from .errors import CoreError, InvariantError, NotCoprimeError
 
 
 def _require_coprime(s: int, t: int) -> None:
+    if type(s) is not int or type(t) is not int:
+        raise ValueError(f"moduli must be integers, got {s!r} and {t!r}")
     if s < 1 or t < 1:
         raise ValueError(f"moduli must be >= 1, got {s} and {t}")
     if math.gcd(s, t) != 1:

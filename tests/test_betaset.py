@@ -111,7 +111,7 @@ def test_partition_from_beta_rejects_nonzero_charge():
 def test_a_from_charge_rejects_a_nonzero_sum():
     with pytest.raises(NonzeroChargeError, match="^a-coordinates need a zero-sum charge tuple, got total 1$"):
         a_from_charge((1, 0, 0))
-    assert a_from_charge((0, 0, 0)) == ATuple(3, (0, 1, 2))
+    assert a_from_charge((0, 0, 0)) == ATuple((0, 1, 2))
 
 
 def test_betaset_validates_sign_ranges():
@@ -265,7 +265,7 @@ def test_partition_from_a_reads_a_once_per_position_it_walks():
     for p, t in [(Partition([5, 5]), 3), (Partition([4, 2, 1]), 5), (Partition([3, 1, 1]), 2)]:
         core = t_core(p, t)
         a = _CountedReads(a_coords(core, t).a)
-        assert partition_from_a(ATuple._unchecked(t, a)) == core
+        assert partition_from_a(ATuple._unchecked(a)) == core
         assert a.reads == max(a) - t - min(a), (p, t)
         reads.append(a.reads)
     assert reads == [1, 6, 1]
@@ -273,18 +273,25 @@ def test_partition_from_a_reads_a_once_per_position_it_walks():
 
 def test_atuple_validation():
     with pytest.raises(ValueError, match=r"a\[2\] = 1 is not congruent to 2 mod 3"):
-        ATuple(3, (0, 1, 1))  # wrong congruence
+        ATuple((0, 1, 1))  # wrong congruence
     with pytest.raises(ValueError):
-        ATuple(3, (3, 1, 2))  # wrong sum
-    for make, args, message in (
-        (ATuple, (0, ()), "modulus must be >= 1"),
-        (ATuple, (3, (0, 1)), "expected 3 entries, got 2"),
-    ):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            make(*args)
+        ATuple((3, 1, 2))  # wrong sum
+    with pytest.raises(ValueError, match="^modulus must be >= 1$"):
+        ATuple(())
 
 
-_Z, _A = (3, 2, (0, 1, 1)), (3, (0, 1, 2))
+def test_z_and_a_tuples_store_only_their_entries():
+    z, a = ZTuple((0, 1, 1)), ATuple((3, 1, -1))
+    assert (ZTuple.__slots__, ATuple.__slots__) == (("z",), ("a",))
+    assert (z.t, z.s, a.t) == (3, 2, 3)
+    assert ZTuple._unchecked((2, 0, 0)).s == 2 and ATuple._unchecked((0, 1)).t == 2
+    for x, name in ((z, "t"), (z, "s"), (a, "t")):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 4)
+    assert z.to_json_dict() == {"t": 3, "s": 2, "z": [0, 1, 1]}
+
+
+_Z, _A = (0, 1, 1), (0, 1, 2)
 
 
 @pytest.mark.parametrize("make, different, fields, text", [
@@ -292,13 +299,13 @@ _Z, _A = (3, 2, (0, 1, 1)), (3, (0, 1, 2))
     (lambda: Partition([2, 1, 0]), Partition([2, 2]), ("parts",), "Partition(parts=(2, 1))"),
     (lambda: BetaSet([4, 3], [-1, -2]), BetaSet([3, 4], [-3, -1]), ("members", "gaps"),
      "BetaSet(members=(3, 4), gaps=(-2, -1))"),
-    (lambda: ATuple(3, (3, 1, -1)), ATuple(3, (0, 1, 2)), ("t", "a"), "ATuple(t=3, a=(3, 1, -1))"),
-    (lambda: ZTuple(*_Z), ZTuple(3, 2, (2, 0, 0)), ("t", "s", "z"), "ZTuple(t=3, s=2, z=(0, 1, 1))"),
+    (lambda: ATuple((3, 1, -1)), ATuple((0, 1, 2)), ("a",), "ATuple(a=(3, 1, -1))"),
+    (lambda: ZTuple(_Z), ZTuple((2, 0, 0)), ("z",), "ZTuple(z=(0, 1, 1))"),
     (lambda: UTuple(3, 2, (0, 1)), UTuple(3, 2, (1, 0)), ("t", "s", "u"), "UTuple(t=3, s=2, u=(0, 1))"),
     # differs only in stab, the field with a default
-    (lambda: CoreRecord(ZTuple(*_Z), ATuple(*_A), 0), CoreRecord(ZTuple(*_Z), ATuple(*_A), 0, 1),
+    (lambda: CoreRecord(ZTuple(_Z), ATuple(_A), 0), CoreRecord(ZTuple(_Z), ATuple(_A), 0, 1),
      ("z", "a", "size", "stab"),
-     "CoreRecord(z=ZTuple(t=3, s=2, z=(0, 1, 1)), a=ATuple(t=3, a=(0, 1, 2)), size=0, stab=None)"),
+     "CoreRecord(z=ZTuple(z=(0, 1, 1)), a=ATuple(a=(0, 1, 2)), size=0, stab=None)"),
 ], ids=["Partition", "BetaSet", "ATuple", "ZTuple", "UTuple", "CoreRecord"])
 def test_value_classes_compare_hash_and_show_their_fields_and_refuse_assignment(make, different, fields, text):
     x, y = make(), make()
@@ -317,10 +324,10 @@ def test_value_classes_compare_hash_and_show_their_fields_and_refuse_assignment(
 
 def test_value_classes_differ_across_classes_and_unchecked_builds_the_same_value():
     # equal fields but different classes
-    assert ZTuple._unchecked(3, 2, (0, 1)) != UTuple(3, 2, (0, 1))
-    assert ATuple._unchecked(*_A) == ATuple(*_A)
-    assert ZTuple._unchecked(*_Z) == ZTuple(*_Z)
-    assert CoreRecord(ZTuple(*_Z), ATuple(*_A), 0) == CoreRecord(ZTuple(*_Z), ATuple(*_A), 0, None)
+    assert ZTuple._unchecked((0, 1)) != ATuple((0, 1))
+    assert ATuple._unchecked(_A) == ATuple(_A)
+    assert ZTuple._unchecked(_Z) == ZTuple(_Z)
+    assert CoreRecord(ZTuple(_Z), ATuple(_A), 0) == CoreRecord(ZTuple(_Z), ATuple(_A), 0, None)
 
 
 def test_conjugate_beta_examples():

@@ -394,14 +394,15 @@ def test_convert_from_beta(capsys):
 
 
 def test_convert_beta_takes_integers_only(capsys):
-    for payload, bead in (
-        ('{"members":[1.5],"gaps":[-1]}', "1.5"),
-        ('{"members":[true],"gaps":[-1]}', "true"),
-        ('{"members":[0],"gaps":[-1.0]}', "-1.0"),
-        ('{"members":["0"],"gaps":[-1]}', '"0"'),
+    for payload, why in (
+        ('{"members":[1.5],"gaps":[-1]}', "members[0] = 1.5 is not an integer"),
+        ('{"members":[true],"gaps":[-1]}', "members[0] = True is not an integer"),
+        ('{"members":[0],"gaps":[-1.0]}', "gaps[0] = -1.0 is not an integer"),
+        ('{"members":["0"],"gaps":[-1]}', "members[0] = '0' is not an integer"),
+        ("[1]", "expected an object with members and gaps"),
     ):
         code, out, err = run(capsys, "convert", "--beta", payload)
-        assert (code, out) == (2, "") and err == f"error: bad --beta payload: bead {bead} is not an integer\n"
+        assert (code, out) == (2, "") and err == f"error: bad --beta payload: {why}\n"
 
 
 def test_convert_from_u(capsys):

@@ -297,8 +297,8 @@ def test_records_equal_the_z_to_a_reference():
                 s, t = st_of(x, y)
                 for rec in factory(x, y):
                     # through the validating constructors, not the record's own tuples
-                    a = ATuple(t, rec.a.a)
-                    assert a_to_z(a, s) == ZTuple(t, s, rec.z.z), (factory.__name__, x, y, rec.z.z)
+                    a = ATuple(rec.a.a)
+                    assert a_to_z(a, s) == ZTuple(rec.z.z), (factory.__name__, x, y, rec.z.z)
                     assert size_from_a(a) == rec.size, (factory.__name__, x, y, rec.z.z)
                     checked += 1
         assert checked == cores, factory.__name__
@@ -322,21 +322,21 @@ def test_records_check_every_z_at_the_leaf():
 
 def test_records_check_the_a_coordinates_at_the_leaf(monkeypatch):
     # a wrong shift constant permutes the a-coordinates off their residues
-    import stcores.enumeration
+    import stcores.coords
 
-    shift = stcores.enumeration.shift_constant
-    monkeypatch.setattr(stcores.enumeration, "shift_constant", lambda s, t: shift(s, t) + 1)
+    shift = stcores.coords.shift_constant
+    monkeypatch.setattr(stcores.coords, "shift_constant", lambda s, t: shift(s, t) + 1)
     for factory in (iter_st_cores, iter_sc_st_cores, iter_triple_sym, iter_triple_asym):
         with pytest.raises(InvariantError, match="a_i = i mod"):
             list(factory(3, 2))
 
 
 def test_partition_from_a_rejects_a_nonpositive_last_part():
-    assert partition_from_a(ATuple(2, (4, -3))) == Partition([3, 2, 1])
+    assert partition_from_a(ATuple((4, -3))) == Partition([3, 2, 1])
     # residues right, but the entries sum to -1, not t(t-1)/2 = 1: the bead
     # walk ends in the part 0
     with pytest.raises(InvariantError, match="last is not positive"):
-        partition_from_a(ATuple._unchecked(2, (-2, 1)))
+        partition_from_a(ATuple._unchecked((-2, 1)))
 
 
 def test_with_stab_returns_a_new_record_and_leaves_the_original():

@@ -58,3 +58,14 @@ def test_require_coprime_names_the_bad_moduli():
             _require_coprime(s, t)
     with pytest.raises(NotCoprimeError, match="4 and 6 must be coprime"):
         _require_coprime(4, 6)
+
+
+@pytest.mark.parametrize("s, t", [(True, 2), (2, True), (2.0, 3), (3, 2.0), ("2", 3)])
+def test_require_coprime_refuses_moduli_that_are_not_ints(s, t):
+    with pytest.raises(ValueError, match=f"^moduli must be integers, got {s!r} and {t!r}$"):
+        _require_coprime(s, t)
+
+
+def test_counts_refuse_a_bool_modulus():
+    with pytest.raises(ValueError, match="^moduli must be integers, got True and 2$"):
+        count_st(True, 2)

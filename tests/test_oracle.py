@@ -284,6 +284,16 @@ def _misplace_a(orig):
     return step
 
 
+def _layout_of_k_plus_1(orig):
+    """The layout of k + 1: level l moves from a-index i to i + 1 mod t."""
+
+    def _a_layout(s, t):
+        layout = orig(s, t)
+        return layout[-1:] + layout[:-1]
+
+    return _a_layout
+
+
 def _negate_charge(orig):
     def charge(b, s):
         return tuple(-v for v in orig(b, s))
@@ -356,12 +366,13 @@ FAULTS = {
         "a-z-round-trip",
         "InvalidZError: ",
     ),
-    # The records' a-coordinates one step off their residues: caught by the
-    # leaf guard of the records, before any count is compared.
-    "enumeration-shift_constant-plus-1": (
-        stcores.enumeration,
-        "shift_constant",
-        lambda orig: lambda s, t: orig(s, t) + 1,
+    # The a-index layout of k + 1 in place of k, in z_to_a and the records
+    # alike: the records' a-coordinates one step off their residues, caught
+    # by the leaf guard of the records, before any count is compared.
+    "a_layout-k-plus-1": (
+        stcores.coords,
+        "_a_layout",
+        _layout_of_k_plus_1,
         "count-closed-forms",
         "InvariantError: ",
     ),

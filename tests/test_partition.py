@@ -42,8 +42,8 @@ def test_constructor_rejects_increasing():
     # checked before the set, which would merge True into 1
     (lambda: BetaSet([1, True]), ValueError, r"members\[1\] = True is not an integer"),
     (lambda: BetaSet([0], [-1.0]), ValueError, r"gaps\[0\] = -1.0 is not an integer"),
-    (lambda: ATuple(2, (0.0, 1)), ValueError, r"a\[0\] = 0.0 is not an integer"),
-    (lambda: ZTuple(2, 1, (1.0, 0)), InvalidZError, r"z\[0\] = 1.0 is not an integer"),
+    (lambda: ATuple((0.0, 1)), ValueError, r"a\[0\] = 0.0 is not an integer"),
+    (lambda: ZTuple((1.0, 0)), InvalidZError, r"z\[0\] = 1.0 is not an integer"),
     (lambda: UTuple(3, 2, (0, False)), InvalidZError, r"u\[1\] = False is not an integer"),
     (lambda: UTuple(3, 2, (1.0, 0)), InvalidZError, r"u\[0\] = 1.0 is not an integer"),
 ], ids=["Partition-float", "Partition-bool", "Partition-trailing-float", "Partition-str", "BetaSet-float",
@@ -62,8 +62,8 @@ def test_only_an_invalid_partition_enters_the_loop_that_names_its_fault(monkeypa
     assert entered == [(1, 3)]
     # the other value classes check their int entries without the loop too
     BetaSet([1], [-1])
-    ATuple(2, (0, 1))
-    ZTuple(2, 1, (1, 0))
+    ATuple((0, 1))
+    ZTuple((1, 0))
     UTuple(3, 2, (0, 1))
     assert entered == [(1, 3)]
 
